@@ -17,7 +17,6 @@ from .numerics import (
     Vec,
     as_rational,
     enumerate_perms,
-    format_rational,
 )
 from .majorization import (
     SortedView,
@@ -54,8 +53,6 @@ from .isotone import (
     CampaignReport,
     IsotoneVerdict,
     PermScaled,
-    PermutedShift,
-    RowConstant,
     StatementCheck,
     TraceMap,
     choose_positive_shift,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -37,23 +38,16 @@ class CliError(Exception):
 
 
 def _scalar(value: Any, warnings: list[str], where: str) -> Rational:
-    if isinstance(value, bool):
-        raise CliError(f"{where}: boolean is not a scalar")
-    if isinstance(value, int):
-        return Fraction(value)
+    try:
+        exact = as_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"{where}: {exc}")
     if isinstance(value, float):
-        exact = Fraction(value)
         warnings.append(
             f"{where}: float {value!r} converted to the exact binary64 "
             f"rational {exact}"
         )
-        return exact
-    if isinstance(value, str):
-        try:
-            return as_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{where}: bad rational literal {value!r}: {exc}")
-    raise CliError(f"{where}: expected number or 'p/q' string, got {value!r}")
+    return exact
 
 
 def _load_json(path: str) -> Any:
@@ -65,6 +59,8 @@ def _load_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliError(f"{path} is nested too deeply to parse")
 
 
 def load_vector(path: str, warnings: list[str]) -> Vec:
@@ -114,16 +110,19 @@ def write_matrix(path: str, a: Mat) -> None:
     Path(path).write_text(json.dumps(_ser(a), indent=2) + "\n", encoding="utf-8")
 
 
-def _emit(report: dict[str, Any], as_json: bool) -> None:
+def _emit(report: dict[str, Any], as_json: bool) -> int:
+    """Print the report; the exit code is 0 when its verdict holds, else 1."""
+    code = 0 if report["verdict"] is True else 1
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return
+        return code
     for warning in report.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)
     print(f"{report['command']}: verdict = {report['verdict']}")
     for key in ("witness", "counts"):
         if report.get(key) is not None:
             print(f"  {key}: {json.dumps(report[key], sort_keys=True)}")
+    return code
 
 
 def _report(command: str, args: argparse.Namespace, inputs: Any, verdict: Any,
@@ -149,18 +148,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     y = load_vector(args.y, warnings)
     violation = first_violation(x, y)
     holds = violation is None
-    witness = None
-    if violation is not None:
-        witness = {"kind": violation.kind, "index": violation.index,
-                   "lhs": violation.lhs, "rhs": violation.rhs}
+    witness = None if holds else asdict(violation)
     counts = {
         "x_sorted_prefix_sums": list(desc_prefix_sums(x)),
         "y_sorted_prefix_sums": list(desc_prefix_sums(y)),
     }
     report = _report("check", args, {"x": _digest(args.x), "y": _digest(args.y)},
                      holds, start, witness, counts, warnings)
-    _emit(report, args.json)
-    return 0 if holds else 1
+    return _emit(report, args.json)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -172,19 +167,14 @@ def cmd_witness(args: argparse.Namespace) -> int:
     try:
         witness = witness_ds(x, y)
     except NotMajorized as exc:
-        v = exc.violation
         report = _report("witness", args, inputs, False, start,
-                         {"kind": v.kind, "index": v.index,
-                          "lhs": v.lhs, "rhs": v.rhs},
-                         None, warnings)
-        _emit(report, args.json)
-        return 1
+                         asdict(exc.violation), None, warnings)
+        return _emit(report, args.json)
     write_matrix(args.out, witness.matrix.matrix)
     counts = {"transforms": len(witness.transforms), "out": args.out}
     report = _report("witness", args, inputs, True, start,
                      {"matrix": witness.matrix.matrix}, counts, warnings)
-    _emit(report, args.json)
-    return 0
+    return _emit(report, args.json)
 
 
 def cmd_extremizers(args: argparse.Namespace) -> int:
@@ -207,8 +197,7 @@ def cmd_extremizers(args: argparse.Namespace) -> int:
     report = _report("extremizers", args,
                      {"x": _digest(args.x), "y": _digest(args.y)},
                      True, start, None, counts, warnings)
-    _emit(report, args.json)
-    return 0
+    return _emit(report, args.json)
 
 
 def _statement_counts(check: isotone.StatementCheck) -> dict[str, Any]:
@@ -239,8 +228,7 @@ def cmd_isotone(args: argparse.Namespace) -> int:
         form = isotone.classify_global(a)
         report = _report("isotone", args, inputs, form is not None, start,
                          None, {"classification": _form_json(form)}, warnings)
-        _emit(report, args.json)
-        return 0 if form is not None else 1
+        return _emit(report, args.json)
 
     anchor = isotone.AnchorPoint(load_vector(args.at, warnings))
     inputs["alpha"] = _digest(args.at)
@@ -258,8 +246,7 @@ def cmd_isotone(args: argparse.Namespace) -> int:
                 break
         report = _report("isotone", args, inputs, ok, start, witness,
                          _statement_counts(check), warnings)
-        _emit(report, args.json)
-        return 0 if ok else 1
+        return _emit(report, args.json)
 
     runners = {
         "equiv": lambda: isotone.is_equiv_preserving_at(a, anchor, args.guard_n),
@@ -273,8 +260,7 @@ def cmd_isotone(args: argparse.Namespace) -> int:
     counts = {"sampled_trials": verdict.trials}
     report = _report("isotone", args, inputs, verdict.holds, start,
                      verdict.witness, counts, warnings)
-    _emit(report, args.json)
-    return 0 if verdict.holds else 1
+    return _emit(report, args.json)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -318,8 +304,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         witness = {"inconsistent": inconsistent,
                    "unclassified_preservers": unclassified_preservers}
     report = _report("verify", args, inputs, ok, start, witness, counts, warnings)
-    _emit(report, args.json)
-    return 0 if ok else 1
+    return _emit(report, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ seeded random instances for test campaigns.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,10 +162,13 @@ class BirkhoffDecomposition:
         return len(self.terms[0][1])
 
     def recompose(self) -> Mat:
-        out = self.terms[0][1].matrix().scale(self.terms[0][0])
-        for w, p in self.terms[1:]:
-            out = out + p.matrix().scale(w)
-        return out
+        return _weighted_perm_sum(self.terms)
+
+
+def _weighted_perm_sum(terms: Iterable[tuple[Rational, Perm]]) -> Mat:
+    """``sum(w * p.matrix())`` over at least one ``(w, p)`` pair, in order."""
+    scaled = (p.matrix().scale(w) for w, p in terms)
+    return sum(scaled, next(scaled))
 
 
 def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
@@ -296,7 +300,5 @@ def random_ds(n: int, seed: int, steps: int = 8,
         rng.shuffle(image)
         raw.append((rng.randint(1, max_weight), Perm(image)))
     total = sum(w for w, _ in raw)
-    out = raw[0][1].matrix().scale(Fraction(raw[0][0], total))
-    for w, p in raw[1:]:
-        out = out + p.matrix().scale(Fraction(w, total))
-    return DoublyStochastic(out)
+    return DoublyStochastic(
+        _weighted_perm_sum((Fraction(w, total), p) for w, p in raw))

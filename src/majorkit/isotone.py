@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .majorization import desc_prefix_sums
+from .majorization import _orbit, desc_prefix_sums, permutohedron_vertices
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -122,30 +122,9 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-def _profile(v: Vec) -> tuple[Rational, ...]:
-    return desc_prefix_sums(v)
-
-
 def _maj(pa: tuple[Rational, ...], pb: tuple[Rational, ...]) -> bool:
     """Majorization on precomputed prefix profiles: pa below pb."""
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
-
-
-def _distinct_orbit(alpha: Vec, guard: int) -> list[tuple[Perm, Vec]]:
-    """Distinct rearrangements of ``alpha`` with their first witnessing perm.
-
-    Deduplication matters only for anchors with repeated entries; the
-    predicates quantify over the rearranged vectors, not the permutations
-    themselves, so one representative per image suffices.
-    """
-    seen: set[Vec] = set()
-    out: list[tuple[Perm, Vec]] = []
-    for p in enumerate_perms(len(alpha), guard):
-        v = p.apply(alpha)
-        if v not in seen:
-            seen.add(v)
-            out.append((p, v))
-    return out
 
 
 def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
@@ -156,9 +135,9 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     permutation ``P``; the witness on failure is the offending ``P``.
     """
     _require_square(a)
-    base = _profile(a @ anchor.alpha)
-    for p, v in _distinct_orbit(anchor.alpha, guard):
-        if _profile(a @ v) != base:
+    base = desc_prefix_sums(a @ anchor.alpha)
+    for p, v in _orbit(anchor.alpha, guard):
+        if desc_prefix_sums(a @ v) != base:
             return IsotoneVerdict(False, {"perm": p})
     return IsotoneVerdict(True)
 
@@ -174,8 +153,8 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     ``A (source alpha)`` not majorized by ``A (target alpha)``.
     """
     _require_square(a)
-    orbit = _distinct_orbit(anchor.alpha, guard)
-    images = [(p, _profile(a @ v)) for p, v in orbit]
+    orbit = _orbit(anchor.alpha, guard)
+    images = [(p, desc_prefix_sums(a @ v)) for p, v in orbit]
     for pt, target in images:
         for ps, source in images:
             if not _maj(source, target):
@@ -207,7 +186,7 @@ def _sample_above(alpha: Vec, rng: random.Random) -> Vec:
 def _pool_above(anchor: AnchorPoint, trials: int, rng: random.Random,
                 guard: int) -> list[Vec]:
     """Sample pool of vectors majorizing the anchor: its whole orbit plus spreads."""
-    pool = [v for _, v in _distinct_orbit(anchor.alpha, guard)]
+    pool = permutohedron_vertices(anchor.alpha, guard)
     pool.extend(_sample_above(anchor.alpha, rng) for _ in range(trials))
     return pool
 
@@ -224,10 +203,10 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     """
     _require_square(a)
     rng = random.Random(f"{seed}:right")
-    orbit_images = [(p, _profile(a @ v))
-                    for p, v in _distinct_orbit(anchor.alpha, guard)]
+    orbit_images = [(p, desc_prefix_sums(a @ v))
+                    for p, v in _orbit(anchor.alpha, guard)]
     for y in _pool_above(anchor, trials, rng, guard):
-        target = _profile(a @ y)
+        target = desc_prefix_sums(a @ y)
         for p, source in orbit_images:
             if not _maj(source, target):
                 return IsotoneVerdict(False, {"perm": p, "y": y}, trials=trials)
@@ -245,13 +224,13 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     :func:`is_right_isotone_at` with the anchor's image as source.
     """
     _require_square(a)
-    base = _profile(a @ anchor.alpha)
-    for q, v in _distinct_orbit(anchor.alpha, guard):
-        if not _maj(_profile(a @ v), base):
+    base = desc_prefix_sums(a @ anchor.alpha)
+    for q, v in _orbit(anchor.alpha, guard):
+        if not _maj(desc_prefix_sums(a @ v), base):
             return IsotoneVerdict(False, {"perm": q})
     rng = random.Random(f"{seed}:point")
     for y in _pool_above(anchor, trials, rng, guard):
-        if not _maj(base, _profile(a @ y)):
+        if not _maj(base, desc_prefix_sums(a @ y)):
             return IsotoneVerdict(False, {"y": y}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
@@ -279,9 +258,9 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     targets = list(extra_targets)
     targets.extend(_random_distinct_vec(n, rng) for _ in range(trials))
     for y in targets:
-        target = _profile(a @ y)
+        target = desc_prefix_sums(a @ y)
         for q in enumerate_perms(n, guard):
-            if not _maj(_profile(a @ q.apply(y)), target):
+            if not _maj(desc_prefix_sums(a @ q.apply(y)), target):
                 return IsotoneVerdict(False, {"perm": q, "y": y}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
@@ -303,8 +282,6 @@ def classify_global(a: Mat) -> GlobalForm | None:
     rows = a.rows
     if all(len(set(row)) == 1 for row in rows):
         return TraceMap(Vec(row[0] for row in rows))
-    if n == 1:
-        return TraceMap(Vec([rows[0][0]]))
 
     first = rows[0]
     if n == 2:
@@ -364,51 +341,21 @@ def choose_positive_shift(a: Mat) -> int:
     return math.floor(-lowest) + 1
 
 
-@dataclass(frozen=True)
-class RowConstant:
-    """Every row of the matrix is constant; row ``i`` holds ``values[i]``.
-
-    Equivalent to :class:`TraceMap` with ``a = values``.
-    """
-
-    values: Vec
-
-
-@dataclass(frozen=True)
-class PermutedShift:
-    """``A @ right_perm.matrix()`` equals ``lam`` off the diagonal and ``gamma`` on it."""
-
-    lam: Rational
-    gamma: Rational
-    right_perm: Perm
-
-    def as_matrix(self) -> Mat:
-        n = len(self.right_perm)
-        base = Mat.ones(n).scale(self.lam) + Mat.identity(n).scale(self.gamma - self.lam)
-        return base @ self.right_perm.inverse().matrix()
-
-
 def classify_at_point(a: Mat, anchor: AnchorPoint,
-                      guard: int = DEFAULT_GUARD) -> RowConstant | PermutedShift:
-    """Canonical form of a matrix that preserves equivalence at a strict anchor.
+                      guard: int = DEFAULT_GUARD) -> GlobalForm:
+    """Global form of a matrix that preserves equivalence at a strict anchor.
 
-    Exactly one of two shapes applies: all rows constant, or every row
-    constant except a single entry, with one common off value, one common
-    special value, and the special positions forming a permutation.  When
-    neither shape matches, the precondition is checked explicitly so the
+    At such an anchor preserving equivalence is global isotonicity, so the
+    form is the one :func:`classify_global` recovers.  When no shape fits, the
     error states whether the input simply was not equivalence preserving
     or (should it ever happen) genuinely escapes both forms.
     """
-    n = _require_square(a)
+    _require_square(a)
     if not anchor.strictly_decreasing:
         raise ValueError("classification requires a strictly decreasing anchor")
-    rows = a.rows
-    if all(len(set(row)) == 1 for row in rows):
-        return RowConstant(Vec(row[0] for row in rows))
-
-    structured = _permuted_shift_form(rows, n)
-    if structured is not None:
-        return structured
+    form = classify_global(a)
+    if form is not None:
+        return form
     verdict = is_equiv_preserving_at(a, anchor, guard)
     if not verdict.holds:
         raise ValueError(
@@ -419,45 +366,6 @@ def classify_at_point(a: Mat, anchor: AnchorPoint,
         "equivalence-preserving matrix fits neither canonical form; "
         "this would refute the classification this package verifies"
     )
-
-
-def _permuted_shift_form(rows, n: int) -> PermutedShift | None:
-    if n == 1:
-        return None
-    if n == 2:
-        return _permuted_shift_form_n2(rows)
-    positions = []
-    lams = set()
-    gammas = set()
-    for row in rows:
-        counts: dict[Rational, int] = {}
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-        odd = [v for v, c in counts.items() if c == 1]
-        common = [v for v, c in counts.items() if c == n - 1]
-        if len(odd) != 1 or len(common) != 1:
-            return None
-        positions.append(row.index(odd[0]))
-        gammas.add(odd[0])
-        lams.add(common[0])
-    if len(lams) != 1 or len(gammas) != 1:
-        return None
-    lam = next(iter(lams))
-    gamma = next(iter(gammas))
-    if lam == gamma or len(set(positions)) != n:
-        return None
-    return PermutedShift(lam, gamma, Perm(positions))
-
-
-def _permuted_shift_form_n2(rows) -> PermutedShift | None:
-    # Two placements of the special column; prefer the diagonal one.
-    for positions in ((0, 1), (1, 0)):
-        gammas = {rows[0][positions[0]], rows[1][positions[1]]}
-        lams = {rows[0][1 - positions[0]], rows[1][1 - positions[1]]}
-        if len(gammas) == 1 and len(lams) == 1 and gammas != lams:
-            return PermutedShift(next(iter(lams)), next(iter(gammas)),
-                                 Perm(positions))
-    return None
 
 
 @dataclass(frozen=True)
@@ -509,7 +417,7 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     right = is_right_isotone_at(a, anchor, trials, seed, guard)
     point = is_isotone_at(a, anchor, trials, seed, guard)
     form = classify_global(a)
-    orbit = tuple(v for _, v in _distinct_orbit(anchor.alpha, guard))
+    orbit = tuple(permutohedron_vertices(anchor.alpha, guard))
     global_sampled = is_global_isotone_sampled(a, trials, seed, guard,
                                                extra_targets=orbit)
 
@@ -602,7 +510,7 @@ class CampaignReport:
 
 
 def isotone_point_campaign(anchor: AnchorPoint, matrices: int = 200,
-                           trials: int = DEFAULT_TRIALS, seed: int = 0,
+                           seed: int = 0,
                            guard: int = DEFAULT_GUARD) -> CampaignReport:
     """Search for an equivalence-preserving matrix that is not globally isotone.
 
@@ -610,7 +518,6 @@ def isotone_point_campaign(anchor: AnchorPoint, matrices: int = 200,
     the report records every one found.  Degenerate anchors (repeated
     entries) are allowed here precisely so that regime can be explored.
     """
-    del trials  # the exact predicate needs no sampling
     cells = campaign_matrices(anchor.n, matrices, seed)
     equiv_count = 0
     violations: list[tuple[str, Mat]] = []

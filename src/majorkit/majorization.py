@@ -104,17 +104,26 @@ def equivalent(x: Vec, y: Vec) -> bool:
     return majorizes(x, y) and majorizes(y, x)
 
 
+def _orbit(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[tuple[Perm, Vec]]:
+    """Distinct rearrangements of ``alpha``, each with the first perm giving it.
+
+    One representative perm per image suffices: the orbit predicates
+    quantify over the rearranged vectors, not the permutations.
+    """
+    seen: set[Vec] = set()
+    out: list[tuple[Perm, Vec]] = []
+    for p in enumerate_perms(len(alpha), guard):
+        v = p.apply(alpha)
+        if v not in seen:
+            seen.add(v)
+            out.append((p, v))
+    return out
+
+
 def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
     """All distinct permutations of ``alpha``, in first-seen lexicographic order.
 
     These are the vertices of the permutohedron of ``alpha``, whose convex
     hull is exactly the set of vectors majorized by ``alpha``.
     """
-    seen: set[Vec] = set()
-    out: list[Vec] = []
-    for p in enumerate_perms(len(alpha), guard):
-        v = p.apply(alpha)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return [v for _, v in _orbit(alpha, guard)]

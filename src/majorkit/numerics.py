@@ -9,6 +9,8 @@ are converted losslessly at the boundary; no operation ever rounds.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -21,6 +23,11 @@ RationalLike = Union[Fraction, int, float, str]
 #: pairwise predicate loops in :mod:`majorkit.isotone` grow like (n!)**2
 #: and are comfortable only up to n = 6.
 DEFAULT_GUARD = 8
+
+# CPython's default int-string digit limit; without a cap on exponents,
+# ``Fraction("1e999999999")`` builds a 10**999999999 integer up front.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 class DimensionMismatch(ValueError):
@@ -43,21 +50,24 @@ def as_rational(value: RationalLike) -> Rational:
     """Convert ``value`` to an exact rational.
 
     Strings use the ``Fraction`` grammar ("7", "3/4", "0.25") and are read
-    exactly as written.  Floats convert to the exact binary64 value they
-    hold.  Booleans are rejected to catch accidental truth values.
+    exactly as written, except that decimal exponents beyond 4300 in
+    magnitude are rejected.  Finite floats convert to the exact binary64
+    value they hold.  Booleans are rejected to catch accidental truth values.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational scalar")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite float {value!r} is not a rational scalar")
+    if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(_MAX_EXPONENT))
+                or int(digits or "0") > _MAX_EXPONENT):
+            raise ValueError(f"decimal exponent exceeds {_MAX_EXPONENT}")
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
-
-
-def format_rational(value: Rational) -> str:
-    """Render as ``p`` or ``p/q``, the grammar :func:`as_rational` accepts."""
-    return str(value)
 
 
 class Vec:

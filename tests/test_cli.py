@@ -80,6 +80,20 @@ class TestCheck:
         assert "3602879701896397/36028797018963968" in report["warnings"][0]
 
 
+    @pytest.mark.parametrize("text", [
+        "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
+        "[" * 100_000,
+    ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting"])
+    def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["check", str(bad), str(DATA / "y_21.json")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""  # no report
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestWitness:
     def test_writes_forced_average(self, sandbox):
         code, report = sandbox("witness", "x_halves.json", "y_21.json",

@@ -10,8 +10,6 @@ from majorkit import (
     Mat,
     Perm,
     PermScaled,
-    PermutedShift,
-    RowConstant,
     TraceMap,
     Vec,
     choose_positive_shift,
@@ -287,11 +285,11 @@ class TestColumnSumsAndShift:
 class TestClassifyAtPoint:
     def test_row_constant(self):
         assert classify_at_point(Mat([[1, 1], [1, 1]]), ANCHOR21) == \
-            RowConstant(Vec([1, 1]))
+            TraceMap(Vec([1, 1]))
 
     def test_permuted_shift_with_recomposition(self):
         form = classify_at_point(SYM31, ANCHOR21)
-        assert form == PermutedShift(Fraction(1), Fraction(3), Perm.identity(2))
+        assert form == PermScaled(Fraction(2), Fraction(1), Perm.identity(2))
         assert form.as_matrix() == SYM31
 
     def test_recomposition_on_random_forms(self):
@@ -301,12 +299,12 @@ class TestClassifyAtPoint:
             anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
             planted = random_perm_scaled(n, rng)
             form = classify_at_point(planted, anchor)
-            assert isinstance(form, PermutedShift)
+            assert isinstance(form, PermScaled)
             assert form.as_matrix() == planted
             tm = random_trace_map(n, rng)
             got = classify_at_point(tm, anchor)
-            assert isinstance(got, RowConstant)
-            assert Mat([[v] * n for v in got.values]) == tm
+            assert isinstance(got, TraceMap)
+            assert Mat([[v] * n for v in got.a]) == tm
 
     def test_positive_equiv_preserving_2x2_is_symmetric(self):
         # Every equivalence-preserving positive 2x2 matrix with
@@ -352,25 +350,25 @@ class TestClassifyAtPoint:
         with pytest.raises(ValueError, match="not equivalence preserving"):
             classify_at_point(DIAG12, ANCHOR21)
 
-    def test_agrees_with_global_classifier(self):
-        # The point classification succeeds exactly when the global one
-        # does, and the recovered parameters describe the same matrix.
+    def test_succeeds_exactly_on_equiv_preservers(self):
+        # The point classification succeeds exactly when the exact
+        # equivalence predicate holds, and the recovered parameters
+        # describe the same matrix.
         rng = random.Random(197)
         cells = [(n, cell) for n in (2, 3, 4)
                  for cell in campaign_matrices(n, 40, seed=11 + n)]
         for n, (label, a) in cells:
             anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
-            global_form = classify_global(a)
             try:
-                local_form = classify_at_point(a, anchor)
+                form = classify_at_point(a, anchor)
             except ValueError:
-                local_form = None
-            assert (local_form is None) == (global_form is None), (label, a)
-            if isinstance(local_form, PermutedShift):
-                assert local_form.as_matrix() == a
-            elif isinstance(local_form, RowConstant):
-                assert isinstance(global_form, TraceMap)
-                assert local_form.values == global_form.a
+                form = None
+            assert (form is not None) == \
+                is_equiv_preserving_at(a, anchor).holds, (label, a)
+            if isinstance(form, PermScaled):
+                assert form.as_matrix() == a
+            elif isinstance(form, TraceMap):
+                assert Mat([[v] * n for v in form.a]) == a
 
 
 class TestVerifyStatements:

@@ -16,7 +16,6 @@ from majorkit import (
     Vec,
     as_rational,
     enumerate_perms,
-    format_rational,
 )
 from helpers import naive_mat_vec, rand_perm, rand_vec
 
@@ -40,7 +39,16 @@ class TestRationalScalar:
 
     def test_format_round_trips(self):
         for q in (Fraction(3), Fraction(-1, 2), Fraction(0)):
-            assert as_rational(format_rational(q)) == q
+            assert as_rational(str(q)) == q
+
+    def test_rejects_non_finite_floats_and_absurd_exponents(self):
+        for bad in (math.inf, -math.inf, math.nan, "1e5000", "1e-5000",
+                    "2.5E+4_301", "1e" + "9" * 20):
+            with pytest.raises(ValueError):
+                as_rational(bad)
+        # The cap is on the exponent's magnitude, not on its spelling.
+        assert as_rational("1e4300") == 10 ** 4300
+        assert as_rational("3e-0004300") == Fraction(3, 10 ** 4300)
 
     @given(a=rationals, b=rationals)
     def test_add_then_subtract_is_identity(self, a, b):
