@@ -40,6 +40,7 @@ class CliError(Exception):
 def _scalar(value: Any, warnings: list[str], where: str) -> Rational:
     try:
         exact = as_rational(value)
+        str(exact)  # reports print every input; fail here, not after the work
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{where}: {exc}")
     if isinstance(value, float):

@@ -26,10 +26,10 @@ rearrangements and the preorder's lower sets are convex.  The region
 *above* the anchor is unbounded, so the right-sided predicates are
 refuted by sampling instead: a ``False`` verdict carries a concrete
 counterexample and is definitive, a ``True`` verdict is only "no
-violation found".  The sample pool always contains the anchor's whole
-orbit, which makes the samplers refutation-complete relative to the
-equivalence predicate: whenever that exact predicate fails, the sampled
-ones fail too, deterministically.
+violation found".  One scan of the orbit's images decides every orbit
+quantifier, and the samplers run it before drawing anything (the orbit
+lies above the anchor too), so whenever the exact equivalence predicate
+fails the sampled ones fail too, deterministically, even with no samples.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .majorization import _orbit, desc_prefix_sums, permutohedron_vertices
+from .majorization import _orbit, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -127,6 +127,34 @@ def _maj(pa: tuple[Rational, ...], pb: tuple[Rational, ...]) -> bool:
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
 
 
+def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
+                ) -> tuple[tuple[Rational, ...], dict[str, IsotoneVerdict] | None]:
+    """Profile of ``A alpha`` and, unless every orbit image is equivalent
+    to it, the failing orbit-half verdicts in :class:`StatementCheck` order.
+
+    Mutually majorizing images have equal profiles, so two rows decide all:
+    ``below``, the first image not majorized by ``A alpha``, and ``moved``,
+    the first with another profile.  A pairwise (target, source) scan
+    first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
+    """
+    rows = [(p, v, desc_prefix_sums(a @ v)) for p, v in _orbit(anchor.alpha, guard)]
+    base = rows[0][2]  # enumerate_perms yields the identity first
+    moved = next((row for row in rows if row[2] != base), None)
+    if moved is None:
+        return base, None
+    below = next((row for row in rows if not _maj(row[2], base)), None)
+    (ps, _, _), (pt, y, _) = (below, rows[0]) if below else (rows[0], moved)
+    return base, {
+        "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
+        "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
+        "point": IsotoneVerdict(False, {"perm": below[0]}) if below
+        else IsotoneVerdict(False, {"y": moved[1]}, trials=trials),
+        "equiv": IsotoneVerdict(False, {"perm": moved[0]}),
+        "global_sampled": IsotoneVerdict(
+            False, {"perm": ps.compose(pt.inverse()), "y": y}, trials=trials),
+    }
+
+
 def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
                            guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
     """Decide exactly whether rearranging the anchor leaves the image class fixed.
@@ -135,11 +163,8 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     permutation ``P``; the witness on failure is the offending ``P``.
     """
     _require_square(a)
-    base = desc_prefix_sums(a @ anchor.alpha)
-    for p, v in _orbit(anchor.alpha, guard):
-        if desc_prefix_sums(a @ v) != base:
-            return IsotoneVerdict(False, {"perm": p})
-    return IsotoneVerdict(True)
+    _, failed = _orbit_scan(a, anchor, None, guard)
+    return failed["equiv"] if failed else IsotoneVerdict(True)
 
 
 def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
@@ -148,18 +173,14 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
 
     The quantifier over ``y`` majorized by the anchor collapses to the
     anchor's rearrangements: they are the vertices of the region and the
-    image region below any fixed target is convex.  Failure carries the
-    pair of permutations ``(source, target)`` with
-    ``A (source alpha)`` not majorized by ``A (target alpha)``.
+    image region below any fixed target is convex; so it agrees with
+    :func:`is_equiv_preserving_at`.  Failure carries the pair of
+    permutations ``(source, target)`` with ``A (source alpha)`` not
+    majorized by ``A (target alpha)``.
     """
     _require_square(a)
-    orbit = _orbit(anchor.alpha, guard)
-    images = [(p, desc_prefix_sums(a @ v)) for p, v in orbit]
-    for pt, target in images:
-        for ps, source in images:
-            if not _maj(source, target):
-                return IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt})
-    return IsotoneVerdict(True)
+    _, failed = _orbit_scan(a, anchor, None, guard)
+    return failed["left"] if failed else IsotoneVerdict(True)
 
 
 def _sample_above(alpha: Vec, rng: random.Random) -> Vec:
@@ -183,33 +204,26 @@ def _sample_above(alpha: Vec, rng: random.Random) -> Vec:
     return Vec(vals)
 
 
-def _pool_above(anchor: AnchorPoint, trials: int, rng: random.Random,
-                guard: int) -> list[Vec]:
-    """Sample pool of vectors majorizing the anchor: its whole orbit plus spreads."""
-    pool = permutohedron_vertices(anchor.alpha, guard)
-    pool.extend(_sample_above(anchor.alpha, rng) for _ in range(trials))
-    return pool
-
-
 def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
                         seed: int | str = 0,
                         guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
     """Sampled refuter for: orbit images stay below the image of anything above.
 
-    The region above the anchor is unbounded, so this cannot decide; it
-    draws ``trials`` vectors above the anchor (plus the orbit itself)
-    and checks every orbit image against each.  A failure witness
-    ``(perm, y)`` re-verifies exactly; a pass means no violation found.
+    The region above the anchor is unbounded, so this cannot decide; past
+    the orbit it draws ``trials`` vectors above the anchor and checks
+    ``A alpha`` against each.  A failure witness ``(perm, y)``
+    re-verifies exactly; a pass means no violation found.
     """
     _require_square(a)
+    base, failed = _orbit_scan(a, anchor, trials, guard)
+    if failed:
+        return failed["right"]
     rng = random.Random(f"{seed}:right")
-    orbit_images = [(p, desc_prefix_sums(a @ v))
-                    for p, v in _orbit(anchor.alpha, guard)]
-    for y in _pool_above(anchor, trials, rng, guard):
-        target = desc_prefix_sums(a @ y)
-        for p, source in orbit_images:
-            if not _maj(source, target):
-                return IsotoneVerdict(False, {"perm": p, "y": y}, trials=trials)
+    for _ in range(trials):
+        y = _sample_above(anchor.alpha, rng)
+        if not _maj(base, desc_prefix_sums(a @ y)):
+            return IsotoneVerdict(False, {"perm": Perm.identity(anchor.n), "y": y},
+                                  trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
 
@@ -218,18 +232,17 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     """Point isotonicity: below the anchor exactly, above it by sampling.
 
     The downward half (everything majorized by the anchor maps below the
-    anchor's own image) reduces to the orbit as in
-    :func:`is_left_isotone_at` but against the single target
-    ``A alpha``.  The upward half samples as in
-    :func:`is_right_isotone_at` with the anchor's image as source.
+    anchor's own image) reduces to the orbit as in :func:`is_left_isotone_at`
+    but against the single target ``A alpha``; its witness is ``perm``.
+    The upward half samples as in :func:`is_right_isotone_at`; witness ``y``.
     """
     _require_square(a)
-    base = desc_prefix_sums(a @ anchor.alpha)
-    for q, v in _orbit(anchor.alpha, guard):
-        if not _maj(desc_prefix_sums(a @ v), base):
-            return IsotoneVerdict(False, {"perm": q})
+    base, failed = _orbit_scan(a, anchor, trials, guard)
+    if failed:
+        return failed["point"]
     rng = random.Random(f"{seed}:point")
-    for y in _pool_above(anchor, trials, rng, guard):
+    for _ in range(trials):
+        y = _sample_above(anchor.alpha, rng)
         if not _maj(base, desc_prefix_sums(a @ y)):
             return IsotoneVerdict(False, {"y": y}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
@@ -243,21 +256,18 @@ def _random_distinct_vec(n: int, rng: random.Random) -> Vec:
 
 def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
                               seed: int | str = 0,
-                              guard: int = DEFAULT_GUARD,
-                              extra_targets: tuple[Vec, ...] = ()) -> IsotoneVerdict:
+                              guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
     """Sampled refuter for global isotonicity.
 
-    For each drawn ``y`` (distinct-entry rationals, plus any
-    ``extra_targets``) it suffices to check the rearrangements of ``y``
-    against ``y`` itself, since the vectors below ``y`` form the convex
-    hull of those rearrangements.  A failure witness ``(y, perm)``
-    re-verifies exactly.
+    For each drawn ``y`` (distinct-entry rationals) it suffices to check
+    the rearrangements of ``y`` against ``y`` itself, since the vectors
+    below ``y`` form the convex hull of those rearrangements: ``trials *
+    n!`` matvecs.  A failure witness ``(y, perm)`` re-verifies exactly.
     """
     n = _require_square(a)
     rng = random.Random(f"{seed}:global")
-    targets = list(extra_targets)
-    targets.extend(_random_distinct_vec(n, rng) for _ in range(trials))
-    for y in targets:
+    for _ in range(trials):
+        y = _random_distinct_vec(n, rng)
         target = desc_prefix_sums(a @ y)
         for q in enumerate_perms(n, guard):
             if not _maj(desc_prefix_sums(a @ q.apply(y)), target):
@@ -405,21 +415,23 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
 
     Requires a strictly decreasing anchor, the regime in which the five
     statements are provably equivalent; probing degenerate anchors goes
-    through the individual predicates instead.  The samplers share the
-    anchor's orbit as deterministic targets, so every statement's failure
-    is detected exactly whenever the equivalence predicate fails.
+    through the individual predicates instead.  One orbit scan decides
+    the orbit half of every statement; when it fails, all five verdicts
+    come from it (the global witness is a pair of orbit points) and the
+    samplers run only when it holds.
     """
     _require_square(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    equiv = is_equiv_preserving_at(a, anchor, guard)
-    left = is_left_isotone_at(a, anchor, guard)
-    right = is_right_isotone_at(a, anchor, trials, seed, guard)
-    point = is_isotone_at(a, anchor, trials, seed, guard)
+    _, failed = _orbit_scan(a, anchor, trials, guard)
     form = classify_global(a)
-    orbit = tuple(permutohedron_vertices(anchor.alpha, guard))
-    global_sampled = is_global_isotone_sampled(a, trials, seed, guard,
-                                               extra_targets=orbit)
+    if failed:
+        left, right, point, equiv, global_sampled = failed.values()
+    else:
+        left = equiv = IsotoneVerdict(True)
+        right = is_right_isotone_at(a, anchor, trials, seed, guard)
+        point = is_isotone_at(a, anchor, trials, seed, guard)
+        global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]
     definitive = list(exact_bits)

@@ -20,8 +20,8 @@ RationalLike = Union[Fraction, int, float, str]
 
 #: Largest size for which factorial-cost enumeration runs without an
 #: explicit override.  8! = 40320 permutations is still sub-second; the
-#: pairwise predicate loops in :mod:`majorkit.isotone` grow like (n!)**2
-#: and are comfortable only up to n = 6.
+#: orbit predicates in :mod:`majorkit.isotone` scan the orbit once, and
+#: its global sampler costs trials * n! matvecs.
 DEFAULT_GUARD = 8
 
 # CPython's default int-string digit limit; without a cap on exponents,

@@ -5,7 +5,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from majorkit import Mat, Perm, Vec, random_ds
+from majorkit import (
+    DEFAULT_GUARD,
+    IsotoneVerdict,
+    Mat,
+    Perm,
+    StatementCheck,
+    Vec,
+    classify_global,
+    desc_prefix_sums,
+    enumerate_perms,
+    permutohedron_vertices,
+    random_ds,
+)
+from majorkit.isotone import _random_distinct_vec, _sample_above
+from majorkit.majorization import _orbit
 
 
 def rand_fraction(rng: random.Random, lo: int = -10, hi: int = 10,
@@ -46,3 +60,91 @@ def naive_mat_vec(a: Mat, x: Vec) -> Vec:
             acc += a.rows[i][j] * x[j]
         out.append(acc)
     return Vec(out)
+
+
+# Pairwise orbit loops kept as oracles for the one-scan predicates in
+# majorkit.isotone: each checks every orbit image against every target.
+
+def _maj(pa, pb) -> bool:
+    return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
+
+
+def oracle_equiv(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
+    base = desc_prefix_sums(a @ anchor.alpha)
+    for p, v in _orbit(anchor.alpha, guard):
+        if desc_prefix_sums(a @ v) != base:
+            return IsotoneVerdict(False, {"perm": p})
+    return IsotoneVerdict(True)
+
+
+def oracle_left(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
+    images = [(p, desc_prefix_sums(a @ v)) for p, v in _orbit(anchor.alpha, guard)]
+    for pt, target in images:
+        for ps, source in images:
+            if not _maj(source, target):
+                return IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt})
+    return IsotoneVerdict(True)
+
+
+def _oracle_pool_above(anchor, trials, rng, guard):
+    pool = permutohedron_vertices(anchor.alpha, guard)
+    pool.extend(_sample_above(anchor.alpha, rng) for _ in range(trials))
+    return pool
+
+
+def oracle_right(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
+    rng = random.Random(f"{seed}:right")
+    orbit_images = [(p, desc_prefix_sums(a @ v))
+                    for p, v in _orbit(anchor.alpha, guard)]
+    for y in _oracle_pool_above(anchor, trials, rng, guard):
+        target = desc_prefix_sums(a @ y)
+        for p, source in orbit_images:
+            if not _maj(source, target):
+                return IsotoneVerdict(False, {"perm": p, "y": y}, trials=trials)
+    return IsotoneVerdict(True, trials=trials)
+
+
+def oracle_point(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
+    base = desc_prefix_sums(a @ anchor.alpha)
+    for q, v in _orbit(anchor.alpha, guard):
+        if not _maj(desc_prefix_sums(a @ v), base):
+            return IsotoneVerdict(False, {"perm": q})
+    rng = random.Random(f"{seed}:point")
+    for y in _oracle_pool_above(anchor, trials, rng, guard):
+        if not _maj(base, desc_prefix_sums(a @ y)):
+            return IsotoneVerdict(False, {"y": y}, trials=trials)
+    return IsotoneVerdict(True, trials=trials)
+
+
+def oracle_global(a, trials, seed, guard=DEFAULT_GUARD,
+                  extra_targets=()) -> IsotoneVerdict:
+    n = a.n_rows
+    rng = random.Random(f"{seed}:global")
+    targets = list(extra_targets)
+    targets.extend(_random_distinct_vec(n, rng) for _ in range(trials))
+    for y in targets:
+        target = desc_prefix_sums(a @ y)
+        for q in enumerate_perms(n, guard):
+            if not _maj(desc_prefix_sums(a @ q.apply(y)), target):
+                return IsotoneVerdict(False, {"perm": q, "y": y}, trials=trials)
+    return IsotoneVerdict(True, trials=trials)
+
+
+def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementCheck:
+    """The joint verifier with every statement checked in full, orbit included."""
+    equiv = oracle_equiv(a, anchor, guard)
+    left = oracle_left(a, anchor, guard)
+    right = oracle_right(a, anchor, trials, seed, guard)
+    point = oracle_point(a, anchor, trials, seed, guard)
+    form = classify_global(a)
+    orbit = tuple(permutohedron_vertices(anchor.alpha, guard))
+    global_sampled = oracle_global(a, trials, seed, guard, extra_targets=orbit)
+    exact_bits = [left.holds, equiv.holds, form is not None]
+    definitive = list(exact_bits)
+    sampled = {"right": right, "point": point, "global_sampled": global_sampled}
+    definitive.extend(False for v in sampled.values() if not v.holds)
+    consistent = not (True in definitive and False in definitive)
+    advisory = tuple(name for name, v in sampled.items()
+                     if v.holds and not all(exact_bits))
+    return StatementCheck(left, right, point, equiv, form, global_sampled,
+                          consistent, advisory)

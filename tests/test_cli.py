@@ -1,7 +1,10 @@
 """CLI contract: report grammar, golden files, exit codes, witnesses."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,8 +85,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("text", [
         "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
-        "[" * 100_000,
-    ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting"])
+        "[" * 100_000, '["1e4300", 1]', '["3e-4300", 1]', '["123e4298", 1]',
+    ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting",
+            "unprintable-numerator", "unprintable-denominator",
+            "unprintable-mantissa"])
     def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -92,6 +97,9 @@ class TestCheck:
         assert code == 2
         assert out == ""  # no report
         assert err.startswith("error: ") and err.count("\n") == 1
+        if text.startswith('["'):
+            # Scalar rejections name the entry, so they happen at load time.
+            assert "bad.json[0]: " in err
 
 
 class TestWitness:
@@ -233,3 +241,16 @@ class TestContract:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict = True" in out
+
+    def test_runs_as_a_module(self):
+        # The exit code and report come from a real process, as from a shell.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "majorkit", "check",
+             str(DATA / "x_peak.json"), str(DATA / "y_210.json")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["command"] == "check"
+        assert report["verdict"] is False

@@ -36,7 +36,15 @@ from majorkit.isotone import (
     random_perm_scaled,
     random_trace_map,
 )
-from helpers import rand_strictly_decreasing, rand_vec
+from helpers import (
+    oracle_equiv,
+    oracle_left,
+    oracle_point,
+    oracle_right,
+    oracle_verify,
+    rand_strictly_decreasing,
+    rand_vec,
+)
 
 DIAG12 = Mat([[1, 0], [0, 2]])
 SYM31 = Mat([[3, 1], [1, 3]])
@@ -173,8 +181,9 @@ class TestRightIsotone:
         assert not majorizes(DIAG12 @ p.apply(ANCHOR21.alpha), DIAG12 @ y)
 
     def test_sampled_pool_contains_the_orbit(self):
-        # Whenever the exact equivalence predicate fails, the sampler must
-        # fail too: the orbit is always in its pool.
+        # Whenever the exact equivalence predicate fails, the samplers must
+        # fail too, even with no samples: the orbit is decided before any
+        # draw.
         rng = random.Random(137)
         for i in range(60):
             n = rng.randint(2, 4)
@@ -183,6 +192,9 @@ class TestRightIsotone:
             if is_equiv_preserving_at(a, anchor).holds:
                 continue
             assert not is_right_isotone_at(a, anchor, trials=3, seed=i).holds
+            assert not is_isotone_at(a, anchor, trials=0, seed=i).holds
+            assert not verify_statements(a, anchor, trials=0,
+                                         seed=i).global_sampled.holds
 
 
 class TestIsotoneAtPoint:
@@ -417,6 +429,83 @@ class TestVerifyStatements:
                 assert equiv
             if is_isotone_at(a, anchor, trials=6, seed=i).holds:
                 assert equiv
+
+
+def _oracle_cells():
+    # Campaign pools plus small-entry matrices, which often have tied
+    # image profiles; anchors are strict, strict with gaps, and tied.
+    rng = random.Random(199)
+    for n in (1, 2, 3, 4):
+        cells = [a for _, a in campaign_matrices(n, 12, seed=n)]
+        cells += [random_matrix(n, rng, -1, 1) for _ in range(12)]
+        for i, a in enumerate(cells):
+            anchors = [Vec(range(n, 0, -1)), rand_strictly_decreasing(rng, n),
+                       Vec(rng.choice([0, 1, 2]) for _ in range(n))]
+            for alpha in anchors:
+                yield i, a, AnchorPoint(alpha)
+
+
+class TestOrbitScanMatchesPairwiseOracles:
+    def test_public_predicates_match(self):
+        for i, a, anchor in _oracle_cells():
+            assert is_equiv_preserving_at(a, anchor) == oracle_equiv(a, anchor)
+            assert is_left_isotone_at(a, anchor) == oracle_left(a, anchor)
+            for trials in (0, 4):
+                assert is_right_isotone_at(a, anchor, trials, seed=i) == \
+                    oracle_right(a, anchor, trials, seed=i)
+                assert is_isotone_at(a, anchor, trials, seed=i) == \
+                    oracle_point(a, anchor, trials, seed=i)
+
+    def test_joint_verifier_matches(self):
+        cells = [(i, a, anchor) for i, a, anchor in _oracle_cells()
+                 if anchor.strictly_decreasing]
+        for i, a, anchor in cells:
+            for trials in (0, 3):
+                got = verify_statements(a, anchor, trials, seed=i)
+                want = oracle_verify(a, anchor, trials, seed=i)
+                assert got.bits == want.bits
+                assert got.consistent == want.consistent
+                assert got.advisory_disagreement == want.advisory_disagreement
+                assert got.global_form == want.global_form
+                for name in ("left", "right", "point", "equiv"):
+                    assert getattr(got, name) == getattr(want, name), name
+                g, w = got.global_sampled, want.global_sampled
+                assert (g.holds, g.trials) == (w.holds, w.trials)
+                if not g.holds:
+                    q, y = g.witness["perm"], g.witness["y"]
+                    assert not majorizes(a @ q.apply(y), a @ y)
+                    # The failing target is the same orbit point; against
+                    # the anchor itself the first failing perm is too.
+                    assert y == w.witness["y"]
+                    if y == anchor.alpha:
+                        assert q == w.witness["perm"]
+
+    def test_moved_path_pairs_anchor_with_moved_image(self):
+        # A(2, 1) = (5, 1) and A(1, 2) = (4, 2): the swapped image lies
+        # strictly below the anchor's, so no image escapes A alpha and the
+        # first failing pair is (anchor, swap).
+        a = Mat([[2, 1], [0, 1]])
+        identity, swap = Perm.identity(2), Perm([1, 0])
+        left = is_left_isotone_at(a, ANCHOR21)
+        assert left == oracle_left(a, ANCHOR21)
+        assert (left.witness["source_perm"], left.witness["target_perm"]) == \
+            (identity, swap)
+        check = verify_statements(a, ANCHOR21, trials=5, seed=0)
+        assert check.bits == (False,) * 5
+        assert check.point.witness == {"y": swap.apply(ANCHOR21.alpha)}
+        assert check.global_sampled.witness == \
+            {"perm": swap, "y": Vec([1, 2])}
+        assert check == oracle_verify(a, ANCHOR21, trials=5, seed=0)
+
+    def test_below_path_global_witness_is_a_three_cycle(self):
+        # The first image not majorized by A alpha comes from a 3-cycle,
+        # so the global witness tells source * target^-1 from its inverse.
+        a = Mat([[0, 0, 2], [1, 1, -1], [2, 2, 2]])
+        anchor = AnchorPoint(Vec([3, 2, 1]))
+        check = verify_statements(a, anchor, trials=0, seed=0)
+        assert check.global_sampled.witness == \
+            {"perm": Perm([2, 0, 1]), "y": anchor.alpha}
+        assert check == oracle_verify(a, anchor, trials=0, seed=0)
 
 
 class TestCampaign:
