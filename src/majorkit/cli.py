@@ -60,6 +60,8 @@ def _load_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise CliError(f"{path}: {exc}")
     except RecursionError:
         raise CliError(f"{path} is nested too deeply to parse")
 
@@ -384,3 +386,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

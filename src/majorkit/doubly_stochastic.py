@@ -10,10 +10,12 @@ seeded random instances for test campaigns.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .majorization import Violation, first_violation, sort_desc
 from .numerics import DimensionMismatch, Mat, Perm, Rational, Vec
@@ -108,6 +110,11 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     keeps the working vector sorted, keeps the target majorized by it,
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
+
+    Each T-transform changes only the two rows of the chain that it
+    mixes, so it is applied as a two-row update in O(n); the sorting
+    permutations are applied by re-indexing rows and columns.  No matrix
+    product is formed.
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
@@ -122,20 +129,28 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     vs = list(sy.descending)
 
     transforms: list[TTransform] = []
-    chain = Mat.identity(n)
+    zero, one = Fraction(0), Fraction(1)
+    chain = [[one if r == c else zero for c in range(n)] for r in range(n)]
     while xs != vs:
         j = max(i for i in range(n) if xs[i] < vs[i])
         k = min(i for i in range(j + 1, n) if xs[i] > vs[i])
         delta = min(vs[j] - xs[j], xs[k] - vs[k])
-        step = TTransform(j, k, delta / (vs[j] - vs[k]))
-        transforms.append(step)
-        chain = step.as_matrix(n) @ chain
+        t = delta / (vs[j] - vs[k])
+        transforms.append(TTransform(j, k, t))
+        s = one - t
+        row_j, row_k = chain[j], chain[k]
+        chain[j] = [s * a + t * b if a or b else zero
+                    for a, b in zip(row_j, row_k)]
+        chain[k] = [s * b + t * a if a or b else zero
+                    for a, b in zip(row_j, row_k)]
         vs[j] -= delta
         vs[k] += delta
 
+    # D = unsort.matrix() @ chain @ presort.matrix(): row i of D is the
+    # chain's row unsort^-1(i) = sx.sort_perm(i), read at columns presort(c).
     presort = sy.sort_perm
     unsort = sx.sort_perm.inverse()
-    d = unsort.matrix() @ chain @ presort.matrix()
+    d = Mat([chain[m][c] for c in presort.image] for m in sx.sort_perm.image)
     return MajorizationWitness(DoublyStochastic(d), tuple(transforms),
                                presort, unsort)
 
@@ -175,22 +190,39 @@ def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
     """Row-to-column perfect matching on a square support, or ``None``.
 
     Augmenting-path search with rows processed in order and columns tried
-    in ascending index, so the result is deterministic.
+    in ascending index, so the result is deterministic: the first
+    augmenting path a depth-first search finds is taken.  The search
+    keeps its path on an explicit stack, so a path through every row of
+    a large support cannot exhaust the interpreter's recursion limit.
     """
     n = len(support)
+    adjacent = [list(compress(range(n), row)) for row in support]
     match_col = [-1] * n  # column -> row
 
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if support[r][c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
+    for root in range(n):
+        seen = [False] * n
+        path = [root]  # rows on the search path
+        via: list[int] = []  # via[d] leads from path[d] to path[d + 1]
+        untried = [iter(adjacent[root])]  # per path row: columns not yet tried
+        while untried:
+            for c in untried[-1]:
+                if not seen[c]:
+                    break
+            else:  # dead end: back up to the previous row
+                untried.pop()
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[c] = True
+            via.append(c)
+            if match_col[c] < 0:  # free column: flip the whole path
+                for row, col in zip(path, via):
+                    match_col[col] = row
+                break
+            path.append(match_col[c])
+            untried.append(iter(adjacent[match_col[c]]))
+        else:
             return None
     cols = [-1] * n
     for c, r in enumerate(match_col):
@@ -265,21 +297,33 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     subtract the minimal entry along it, repeat.  Each step empties at
     least one cell, and a final exact trim enforces the
     ``(n-1)**2 + 1`` term bound.  The recomposition is exact.
+
+    Denominators are cleared once: with ``L`` the least common multiple
+    of the entries' denominators, the peel runs on the integer matrix
+    ``L * d`` and each weight is emitted as ``Fraction(w, L)``.  The
+    support is kept across peels and loses only the cells a peel empties.
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
     n = d.n
-    work = [list(row) for row in d.matrix.rows]
+    rows = d.matrix.rows
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    work = [[v.numerator * (scale // v.denominator) for v in row]
+            for row in rows]
+    support = [[v != 0 for v in row] for row in work]
+    remaining = sum(map(sum, support))
     terms: list[tuple[Rational, Perm]] = []
-    while any(v != 0 for row in work for v in row):
-        support = [[v != 0 for v in row] for row in work]
+    while remaining:
         cols = _perfect_matching(support)
         if cols is None:
             raise RuntimeError("no permutation inside the support; input invalid")
         weight = min(work[i][cols[i]] for i in range(n))
-        terms.append((weight, Perm(cols).inverse()))
-        for i in range(n):
-            work[i][cols[i]] -= weight
+        terms.append((Fraction(weight, scale), Perm(cols).inverse()))
+        for i, c in enumerate(cols):
+            work[i][c] -= weight
+            if not work[i][c]:
+                support[i][c] = False
+                remaining -= 1
     terms = _trim_to_caratheodory(terms, n)
     return BirkhoffDecomposition(tuple(terms))
 

@@ -7,9 +7,13 @@ from fractions import Fraction
 
 from majorkit import (
     DEFAULT_GUARD,
+    BirkhoffDecomposition,
+    DoublyStochastic,
     IsotoneVerdict,
+    MajorizationWitness,
     Mat,
     Perm,
+    Rational,
     StatementCheck,
     Vec,
     classify_global,
@@ -18,6 +22,7 @@ from majorkit import (
     permutohedron_vertices,
     random_ds,
 )
+from majorkit.doubly_stochastic import _trim_to_caratheodory
 from majorkit.isotone import _random_distinct_vec, _sample_above
 from majorkit.majorization import _orbit
 
@@ -148,3 +153,54 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
                      if v.holds and not all(exact_bits))
     return StatementCheck(left, right, point, equiv, form, global_sampled,
                           consistent, advisory)
+
+
+# Dense and recursive constructions kept as oracles for the two-row
+# T-chain in witness_ds and the integer peel in birkhoff.
+
+def oracle_witness_matrix(w: MajorizationWitness, n: int) -> Mat:
+    """``unsort.matrix() @ T_k @ ... @ T_1 @ presort.matrix()``, densely."""
+    chain = Mat.identity(n)
+    for step in w.transforms:
+        chain = step.as_matrix(n) @ chain
+    return w.unsort.matrix() @ chain @ w.presort.matrix()
+
+
+def _oracle_perfect_matching(support: list[list[bool]]) -> list[int] | None:
+    n = len(support)
+    match_col = [-1] * n  # column -> row
+
+    def try_row(r: int, seen: list[bool]) -> bool:
+        for c in range(n):
+            if support[r][c] and not seen[c]:
+                seen[c] = True
+                if match_col[c] < 0 or try_row(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(n):
+        if not try_row(r, [False] * n):
+            return None
+    cols = [-1] * n
+    for c, r in enumerate(match_col):
+        cols[r] = c
+    return cols
+
+
+def oracle_birkhoff(d: DoublyStochastic) -> BirkhoffDecomposition:
+    """Fraction peeling that rebuilds the support and recurses to match."""
+    n = d.n
+    work = [list(row) for row in d.matrix.rows]
+    terms: list[tuple[Rational, Perm]] = []
+    while any(v != 0 for row in work for v in row):
+        support = [[v != 0 for v in row] for row in work]
+        cols = _oracle_perfect_matching(support)
+        if cols is None:
+            raise RuntimeError("no permutation inside the support; input invalid")
+        weight = min(work[i][cols[i]] for i in range(n))
+        terms.append((weight, Perm(cols).inverse()))
+        for i in range(n):
+            work[i][cols[i]] -= weight
+    terms = _trim_to_caratheodory(terms, n)
+    return BirkhoffDecomposition(tuple(terms))

@@ -86,9 +86,10 @@ class TestCheck:
     @pytest.mark.parametrize("text", [
         "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
         "[" * 100_000, '["1e4300", 1]', '["3e-4300", 1]', '["123e4298", 1]',
+        "[" + "1" * 5000 + ", 1]",
     ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting",
             "unprintable-numerator", "unprintable-denominator",
-            "unprintable-mantissa"])
+            "unprintable-mantissa", "huge-integer-literal"])
     def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -97,6 +98,7 @@ class TestCheck:
         assert code == 2
         assert out == ""  # no report
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.json" in err
         if text.startswith('["'):
             # Scalar rejections name the entry, so they happen at load time.
             assert "bad.json[0]: " in err
@@ -242,12 +244,13 @@ class TestContract:
         assert code == 0
         assert "verdict = True" in out
 
-    def test_runs_as_a_module(self):
+    @pytest.mark.parametrize("module", ["majorkit", "majorkit.cli"])
+    def test_runs_as_a_module(self, module):
         # The exit code and report come from a real process, as from a shell.
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
-            [sys.executable, "-m", "majorkit", "check",
+            [sys.executable, "-m", module, "check",
              str(DATA / "x_peak.json"), str(DATA / "y_210.json")],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from majorkit import (
     BirkhoffDecomposition,
@@ -19,7 +20,30 @@ from majorkit import (
     random_ds,
     witness_ds,
 )
-from helpers import majorizing_pair, rand_perm, rand_vec
+from majorkit.doubly_stochastic import _perfect_matching
+from helpers import (
+    majorizing_pair,
+    oracle_birkhoff,
+    oracle_witness_matrix,
+    rand_perm,
+    rand_vec,
+)
+
+# Small pools of values make ties and zeros common; the denominators mix.
+scalars = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def majorized_pairs(draw):
+    """``(x, y)`` with ``x = D y`` for a seeded random doubly stochastic ``D``."""
+    n = draw(st.integers(1, 8))
+    y = Vec(draw(st.lists(scalars, min_size=n, max_size=n)))
+    d = random_ds(n, seed=draw(st.integers(0, 2**32 - 1)),
+                  steps=draw(st.integers(1, 6)))
+    return d.matrix @ y, y
 
 
 class TestCheckDs:
@@ -91,6 +115,13 @@ class TestWitness:
         w = witness_ds(x, y)
         assert w.matrix.matrix @ y == x
 
+    @given(pair=majorized_pairs())
+    def test_matches_the_dense_product_oracle(self, pair):
+        x, y = pair
+        w = witness_ds(x, y)
+        assert w.matrix.matrix == oracle_witness_matrix(w, len(x))
+        assert w.matrix.matrix @ y == x
+
 
 class TestBirkhoff:
     def test_permutation_matrix_is_one_term(self):
@@ -158,6 +189,34 @@ class TestBirkhoff:
             for w, p in trimmed[1:]:
                 recomposed = recomposed + p.matrix().scale(w)
             assert recomposed == target
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_fraction_peeling_oracle(self, n):
+        rng = random.Random(61 + n)
+        for _ in range(6):
+            d = random_ds(n, seed=rng.getrandbits(32),
+                          steps=rng.randint(1, 2 * ((n - 1) ** 2 + 1)))
+            assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+    @given(pair=majorized_pairs())
+    def test_witness_terms_match_the_oracle(self, pair):
+        d = witness_ds(*pair).matrix
+        assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+
+class TestPerfectMatching:
+    def test_augmenting_path_through_every_row(self):
+        # Rows r -> {r, r+1}, the last row -> {0}: the greedy pass matches
+        # r to r, so the last row needs a path through all n rows.
+        n = 1500
+        support = [[False] * n for _ in range(n)]
+        for r in range(n - 1):
+            support[r][r] = support[r][r + 1] = True
+        support[n - 1][0] = True
+        assert _perfect_matching(support) == [*range(1, n), 0]
+
+    def test_no_matching_is_none(self):
+        assert _perfect_matching([[True, True], [False, False]]) is None
 
 
 class TestRandomDs:
