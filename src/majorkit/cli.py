@@ -310,11 +310,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit(report, args.json)
 
 
+def _count(text: str) -> int:
+    """``argparse`` type of ``--trials`` and ``--matrices``: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every sampled campaign (default 0)")
-    common.add_argument("--trials", type=int, default=isotone.DEFAULT_TRIALS,
+    common.add_argument("--trials", type=_count, default=isotone.DEFAULT_TRIALS,
                         help="sample count for the one-sided predicates")
     common.add_argument("--guard-n", type=int, default=DEFAULT_GUARD,
                         help="largest size allowed for factorial enumeration")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign: all five statements must agree per matrix")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", help="anchor vector file (default n, n-1, .., 1)")
-    p.add_argument("--matrices", type=int, default=100)
+    p.add_argument("--matrices", type=_count, default=100)
     p.set_defaults(func=cmd_verify)
     return parser
 

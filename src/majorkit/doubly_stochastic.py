@@ -5,7 +5,9 @@ summing to one.  This module recognises them exactly, constructs one
 mapping ``y`` to ``x`` whenever ``x`` is majorized by ``y`` (a chain of
 at most ``n - 1`` T-transforms between two permutations), decomposes any
 of them into a convex combination of permutation matrices, and generates
-seeded random instances for test campaigns.
+seeded random instances for test campaigns.  The decomposition is a
+greedy peel within ``(n-1)**2 + 1`` terms: each peel empties a cell, so
+the rescaled residual drops to a face of strictly lower dimension.
 """
 
 from __future__ import annotations
@@ -230,73 +232,16 @@ def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
     return cols
 
 
-def _nullspace_vector(columns: list[list[Rational]]) -> list[Rational]:
-    """A nontrivial rational solution of ``sum_i c_i * columns[i] = 0``.
-
-    Plain Gaussian elimination; callers only invoke this when the columns
-    are guaranteed linearly dependent.
-    """
-    k = len(columns)
-    m = len(columns[0])
-    rows = [[columns[i][r] for i in range(k)] for r in range(m)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    free = next(c for c in range(k) if c not in pivot_of_col)
-    coeffs = [Fraction(0)] * k
-    coeffs[free] = Fraction(1)
-    for c, pr in pivot_of_col.items():
-        coeffs[c] = -rows[pr][free]
-    return coeffs
-
-
-def _trim_to_caratheodory(terms: list[tuple[Rational, Perm]],
-                          n: int) -> list[tuple[Rational, Perm]]:
-    """Reduce a convex combination to at most ``(n-1)**2 + 1`` terms.
-
-    While the combination is longer than the affine dimension allows,
-    the vectorised permutation matrices (with a homogenising 1) must be
-    linearly dependent; shifting weights along the dependency zeroes at
-    least one of them without changing the recomposition.
-    """
-    bound = (n - 1) ** 2 + 1
-    while len(terms) > bound:
-        columns = []
-        for _, p in terms:
-            flat = [v for row in p.matrix().rows for v in row]
-            flat.append(Fraction(1))
-            columns.append(flat)
-        coeffs = _nullspace_vector(columns)
-        if all(c <= 0 for c in coeffs):
-            coeffs = [-c for c in coeffs]
-        theta = min(w / c for (w, _), c in zip(terms, coeffs) if c > 0)
-        terms = [
-            (w - theta * c, p)
-            for (w, p), c in zip(terms, coeffs)
-            if w - theta * c != 0
-        ]
-    return terms
-
-
 def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     """Decompose a doubly stochastic matrix into permutation matrices.
 
     Greedy peeling: find a permutation inside the nonzero pattern,
-    subtract the minimal entry along it, repeat.  Each step empties at
-    least one cell, and a final exact trim enforces the
-    ``(n-1)**2 + 1`` term bound.  The recomposition is exact.
+    subtract the minimal entry along it, repeat.  The recomposition is
+    exact.  Each peel empties a cell of the peeled permutation, so the
+    rescaled residual moves to a proper face of the Birkhoff polytope
+    face that held it, and a proper face has strictly lower dimension.
+    The polytope has dimension ``(n-1)**2``, so the peel stops within
+    ``(n-1)**2 + 1`` terms.
 
     Denominators are cleared once: with ``L`` the least common multiple
     of the entries' denominators, the peel runs on the integer matrix
@@ -324,7 +269,6 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
             if not work[i][c]:
                 support[i][c] = False
                 remaining -= 1
-    terms = _trim_to_caratheodory(terms, n)
     return BirkhoffDecomposition(tuple(terms))
 
 

@@ -204,6 +204,23 @@ def _sample_above(alpha: Vec, rng: random.Random) -> Vec:
     return Vec(vals)
 
 
+def _upward_verdict(a: Mat, anchor: AnchorPoint, base: tuple[Rational, ...],
+                    trials: int, seed: int | str, side: str) -> IsotoneVerdict:
+    """Check ``A alpha`` (profile ``base``) against ``trials`` draws above the anchor.
+
+    ``side``, ``"right"`` or ``"point"``, names the generator stream and
+    the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
+    """
+    rng = random.Random(f"{seed}:{side}")
+    for _ in range(trials):
+        y = _sample_above(anchor.alpha, rng)
+        if not _maj(base, desc_prefix_sums(a @ y)):
+            witness = ({"perm": Perm.identity(anchor.n), "y": y}
+                       if side == "right" else {"y": y})
+            return IsotoneVerdict(False, witness, trials=trials)
+    return IsotoneVerdict(True, trials=trials)
+
+
 def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
                         seed: int | str = 0,
                         guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
@@ -218,13 +235,7 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed["right"]
-    rng = random.Random(f"{seed}:right")
-    for _ in range(trials):
-        y = _sample_above(anchor.alpha, rng)
-        if not _maj(base, desc_prefix_sums(a @ y)):
-            return IsotoneVerdict(False, {"perm": Perm.identity(anchor.n), "y": y},
-                                  trials=trials)
-    return IsotoneVerdict(True, trials=trials)
+    return _upward_verdict(a, anchor, base, trials, seed, "right")
 
 
 def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -240,12 +251,7 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed["point"]
-    rng = random.Random(f"{seed}:point")
-    for _ in range(trials):
-        y = _sample_above(anchor.alpha, rng)
-        if not _maj(base, desc_prefix_sums(a @ y)):
-            return IsotoneVerdict(False, {"y": y}, trials=trials)
-    return IsotoneVerdict(True, trials=trials)
+    return _upward_verdict(a, anchor, base, trials, seed, "point")
 
 
 def _random_distinct_vec(n: int, rng: random.Random) -> Vec:
@@ -423,14 +429,14 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     _require_square(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    _, failed = _orbit_scan(a, anchor, trials, guard)
+    base, failed = _orbit_scan(a, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = failed.values()
     else:
         left = equiv = IsotoneVerdict(True)
-        right = is_right_isotone_at(a, anchor, trials, seed, guard)
-        point = is_isotone_at(a, anchor, trials, seed, guard)
+        right = _upward_verdict(a, anchor, base, trials, seed, "right")
+        point = _upward_verdict(a, anchor, base, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

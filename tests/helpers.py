@@ -22,7 +22,6 @@ from majorkit import (
     permutohedron_vertices,
     random_ds,
 )
-from majorkit.doubly_stochastic import _trim_to_caratheodory
 from majorkit.isotone import _random_distinct_vec, _sample_above
 from majorkit.majorization import _orbit
 
@@ -202,5 +201,4 @@ def oracle_birkhoff(d: DoublyStochastic) -> BirkhoffDecomposition:
         terms.append((weight, Perm(cols).inverse()))
         for i in range(n):
             work[i][cols[i]] -= weight
-    terms = _trim_to_caratheodory(terms, n)
     return BirkhoffDecomposition(tuple(terms))

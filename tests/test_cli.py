@@ -231,11 +231,21 @@ class TestContract:
         assert json.dumps(normalized(first), sort_keys=True) == \
             json.dumps(normalized(second), sort_keys=True)
 
-    def test_usage_error_exits_two(self, sandbox):
-        code, _ = sandbox("no-such-command")
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command"],
+        ["isotone", "mat_sym31.json"],  # neither --at nor --global
+        ["verify", "--n", "3", "--matrices", "-5"],
+        ["verify", "--n", "3", "--trials", "-3"],
+        ["verify", "--n", "3", "--matrices", "-5", "--trials", "-3"],
+        ["isotone", "mat_sym31.json", "--global", "--trials", "-1"],
+        ["verify", "--matrices", "many"],
+    ], ids=["no-such-command", "no-target", "negative-matrices",
+            "negative-trials", "negative-both", "negative-trials-isotone",
+            "non-integer-matrices"])
+    def test_usage_error_exits_two(self, sandbox, argv):
+        code, report = sandbox(*argv)
         assert code == 2
-        code, _ = sandbox("isotone", "mat_sym31.json")  # neither --at nor --global
-        assert code == 2
+        assert report is None
 
     def test_text_mode(self, sandbox, capsys):
         code = main(["check", str(DATA / "x_mean3.json"),

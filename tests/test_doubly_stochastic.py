@@ -25,7 +25,6 @@ from helpers import (
     majorizing_pair,
     oracle_birkhoff,
     oracle_witness_matrix,
-    rand_perm,
     rand_vec,
 )
 
@@ -159,36 +158,19 @@ class TestBirkhoff:
             BirkhoffDecomposition(((Fraction(0), Perm([0, 1])),
                                    (Fraction(1), Perm([1, 0]))))
 
-    def test_trim_kicks_in_for_long_combinations(self):
-        # A convex pile of many n=2 permutations must still come back with
-        # at most (n-1)^2 + 1 = 2 terms.
-        rng = random.Random(53)
-        for _ in range(10):
-            d = random_ds(2, seed=rng.getrandbits(32), steps=12)
-            dec = birkhoff(d)
-            assert len(dec.terms) <= 2
-            assert dec.recompose() == d.matrix
-
-    def test_trim_shortens_overlong_combinations_exactly(self):
-        from majorkit.doubly_stochastic import _trim_to_caratheodory
-
-        rng = random.Random(59)
-        for n in (2, 3, 4):
-            perms = [rand_perm(rng, n) for _ in range(2 * ((n - 1) ** 2 + 1))]
-            raw = [Fraction(rng.randint(1, 9)) for _ in perms]
-            total = sum(raw)
-            terms = [(w / total, p) for w, p in zip(raw, perms)]
-            target = terms[0][1].matrix().scale(terms[0][0])
-            for w, p in terms[1:]:
-                target = target + p.matrix().scale(w)
-            trimmed = _trim_to_caratheodory(list(terms), n)
-            assert len(trimmed) <= (n - 1) ** 2 + 1
-            assert sum(w for w, _ in trimmed) == 1
-            assert all(w > 0 for w, _ in trimmed)
-            recomposed = trimmed[0][1].matrix().scale(trimmed[0][0])
-            for w, p in trimmed[1:]:
-                recomposed = recomposed + p.matrix().scale(w)
-            assert recomposed == target
+    def test_peel_meets_the_bound_on_long_combinations(self):
+        # Piles of twice as many permutations as the bound allows still
+        # peel into at most (n-1)^2 + 1 terms, and some pile needs them all.
+        for n in range(2, 8):
+            bound = (n - 1) ** 2 + 1
+            longest = 0
+            for seed in range(10):
+                d = random_ds(n, seed=seed, steps=2 * bound)
+                dec = birkhoff(d)
+                assert len(dec.terms) <= bound
+                assert dec.recompose() == d.matrix
+                longest = max(longest, len(dec.terms))
+            assert longest == bound
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_fraction_peeling_oracle(self, n):
