@@ -278,6 +278,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     anchor = isotone.AnchorPoint(alpha)
     if not anchor.strictly_decreasing:
         raise CliError("verify requires a strictly decreasing anchor")
+    if anchor.n > args.guard_n:  # every cell scans the n! orbit; fail before the pool
+        raise GuardExceeded(anchor.n, args.guard_n)
     inputs["matrices"] = args.matrices
 
     cells = isotone.campaign_matrices(anchor.n, args.matrices, args.seed)

@@ -77,16 +77,6 @@ class TTransform:
     j: int
     t: Rational
 
-    def as_matrix(self, n: int) -> Mat:
-        rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)]
-                for r in range(n)]
-        s = Fraction(1) - self.t
-        rows[self.i][self.i] = s
-        rows[self.j][self.j] = s
-        rows[self.i][self.j] = self.t
-        rows[self.j][self.i] = self.t
-        return Mat(rows)
-
 
 @dataclass(frozen=True)
 class MajorizationWitness:

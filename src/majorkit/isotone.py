@@ -30,6 +30,10 @@ violation found".  One scan of the orbit's images decides every orbit
 quantifier, and the samplers run it before drawing anything (the orbit
 lies above the anchor too), so whenever the exact equivalence predicate
 fails the sampled ones fail too, deterministically, even with no samples.
+
+Every image is evaluated by one integer kernel: the matrix and each
+vector are scaled to integers once, images, sorts and prefix profiles are
+Python ints, and only witnesses are turned back into exact rationals.
 """
 
 from __future__ import annotations
@@ -38,17 +42,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import le, mul
 from typing import Any, Mapping
 
-from .majorization import _orbit, desc_prefix_sums
+from .majorization import _gathers, _orbit
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
+    GuardExceeded,
     Mat,
     Perm,
     Rational,
     Vec,
-    enumerate_perms,
 )
 
 DEFAULT_TRIALS = 50
@@ -122,33 +128,78 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-def _maj(pa: tuple[Rational, ...], pb: tuple[Rational, ...]) -> bool:
-    """Majorization on precomputed prefix profiles: pa below pb."""
-    return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
+def _maj(pa: tuple[int, ...], pb: tuple[int, ...]) -> bool:
+    """Majorization on prefix profiles at one common scale: pa below pb."""
+    return pa[-1] == pb[-1] and all(map(le, pa, pb))
 
 
-def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
-                ) -> tuple[tuple[Rational, ...], dict[str, IsotoneVerdict] | None]:
-    """Profile of ``A alpha`` and, unless every orbit image is equivalent
-    to it, the failing orbit-half verdicts in :class:`StatementCheck` order.
+# The image kernel.  A is scaled once by the LCM of its denominators and
+# each vector by the LCM of its own, so images, their decreasing sorts and
+# prefix profiles are Python ints.  Two profiles are compared only when
+# their vectors share a scale: an orbit shares its anchor's, and the
+# samplers put the draws and A alpha on one.  Fractions are built for
+# witnesses only.
+
+def _int_rows(a: Mat) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``a`` times the LCM of all its denominators."""
+    den = math.lcm(*(v.denominator for row in a.rows for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row)
+                 for row in a.rows)
+
+
+def _numerators(x: Vec) -> tuple[tuple[int, ...], int]:
+    """``x`` as integer numerators over the LCM of its denominators, and that LCM."""
+    den = math.lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (den // v.denominator) for v in x), den
+
+
+def _vec(nums: tuple[int, ...], den: int) -> Vec:
+    return Vec(Fraction(v, den) for v in nums)
+
+
+def _profile(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Prefix sums of the decreasing rearrangement of the integer image ``rows v``."""
+    return tuple(accumulate(sorted([sum(map(mul, row, v)) for row in rows],
+                                   reverse=True)))
+
+
+def _images(rows, v, perms):
+    """``(perm, rearrangement, profile of its image)`` over the distinct
+    rearrangements of ``v``, lazily; the first row is ``v`` itself."""
+    return ((p, w, _profile(rows, w)) for p, w in _orbit(v, perms))
+
+
+def _first_below(images, base):
+    """The first image row whose profile is not majorized by ``base``."""
+    return next((row for row in images if not _maj(row[2], base)), None)
+
+
+def _orbit_scan(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
+                trials: int | None, guard: int
+                ) -> tuple[tuple[int, ...], dict[str, IsotoneVerdict] | None]:
+    """Integer profile of ``A alpha`` and, unless every orbit image is
+    equivalent to it, the failing orbit-half verdicts in
+    :class:`StatementCheck` order.
 
     Mutually majorizing images have equal profiles, so two rows decide all:
     ``below``, the first image not majorized by ``A alpha``, and ``moved``,
     the first with another profile.  A pairwise (target, source) scan
     first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
     """
-    rows = [(p, v, desc_prefix_sums(a @ v)) for p, v in _orbit(anchor.alpha, guard)]
-    base = rows[0][2]  # enumerate_perms yields the identity first
-    moved = next((row for row in rows if row[2] != base), None)
+    nums, den = _numerators(anchor.alpha)
+    orbit = list(_images(rows, nums, _gathers(anchor.n, guard)))
+    base = orbit[0][2]
+    moved = next((row for row in orbit if row[2] != base), None)
     if moved is None:
         return base, None
-    below = next((row for row in rows if not _maj(row[2], base)), None)
-    (ps, _, _), (pt, y, _) = (below, rows[0]) if below else (rows[0], moved)
+    below = _first_below(orbit, base)
+    (ps, _, _), (pt, y, _) = (below, orbit[0]) if below else (orbit[0], moved)
+    y = _vec(y, den)
     return base, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
         "point": IsotoneVerdict(False, {"perm": below[0]}) if below
-        else IsotoneVerdict(False, {"y": moved[1]}, trials=trials),
+        else IsotoneVerdict(False, {"y": y}, trials=trials),
         "equiv": IsotoneVerdict(False, {"perm": moved[0]}),
         "global_sampled": IsotoneVerdict(
             False, {"perm": ps.compose(pt.inverse()), "y": y}, trials=trials),
@@ -163,7 +214,7 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     permutation ``P``; the witness on failure is the offending ``P``.
     """
     _require_square(a)
-    _, failed = _orbit_scan(a, anchor, None, guard)
+    _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
     return failed["equiv"] if failed else IsotoneVerdict(True)
 
 
@@ -179,42 +230,57 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     majorized by ``A (target alpha)``.
     """
     _require_square(a)
-    _, failed = _orbit_scan(a, anchor, None, guard)
+    _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
     return failed["left"] if failed else IsotoneVerdict(True)
 
 
-def _sample_above(alpha: Vec, rng: random.Random) -> Vec:
-    """Draw a vector that majorizes ``alpha``.
+# Every spreading step of _sample_above moves t = i/j with j drawn from
+# 1.._STEP_DEN, so its draws are integral at _STEP_SCALE times the anchor's
+# own scale.
+_STEP_DEN = 8
+_STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
+
+
+def _sample_above(nums: tuple[int, ...], den: int,
+                  rng: random.Random) -> tuple[int, ...]:
+    """Draw a vector that majorizes ``nums / den``, as numerators over
+    ``den * _STEP_SCALE``.
 
     Applies a short chain of spreading steps, each moving positive mass
     from a smaller entry to a larger one (which preserves the total and
     pushes the vector up the order), then shuffles the coordinates.
     """
-    n = len(alpha)
+    n = len(nums)
+    vals = [v * _STEP_SCALE for v in nums]
     if n == 1:
-        return alpha
-    vals = list(alpha)
+        return tuple(vals)
     for _ in range(rng.randint(1, 3 * n)):
         order = sorted(range(n), key=vals.__getitem__, reverse=True)
         si, sj = sorted(rng.sample(range(n), 2))
-        t = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+        num, step_den = rng.randint(1, 12), rng.randint(1, _STEP_DEN)
+        t = num * den * (_STEP_SCALE // step_den)
         vals[order[si]] += t
         vals[order[sj]] -= t
     rng.shuffle(vals)
-    return Vec(vals)
+    return tuple(vals)
 
 
-def _upward_verdict(a: Mat, anchor: AnchorPoint, base: tuple[Rational, ...],
-                    trials: int, seed: int | str, side: str) -> IsotoneVerdict:
-    """Check ``A alpha`` (profile ``base``) against ``trials`` draws above the anchor.
+def _upward_verdict(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
+                    base: tuple[int, ...], trials: int, seed: int | str,
+                    side: str) -> IsotoneVerdict:
+    """Check ``A alpha`` (profile ``base`` from :func:`_orbit_scan` on the same
+    ``rows``) against ``trials`` draws above the anchor.
 
     ``side``, ``"right"`` or ``"point"``, names the generator stream and
     the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
     """
     rng = random.Random(f"{seed}:{side}")
+    nums, den = _numerators(anchor.alpha)
+    base = tuple(v * _STEP_SCALE for v in base)
     for _ in range(trials):
-        y = _sample_above(anchor.alpha, rng)
-        if not _maj(base, desc_prefix_sums(a @ y)):
+        y = _sample_above(nums, den, rng)
+        if not _maj(base, _profile(rows, y)):
+            y = _vec(y, den * _STEP_SCALE)
             witness = ({"perm": Perm.identity(anchor.n), "y": y}
                        if side == "right" else {"y": y})
             return IsotoneVerdict(False, witness, trials=trials)
@@ -232,10 +298,11 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     re-verifies exactly; a pass means no violation found.
     """
     _require_square(a)
-    base, failed = _orbit_scan(a, anchor, trials, guard)
+    rows = _int_rows(a)
+    base, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
         return failed["right"]
-    return _upward_verdict(a, anchor, base, trials, seed, "right")
+    return _upward_verdict(rows, anchor, base, trials, seed, "right")
 
 
 def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -248,16 +315,17 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     The upward half samples as in :func:`is_right_isotone_at`; witness ``y``.
     """
     _require_square(a)
-    base, failed = _orbit_scan(a, anchor, trials, guard)
+    rows = _int_rows(a)
+    base, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
         return failed["point"]
-    return _upward_verdict(a, anchor, base, trials, seed, "point")
+    return _upward_verdict(rows, anchor, base, trials, seed, "point")
 
 
-def _random_distinct_vec(n: int, rng: random.Random) -> Vec:
+def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
+    """Distinct numerators in ``[-24, 24]`` and one common denominator."""
     nums = rng.sample(range(-24, 25), n)
-    den = rng.randint(1, 6)
-    return Vec(Fraction(v, den) for v in nums)
+    return tuple(nums), rng.randint(1, 6)
 
 
 def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
@@ -267,17 +335,22 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
 
     For each drawn ``y`` (distinct-entry rationals) it suffices to check
     the rearrangements of ``y`` against ``y`` itself, since the vectors
-    below ``y`` form the convex hull of those rearrangements: ``trials *
-    n!`` matvecs.  A failure witness ``(y, perm)`` re-verifies exactly.
+    below ``y`` form the convex hull of those rearrangements: the orbit
+    scan's ``below`` search with anchor ``y``, ``trials * n!`` integer
+    image evaluations over one enumeration of the perms.  A failure
+    witness ``(y, perm)`` re-verifies exactly.
     """
     n = _require_square(a)
+    rows = _int_rows(a)
+    perms = _gathers(n, guard) if trials else []  # trials=0 enumerates nothing
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
-        y = _random_distinct_vec(n, rng)
-        target = desc_prefix_sums(a @ y)
-        for q in enumerate_perms(n, guard):
-            if not _maj(desc_prefix_sums(a @ q.apply(y)), target):
-                return IsotoneVerdict(False, {"perm": q, "y": y}, trials=trials)
+        nums, den = _random_distinct_vec(n, rng)
+        images = _images(rows, nums, perms)
+        below = _first_below(images, next(images)[2])
+        if below:
+            return IsotoneVerdict(False, {"perm": below[0], "y": _vec(nums, den)},
+                                  trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
 
@@ -429,14 +502,15 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     _require_square(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    base, failed = _orbit_scan(a, anchor, trials, guard)
+    rows = _int_rows(a)
+    base, failed = _orbit_scan(rows, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = failed.values()
     else:
         left = equiv = IsotoneVerdict(True)
-        right = _upward_verdict(a, anchor, base, trials, seed, "right")
-        point = _upward_verdict(a, anchor, base, trials, seed, "point")
+        right = _upward_verdict(rows, anchor, base, trials, seed, "right")
+        point = _upward_verdict(rows, anchor, base, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]
@@ -535,7 +609,11 @@ def isotone_point_campaign(anchor: AnchorPoint, matrices: int = 200,
     Any hit would refute the local-to-global claim this package checks;
     the report records every one found.  Degenerate anchors (repeated
     entries) are allowed here precisely so that regime can be explored.
+    Raises :class:`GuardExceeded` before building the pool when the
+    anchor's orbit scan would.
     """
+    if anchor.n > guard:
+        raise GuardExceeded(anchor.n, guard)
     cells = campaign_matrices(anchor.n, matrices, seed)
     equiv_count = 0
     violations: list[tuple[str, Mat]] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal, TypeVar
 
 from .numerics import (
     DEFAULT_GUARD,
@@ -20,6 +20,8 @@ from .numerics import (
     Vec,
     enumerate_perms,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -104,20 +106,31 @@ def equivalent(x: Vec, y: Vec) -> bool:
     return majorizes(x, y) and majorizes(y, x)
 
 
-def _orbit(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[tuple[Perm, Vec]]:
-    """Distinct rearrangements of ``alpha``, each with the first perm giving it.
+def _gathers(n: int, guard: int = DEFAULT_GUARD) -> list[tuple[Perm, tuple[int, ...]]]:
+    """Every perm of :func:`enumerate_perms`, in its order, with its gather.
 
-    One representative perm per image suffices: the orbit predicates
-    quantify over the rearranged vectors, not the permutations.
+    The gather ``g`` applies the perm to any sequence: entry ``k`` of
+    ``p.apply(x)`` is ``x[g[k]]``.
     """
-    seen: set[Vec] = set()
-    out: list[tuple[Perm, Vec]] = []
-    for p in enumerate_perms(len(alpha), guard):
-        v = p.apply(alpha)
+    return [(p, tuple(sorted(range(n), key=p.image.__getitem__)))
+            for p in enumerate_perms(n, guard)]
+
+
+def _orbit(values: tuple[T, ...], perms: list[tuple[Perm, tuple[int, ...]]]
+           ) -> Iterator[tuple[Perm, tuple[T, ...]]]:
+    """Distinct rearrangements of ``values``, each with the first perm giving it.
+
+    ``perms`` comes from :func:`_gathers`, so the identity comes first.
+    Lazy, so a scan can stop at its first hit.  One representative perm
+    per image suffices: the orbit predicates quantify over the rearranged
+    vectors, not the permutations.
+    """
+    seen: set[tuple[T, ...]] = set()
+    for p, gather in perms:
+        v = tuple(map(values.__getitem__, gather))
         if v not in seen:
             seen.add(v)
-            out.append((p, v))
-    return out
+            yield p, v
 
 
 def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
@@ -126,4 +139,4 @@ def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
     These are the vertices of the permutohedron of ``alpha``, whose convex
     hull is exactly the set of vectors majorized by ``alpha``.
     """
-    return [v for _, v in _orbit(alpha, guard)]
+    return [Vec(v) for _, v in _orbit(alpha.entries, _gathers(len(alpha), guard))]

@@ -21,7 +21,8 @@ RationalLike = Union[Fraction, int, float, str]
 #: Largest size for which factorial-cost enumeration runs without an
 #: explicit override.  8! = 40320 permutations is still sub-second; the
 #: orbit predicates in :mod:`majorkit.isotone` scan the orbit once, and
-#: its global sampler costs trials * n! matvecs.
+#: its global sampler enumerates the perms once and evaluates trials * n!
+#: integer images.
 DEFAULT_GUARD = 8
 
 # CPython's default int-string digit limit; without a cap on exponents,
@@ -169,12 +170,6 @@ class Mat:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def row(self, i: int) -> Vec:
-        return Vec(self._rows[i])
-
-    def col(self, j: int) -> Vec:
-        return Vec(row[j] for row in self._rows)
-
     def __getitem__(self, ij: tuple[int, int]) -> Rational:
         i, j = ij
         return self._rows[i][j]
@@ -205,10 +200,7 @@ class Mat:
         c = as_rational(c)
         return Mat(tuple(c * v for v in row) for row in self._rows)
 
-    def transpose(self) -> "Mat":
-        return Mat(zip(*self._rows))
-
-    def __matmul__(self, other: "Mat | Vec"):
+    def __matmul__(self, other: Vec) -> Vec:
         if isinstance(other, Vec):
             if self.n_cols != len(other):
                 raise DimensionMismatch(
@@ -217,20 +209,6 @@ class Mat:
                 )
             return Vec(
                 sum((a * b for a, b in zip(row, other)), Fraction(0))
-                for row in self._rows
-            )
-        if isinstance(other, Mat):
-            if self.n_cols != other.n_rows:
-                raise DimensionMismatch("inner matrix dimensions differ")
-            cols = tuple(zip(*other._rows))
-            # Skipping zero terms keeps products with permutation and
-            # T-transform matrices, which dominate the call sites, cheap.
-            return Mat(
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if a and b),
-                        Fraction(0))
-                    for col in cols
-                )
                 for row in self._rows
             )
         return NotImplemented

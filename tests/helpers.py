@@ -19,11 +19,8 @@ from majorkit import (
     classify_global,
     desc_prefix_sums,
     enumerate_perms,
-    permutohedron_vertices,
     random_ds,
 )
-from majorkit.isotone import _random_distinct_vec, _sample_above
-from majorkit.majorization import _orbit
 
 
 def rand_fraction(rng: random.Random, lo: int = -10, hi: int = 10,
@@ -66,23 +63,86 @@ def naive_mat_vec(a: Mat, x: Vec) -> Vec:
     return Vec(out)
 
 
-# Pairwise orbit loops kept as oracles for the one-scan predicates in
-# majorkit.isotone: each checks every orbit image against every target.
+# Dense matrix algebra that the package no longer needs, kept for the
+# oracles and the permutation-matrix tests.
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Dense product; zero terms are skipped, which keeps the products of
+    permutation and T-transform matrices cheap."""
+    if a.n_cols != b.n_rows:
+        raise ValueError("inner matrix dimensions differ")
+    cols = tuple(zip(*b.rows))
+    return Mat([[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+                 for col in cols] for row in a.rows])
+
+
+def transpose(a: Mat) -> Mat:
+    return Mat(zip(*a.rows))
+
+
+def t_matrix(step, n: int) -> Mat:
+    """The dense matrix ``(1-t)I + t Q`` of a :class:`TTransform`."""
+    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    s = 1 - step.t
+    rows[step.i][step.i] = rows[step.j][step.j] = s
+    rows[step.i][step.j] = rows[step.j][step.i] = step.t
+    return Mat(rows)
+
+
+# Fraction samplers kept as oracles for the integer draws in
+# majorkit.isotone: the same rng calls in the same order.
+
+def oracle_sample_above(alpha: Vec, rng: random.Random) -> Vec:
+    n = len(alpha)
+    if n == 1:
+        return alpha
+    vals = list(alpha)
+    for _ in range(rng.randint(1, 3 * n)):
+        order = sorted(range(n), key=vals.__getitem__, reverse=True)
+        si, sj = sorted(rng.sample(range(n), 2))
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+        vals[order[si]] += t
+        vals[order[sj]] -= t
+    rng.shuffle(vals)
+    return Vec(vals)
+
+
+def oracle_random_distinct_vec(n: int, rng: random.Random) -> Vec:
+    nums = rng.sample(range(-24, 25), n)
+    den = rng.randint(1, 6)
+    return Vec(Fraction(v, den) for v in nums)
+
+
+# Pairwise orbit loops on Fraction matvecs kept as oracles for the
+# one-scan integer predicates in majorkit.isotone: each checks every
+# orbit image against every target.
 
 def _maj(pa, pb) -> bool:
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
 
 
+def oracle_orbit(alpha: Vec, guard=DEFAULT_GUARD) -> list[tuple[Perm, Vec]]:
+    """Distinct rearrangements of ``alpha``, each with the first perm giving it."""
+    seen: set[Vec] = set()
+    out: list[tuple[Perm, Vec]] = []
+    for p in enumerate_perms(len(alpha), guard):
+        v = p.apply(alpha)
+        if v not in seen:
+            seen.add(v)
+            out.append((p, v))
+    return out
+
+
 def oracle_equiv(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
     base = desc_prefix_sums(a @ anchor.alpha)
-    for p, v in _orbit(anchor.alpha, guard):
+    for p, v in oracle_orbit(anchor.alpha, guard):
         if desc_prefix_sums(a @ v) != base:
             return IsotoneVerdict(False, {"perm": p})
     return IsotoneVerdict(True)
 
 
 def oracle_left(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
-    images = [(p, desc_prefix_sums(a @ v)) for p, v in _orbit(anchor.alpha, guard)]
+    images = [(p, desc_prefix_sums(a @ v)) for p, v in oracle_orbit(anchor.alpha, guard)]
     for pt, target in images:
         for ps, source in images:
             if not _maj(source, target):
@@ -91,15 +151,15 @@ def oracle_left(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
 
 
 def _oracle_pool_above(anchor, trials, rng, guard):
-    pool = permutohedron_vertices(anchor.alpha, guard)
-    pool.extend(_sample_above(anchor.alpha, rng) for _ in range(trials))
+    pool = [v for _, v in oracle_orbit(anchor.alpha, guard)]
+    pool.extend(oracle_sample_above(anchor.alpha, rng) for _ in range(trials))
     return pool
 
 
 def oracle_right(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
     rng = random.Random(f"{seed}:right")
     orbit_images = [(p, desc_prefix_sums(a @ v))
-                    for p, v in _orbit(anchor.alpha, guard)]
+                    for p, v in oracle_orbit(anchor.alpha, guard)]
     for y in _oracle_pool_above(anchor, trials, rng, guard):
         target = desc_prefix_sums(a @ y)
         for p, source in orbit_images:
@@ -110,7 +170,7 @@ def oracle_right(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict
 
 def oracle_point(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
     base = desc_prefix_sums(a @ anchor.alpha)
-    for q, v in _orbit(anchor.alpha, guard):
+    for q, v in oracle_orbit(anchor.alpha, guard):
         if not _maj(desc_prefix_sums(a @ v), base):
             return IsotoneVerdict(False, {"perm": q})
     rng = random.Random(f"{seed}:point")
@@ -125,7 +185,7 @@ def oracle_global(a, trials, seed, guard=DEFAULT_GUARD,
     n = a.n_rows
     rng = random.Random(f"{seed}:global")
     targets = list(extra_targets)
-    targets.extend(_random_distinct_vec(n, rng) for _ in range(trials))
+    targets.extend(oracle_random_distinct_vec(n, rng) for _ in range(trials))
     for y in targets:
         target = desc_prefix_sums(a @ y)
         for q in enumerate_perms(n, guard):
@@ -141,7 +201,7 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
     right = oracle_right(a, anchor, trials, seed, guard)
     point = oracle_point(a, anchor, trials, seed, guard)
     form = classify_global(a)
-    orbit = tuple(permutohedron_vertices(anchor.alpha, guard))
+    orbit = tuple(v for _, v in oracle_orbit(anchor.alpha, guard))
     global_sampled = oracle_global(a, trials, seed, guard, extra_targets=orbit)
     exact_bits = [left.holds, equiv.holds, form is not None]
     definitive = list(exact_bits)
@@ -161,8 +221,8 @@ def oracle_witness_matrix(w: MajorizationWitness, n: int) -> Mat:
     """``unsort.matrix() @ T_k @ ... @ T_1 @ presort.matrix()``, densely."""
     chain = Mat.identity(n)
     for step in w.transforms:
-        chain = step.as_matrix(n) @ chain
-    return w.unsort.matrix() @ chain @ w.presort.matrix()
+        chain = mat_mul(t_matrix(step, n), chain)
+    return mat_mul(mat_mul(w.unsort.matrix(), chain), w.presort.matrix())
 
 
 def _oracle_perfect_matching(support: list[list[bool]]) -> list[int] | None:

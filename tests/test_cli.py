@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from majorkit import Mat, Perm, Vec, equivalent, first_violation, majorizes
+from majorkit import isotone
 from majorkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -222,6 +223,21 @@ class TestVerify:
         code, _ = sandbox("verify", "--n", "4", "--alpha", "alpha_flat.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "300", "--matrices", "1"],
+        ["--n", "3", "--guard-n", "2"],
+        ["--alpha", "y_desc3.json", "--guard-n", "2"],
+    ])
+    def test_guard_trips_before_the_pool_is_built(self, sandbox, monkeypatch,
+                                                   argv):
+        def unreachable(*args):  # main does not map AssertionError to exit 2
+            raise AssertionError("campaign_matrices ran above the guard")
+
+        monkeypatch.setattr(isotone, "campaign_matrices", unreachable)
+        code, report = sandbox("verify", *argv)
+        assert code == 2
+        assert report is None
+
 
 class TestContract:
     def test_determinism_modulo_elapsed(self, sandbox):
@@ -239,9 +255,10 @@ class TestContract:
         ["verify", "--n", "3", "--matrices", "-5", "--trials", "-3"],
         ["isotone", "mat_sym31.json", "--global", "--trials", "-1"],
         ["verify", "--matrices", "many"],
+        ["verify", "--n", "9"],
     ], ids=["no-such-command", "no-target", "negative-matrices",
             "negative-trials", "negative-both", "negative-trials-isotone",
-            "non-integer-matrices"])
+            "non-integer-matrices", "n-above-guard"])
     def test_usage_error_exits_two(self, sandbox, argv):
         code, report = sandbox(*argv)
         assert code == 2

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majorkit import (
     AnchorPoint,
+    GuardExceeded,
     Mat,
     Perm,
     PermScaled,
@@ -29,7 +31,13 @@ from majorkit import (
     shift_by_J,
     verify_statements,
 )
+from majorkit import isotone
 from majorkit.isotone import (
+    _STEP_SCALE,
+    _numerators,
+    _random_distinct_vec,
+    _sample_above,
+    _vec,
     campaign_matrices,
     perturb_entry,
     random_matrix,
@@ -38,9 +46,12 @@ from majorkit.isotone import (
 )
 from helpers import (
     oracle_equiv,
+    oracle_global,
     oracle_left,
     oracle_point,
+    oracle_random_distinct_vec,
     oracle_right,
+    oracle_sample_above,
     oracle_verify,
     rand_strictly_decreasing,
     rand_vec,
@@ -508,6 +519,102 @@ class TestOrbitScanMatchesPairwiseOracles:
         assert check == oracle_verify(a, anchor, trials=0, seed=0)
 
 
+# Entries with mixed denominators, zeros and negatives.
+_entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 7]))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "trace", "scaled", "perturbed",
+                                 "rescaled"]))
+    if kind == "trace":
+        consts = draw(st.lists(_entries, min_size=n, max_size=n))
+        rows = [[c] * n for c in consts]
+    elif kind != "random":
+        image = draw(st.permutations(range(n)))
+        scale = draw(_entries.filter(bool))
+        shift = draw(_entries)
+        rows = [[shift + (scale if image[j] == i else 0) for j in range(n)]
+                for i in range(n)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "perturbed":
+            rows[i][j] += draw(_entries.filter(bool))
+        elif kind == "rescaled":  # rows on different denominators
+            factor = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3),
+                                           Fraction(2, 7)]))
+            rows[i] = [v * factor for v in rows[i]]
+    else:
+        rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        rows[i] = [0] * n  # zero rows
+    alpha = draw(st.one_of(
+        st.lists(_entries, min_size=n, max_size=n),  # ties likely
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n, unique=True)
+        .map(lambda v: sorted(v, reverse=True)),
+    ))
+    return (Mat(rows), AnchorPoint(Vec(alpha)), draw(st.integers(0, 6)),
+            draw(st.integers(0, 2**32)))
+
+
+def _assert_reverifies(name, a, alpha, witness):
+    """Re-verify a failure witness through the exact Fraction predicates."""
+    if name == "equiv":
+        assert not equivalent(a @ witness["perm"].apply(alpha), a @ alpha)
+    elif name == "left":
+        assert not majorizes(a @ witness["source_perm"].apply(alpha),
+                             a @ witness["target_perm"].apply(alpha))
+    elif name == "global":
+        q, y = witness["perm"], witness["y"]
+        assert not majorizes(a @ q.apply(y), a @ y)
+    elif "y" not in witness:  # point, downward half
+        assert not majorizes(a @ witness["perm"].apply(alpha), a @ alpha)
+    else:
+        source = witness.get("perm", Perm.identity(len(alpha))).apply(alpha)
+        assert majorizes(alpha, witness["y"])
+        assert not majorizes(a @ source, a @ witness["y"])
+
+
+class TestIntegerKernelMatchesFractionOracles:
+    def test_integer_draws_equal_the_fraction_draws(self):
+        # Same vectors from the same rng calls in the same order.
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 5)
+            alpha = rand_vec(rng, n, -4, 4, max_den=7)  # ties and mixed dens
+            ours, theirs = random.Random(seed), random.Random(seed)
+            nums, den = _numerators(alpha)
+            for _ in range(2):
+                y = _vec(_sample_above(nums, den, ours), den * _STEP_SCALE)
+                assert y == oracle_sample_above(alpha, theirs)
+            assert _vec(*_random_distinct_vec(n, ours)) == \
+                oracle_random_distinct_vec(n, theirs)
+            assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=400)
+    @given(case=_kernel_cases())
+    def test_verdicts_equal_the_pairwise_fraction_oracles(self, case):
+        a, anchor, trials, seed = case
+        got = {
+            "equiv": is_equiv_preserving_at(a, anchor),
+            "left": is_left_isotone_at(a, anchor),
+            "right": is_right_isotone_at(a, anchor, trials, seed),
+            "point": is_isotone_at(a, anchor, trials, seed),
+            "global": is_global_isotone_sampled(a, trials, seed),
+        }
+        assert got == {
+            "equiv": oracle_equiv(a, anchor),
+            "left": oracle_left(a, anchor),
+            "right": oracle_right(a, anchor, trials, seed),
+            "point": oracle_point(a, anchor, trials, seed),
+            "global": oracle_global(a, trials, seed),
+        }
+        for name, verdict in got.items():
+            if not verdict.holds:
+                _assert_reverifies(name, a, anchor.alpha, verdict.witness)
+
+
 class TestCampaign:
     def test_matrix_pool_is_deterministic(self):
         a = campaign_matrices(3, 20, seed=9)
@@ -525,6 +632,16 @@ class TestCampaign:
         anchor = AnchorPoint(Vec([4, 3, 2, 1]))
         report = isotone_point_campaign(anchor, matrices=40, seed=2)
         assert report.passed
+
+    def test_guard_trips_before_the_pool_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("campaign_matrices ran above the guard")
+
+        monkeypatch.setattr(isotone, "campaign_matrices", unreachable)
+        with pytest.raises(GuardExceeded):
+            isotone_point_campaign(AnchorPoint(Vec(range(9, 0, -1))))
+        with pytest.raises(GuardExceeded):
+            isotone_point_campaign(ANCHOR21, matrices=5, guard=1)
 
     def test_degenerate_anchor_probe_is_recorded(self, capsys):
         # Outside the strictly decreasing regime nothing is asserted about

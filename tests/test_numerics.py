@@ -17,7 +17,7 @@ from majorkit import (
     as_rational,
     enumerate_perms,
 )
-from helpers import naive_mat_vec, rand_perm, rand_vec
+from helpers import mat_mul, naive_mat_vec, rand_perm, rand_vec, transpose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -115,14 +115,14 @@ class TestMat:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Mat.identity(2) @ Vec([1, 2, 3])
-        with pytest.raises(DimensionMismatch):
-            Mat.identity(2) @ Mat.identity(3)
+        with pytest.raises(TypeError):  # matrices apply to vectors only
+            Mat.identity(2) @ Mat.identity(2)
 
     def test_add_scale_transpose(self):
         a = Mat([[1, 2], [3, 4]])
         assert a + a == a.scale(2)
-        assert a.transpose() == Mat([[1, 3], [2, 4]])
-        assert a.transpose().transpose() == a
+        assert transpose(a) == Mat([[1, 3], [2, 4]])
+        assert transpose(transpose(a)) == a
 
 
 class TestPerm:
@@ -155,14 +155,14 @@ class TestPerm:
             x = rand_vec(rng, n)
             composed = p.compose(q)
             assert composed.apply(x) == p.apply(q.apply(x))
-            assert composed.apply(x) == (p.matrix() @ q.matrix()) @ x
+            assert composed.apply(x) == mat_mul(p.matrix(), q.matrix()) @ x
 
     def test_inverse(self):
         rng = random.Random(7)
         for _ in range(20):
             p = rand_perm(rng, rng.randint(1, 6))
             assert p.compose(p.inverse()) == Perm.identity(len(p))
-            assert p.inverse().matrix() == p.matrix().transpose()
+            assert p.inverse().matrix() == transpose(p.matrix())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matrix_is_group_homomorphism_exhaustive(self, n):
@@ -171,7 +171,7 @@ class TestPerm:
         for p in perms:
             mp = mats[p]
             for q in perms:
-                assert mats[p.compose(q)] == mp @ mats[q]
+                assert mats[p.compose(q)] == mat_mul(mp, mats[q])
 
 
 class TestEnumeratePerms:
