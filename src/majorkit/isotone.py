@@ -46,7 +46,7 @@ from itertools import accumulate
 from operator import le, mul
 from typing import Any, Mapping
 
-from .majorization import _gathers, _orbit
+from .majorization import _Gathers, _orbit
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -174,28 +174,35 @@ def _first_below(images, base):
     return next((row for row in images if not _maj(row[2], base)), None)
 
 
+_Scan = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
 def _orbit_scan(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
                 trials: int | None, guard: int
-                ) -> tuple[tuple[int, ...], dict[str, IsotoneVerdict] | None]:
-    """Integer profile of ``A alpha`` and, unless every orbit image is
-    equivalent to it, the failing orbit-half verdicts in
-    :class:`StatementCheck` order.
+                ) -> tuple[_Scan, dict[str, IsotoneVerdict] | None]:
+    """The anchor as ``(numerators, denominator, profile of A alpha)`` and,
+    unless every orbit image is equivalent to ``A alpha``, the failing
+    orbit-half verdicts in :class:`StatementCheck` order.
 
     Mutually majorizing images have equal profiles, so two rows decide all:
     ``below``, the first image not majorized by ``A alpha``, and ``moved``,
     the first with another profile.  A pairwise (target, source) scan
     first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
     """
+    if anchor.n != len(rows):
+        raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
+                                f"to a vector of length {anchor.n}")
     nums, den = _numerators(anchor.alpha)
-    orbit = list(_images(rows, nums, _gathers(anchor.n, guard)))
+    orbit = list(_images(rows, nums, _Gathers(anchor.n, guard)))
     base = orbit[0][2]
+    scan = nums, den, base
     moved = next((row for row in orbit if row[2] != base), None)
     if moved is None:
-        return base, None
+        return scan, None
     below = _first_below(orbit, base)
     (ps, _, _), (pt, y, _) = (below, orbit[0]) if below else (orbit[0], moved)
     y = _vec(y, den)
-    return base, {
+    return scan, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
         "point": IsotoneVerdict(False, {"perm": below[0]}) if below
@@ -265,23 +272,22 @@ def _sample_above(nums: tuple[int, ...], den: int,
     return tuple(vals)
 
 
-def _upward_verdict(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
-                    base: tuple[int, ...], trials: int, seed: int | str,
-                    side: str) -> IsotoneVerdict:
-    """Check ``A alpha`` (profile ``base`` from :func:`_orbit_scan` on the same
-    ``rows``) against ``trials`` draws above the anchor.
+def _upward_verdict(rows: tuple[tuple[int, ...], ...], scan: _Scan, trials: int,
+                    seed: int | str, side: str) -> IsotoneVerdict:
+    """Check ``A alpha`` against ``trials`` draws above the anchor; ``scan``
+    comes from :func:`_orbit_scan` on the same ``rows``.
 
     ``side``, ``"right"`` or ``"point"``, names the generator stream and
     the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
     """
     rng = random.Random(f"{seed}:{side}")
-    nums, den = _numerators(anchor.alpha)
-    base = tuple(v * _STEP_SCALE for v in base)
+    nums, den, base = scan
+    base = tuple(v * _STEP_SCALE for v in base)  # the draws' scale
     for _ in range(trials):
         y = _sample_above(nums, den, rng)
         if not _maj(base, _profile(rows, y)):
             y = _vec(y, den * _STEP_SCALE)
-            witness = ({"perm": Perm.identity(anchor.n), "y": y}
+            witness = ({"perm": Perm.identity(len(nums)), "y": y}
                        if side == "right" else {"y": y})
             return IsotoneVerdict(False, witness, trials=trials)
     return IsotoneVerdict(True, trials=trials)
@@ -299,10 +305,10 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     """
     _require_square(a)
     rows = _int_rows(a)
-    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    scan, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
         return failed["right"]
-    return _upward_verdict(rows, anchor, base, trials, seed, "right")
+    return _upward_verdict(rows, scan, trials, seed, "right")
 
 
 def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -316,10 +322,10 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     """
     _require_square(a)
     rows = _int_rows(a)
-    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    scan, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
         return failed["point"]
-    return _upward_verdict(rows, anchor, base, trials, seed, "point")
+    return _upward_verdict(rows, scan, trials, seed, "point")
 
 
 def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
@@ -336,13 +342,13 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     For each drawn ``y`` (distinct-entry rationals) it suffices to check
     the rearrangements of ``y`` against ``y`` itself, since the vectors
     below ``y`` form the convex hull of those rearrangements: the orbit
-    scan's ``below`` search with anchor ``y``, ``trials * n!`` integer
-    image evaluations over one enumeration of the perms.  A failure
-    witness ``(y, perm)`` re-verifies exactly.
+    scan's ``below`` search with anchor ``y``, at most ``trials * n!``
+    integer image evaluations over one lazy enumeration of the perms.  A
+    failure witness ``(y, perm)`` re-verifies exactly.
     """
     n = _require_square(a)
     rows = _int_rows(a)
-    perms = _gathers(n, guard) if trials else []  # trials=0 enumerates nothing
+    perms = _Gathers(n, guard) if trials > 0 else ()  # no draws, no enumeration
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
         nums, den = _random_distinct_vec(n, rng)
@@ -503,14 +509,14 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
     rows = _int_rows(a)
-    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    scan, failed = _orbit_scan(rows, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = failed.values()
     else:
         left = equiv = IsotoneVerdict(True)
-        right = _upward_verdict(rows, anchor, base, trials, seed, "right")
-        point = _upward_verdict(rows, anchor, base, trials, seed, "point")
+        right = _upward_verdict(rows, scan, trials, seed, "right")
+        point = _upward_verdict(rows, scan, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

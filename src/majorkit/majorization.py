@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, TypeVar
+from typing import Iterable, Iterator, Literal, TypeVar
 
 from .numerics import (
     DEFAULT_GUARD,
@@ -106,21 +106,33 @@ def equivalent(x: Vec, y: Vec) -> bool:
     return majorizes(x, y) and majorizes(y, x)
 
 
-def _gathers(n: int, guard: int = DEFAULT_GUARD) -> list[tuple[Perm, tuple[int, ...]]]:
+class _Gathers:
     """Every perm of :func:`enumerate_perms`, in its order, with its gather.
 
-    The gather ``g`` applies the perm to any sequence: entry ``k`` of
-    ``p.apply(x)`` is ``x[g[k]]``.
+    The gather ``g = p.inverse().image`` applies the perm to any sequence:
+    entry ``k`` of ``p.apply(x)`` is ``x[g[k]]``.  :class:`GuardExceeded`
+    is raised on construction, before any work.  Pairs are built only as
+    far as a scan reads and are kept for the next scan, so a scan that
+    stops early pays only for what it read.  Scans must not interleave.
     """
-    return [(p, tuple(sorted(range(n), key=p.image.__getitem__)))
-            for p in enumerate_perms(n, guard)]
+
+    def __init__(self, n: int, guard: int = DEFAULT_GUARD):
+        self._perms = enumerate_perms(n, guard)
+        self._read: list[tuple[Perm, tuple[int, ...]]] = []
+
+    def __iter__(self) -> Iterator[tuple[Perm, tuple[int, ...]]]:
+        yield from self._read
+        for p in self._perms:
+            pair = (p, p.inverse().image)
+            self._read.append(pair)
+            yield pair
 
 
-def _orbit(values: tuple[T, ...], perms: list[tuple[Perm, tuple[int, ...]]]
+def _orbit(values: tuple[T, ...], perms: Iterable[tuple[Perm, tuple[int, ...]]]
            ) -> Iterator[tuple[Perm, tuple[T, ...]]]:
     """Distinct rearrangements of ``values``, each with the first perm giving it.
 
-    ``perms`` comes from :func:`_gathers`, so the identity comes first.
+    ``perms`` comes from :class:`_Gathers`, so the identity comes first.
     Lazy, so a scan can stop at its first hit.  One representative perm
     per image suffices: the orbit predicates quantify over the rearranged
     vectors, not the permutations.
@@ -139,4 +151,4 @@ def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
     These are the vertices of the permutohedron of ``alpha``, whose convex
     hull is exactly the set of vectors majorized by ``alpha``.
     """
-    return [Vec(v) for _, v in _orbit(alpha.entries, _gathers(len(alpha), guard))]
+    return [Vec(v) for _, v in _orbit(alpha.entries, _Gathers(len(alpha), guard))]

@@ -268,10 +268,9 @@ class Perm:
         return Perm(self._image[j] for j in other._image)
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self._image)
-        for i, j in enumerate(self._image):
-            inv[j] = i
-        return Perm(inv)
+        inv = Perm.__new__(Perm)  # a valid image's inverse needs no re-check
+        inv._image = tuple(sorted(range(len(self._image)), key=self._image.__getitem__))
+        return inv
 
     def matrix(self) -> Mat:
         """0/1 matrix with a 1 at ``(p(j), j)``; ``matrix() @ x == apply(x)``."""

@@ -256,9 +256,14 @@ class TestContract:
         ["isotone", "mat_sym31.json", "--global", "--trials", "-1"],
         ["verify", "--matrices", "many"],
         ["verify", "--n", "9"],
+        ["isotone", "mat_sym31.json", "--at", "y_desc3.json"],  # equiv
+        *(["isotone", "mat_sym31.json", "--at", "y_desc3.json", "--predicate", pred]
+          for pred in ["left", "right", "point", "all"]),
     ], ids=["no-such-command", "no-target", "negative-matrices",
             "negative-trials", "negative-both", "negative-trials-isotone",
-            "non-integer-matrices", "n-above-guard"])
+            "non-integer-matrices", "n-above-guard",
+            *(f"anchor-length-{pred}"
+              for pred in ["equiv", "left", "right", "point", "all"])])
     def test_usage_error_exits_two(self, sandbox, argv):
         code, report = sandbox(*argv)
         assert code == 2

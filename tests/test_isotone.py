@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from majorkit import (
     AnchorPoint,
+    DimensionMismatch,
     GuardExceeded,
     Mat,
     Perm,
@@ -31,7 +33,9 @@ from majorkit import (
     shift_by_J,
     verify_statements,
 )
-from majorkit import isotone
+from majorkit import isotone, majorization, numerics
+from majorkit.majorization import _Gathers
+from majorkit.numerics import enumerate_perms
 from majorkit.isotone import (
     _STEP_SCALE,
     _numerators,
@@ -250,6 +254,29 @@ class TestGlobalSampled:
             assert not majorizes(a @ q.apply(y), a @ y)
         assert found > 30
 
+    def test_negative_trials_enumerate_nothing(self):
+        # As with trials=0: no draw, so the guard is never consulted.
+        verdict = is_global_isotone_sampled(Mat.identity(3), trials=-2, guard=2)
+        assert verdict.holds and verdict.trials == -2
+
+    def test_failing_first_trial_reads_few_perms(self, monkeypatch):
+        # The perms are built lazily: a refutation in the first trial at
+        # n = 8 must not pay for all 40,320 of them.
+        read = []
+
+        def counting(n, guard):
+            for p in numerics.enumerate_perms(n, guard):
+                read.append(p)
+                yield p
+
+        monkeypatch.setattr(majorization, "enumerate_perms", counting)
+        a = Mat([[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
+        verdict = is_global_isotone_sampled(a, trials=50, seed=0, guard=8)
+        assert not verdict.holds
+        q, y = verdict.witness["perm"], verdict.witness["y"]
+        assert not majorizes(a @ q.apply(y), a @ y)
+        assert 0 < len(read) < 100
+
     def test_survivors_of_long_campaigns_are_classified(self):
         # Desk-scale necessity: an integer matrix the sampler cannot refute
         # in 2000 trials always matches one of the two global forms.
@@ -259,6 +286,41 @@ class TestGlobalSampled:
             a = random_matrix(n, rng)
             if is_global_isotone_sampled(a, trials=2000, seed=i).holds:
                 assert classify_global(a) is not None
+
+
+class TestAnchorLength:
+    # A 2x2 matrix at a length-3 anchor is a size error, not a verdict.
+    ANCHOR3 = AnchorPoint(Vec([3, 2, 1]))
+
+    @pytest.mark.parametrize("predicate", [
+        is_equiv_preserving_at, is_left_isotone_at, is_right_isotone_at,
+        is_isotone_at, verify_statements,
+    ])
+    def test_mismatched_anchor_raises(self, predicate):
+        with pytest.raises(DimensionMismatch):
+            predicate(SYM31, self.ANCHOR3)
+        with pytest.raises(DimensionMismatch):
+            predicate(Mat.identity(3), ANCHOR21)
+
+
+class TestGathers:
+    def test_gather_applies_the_perm(self):
+        for p, g in _Gathers(4):
+            x = Vec([5, -1, 7, 2])
+            assert p.apply(x).entries == tuple(x[k] for k in g)
+
+    def test_pairs_are_built_as_read_and_kept(self):
+        gathers = _Gathers(5)
+        first = list(islice(gathers, 3))
+        assert len(gathers._read) == 3
+        full = list(gathers)
+        assert full[:3] == first
+        assert [p for p, _ in full] == list(enumerate_perms(5))
+        assert list(gathers) == full
+
+    def test_guard_trips_on_construction(self):
+        with pytest.raises(GuardExceeded):
+            _Gathers(3, guard=2)
 
 
 class TestColumnSumsAndShift:
