@@ -20,7 +20,7 @@ from typing import Any
 
 from . import isotone
 from .doubly_stochastic import NotMajorized, witness_ds
-from .majorization import desc_prefix_sums, first_violation
+from .majorization import _profile_violation, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     GuardExceeded,
@@ -149,13 +149,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     x = load_vector(args.x, warnings)
     y = load_vector(args.y, warnings)
-    violation = first_violation(x, y)
+    px, py = desc_prefix_sums(x), desc_prefix_sums(y)
+    violation = _profile_violation(px, py)
     holds = violation is None
     witness = None if holds else asdict(violation)
-    counts = {
-        "x_sorted_prefix_sums": list(desc_prefix_sums(x)),
-        "y_sorted_prefix_sums": list(desc_prefix_sums(y)),
-    }
+    counts = {"x_sorted_prefix_sums": list(px), "y_sorted_prefix_sums": list(py)}
     report = _report("check", args, {"x": _digest(args.x), "y": _digest(args.y)},
                      holds, start, witness, counts, warnings)
     return _emit(report, args.json)
@@ -375,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign: all five statements must agree per matrix")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", help="anchor vector file (default n, n-1, .., 1)")
-    p.add_argument("--matrices", type=_count, default=100)
+    p.add_argument("--matrices", type=_count, default=100,
+                   help="random matrices to draw (default 100); max(2, N//8) "
+                        "planted forms of each of 3 kinds are added")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -42,11 +42,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import le, mul
+from operator import mul
 from typing import Any, Mapping
 
-from .majorization import _Gathers, _orbit
+from .majorization import _Gathers, _orbit, _profile_violation, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -128,15 +127,11 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-def _maj(pa: tuple[int, ...], pb: tuple[int, ...]) -> bool:
-    """Majorization on prefix profiles at one common scale: pa below pb."""
-    return pa[-1] == pb[-1] and all(map(le, pa, pb))
-
-
 # The image kernel.  A is scaled once by the LCM of its denominators and
 # each vector by the LCM of its own, so images, their decreasing sorts and
-# prefix profiles are Python ints.  Two profiles are compared only when
-# their vectors share a scale: an orbit shares its anchor's, and the
+# prefix profiles are Python ints, built and compared by majorization's
+# desc_prefix_sums and _profile_violation.  Two profiles are compared only
+# when their vectors share a scale: an orbit shares its anchor's, and the
 # samplers put the draws and A alpha on one.  Fractions are built for
 # witnesses only.
 
@@ -159,8 +154,7 @@ def _vec(nums: tuple[int, ...], den: int) -> Vec:
 
 def _profile(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """Prefix sums of the decreasing rearrangement of the integer image ``rows v``."""
-    return tuple(accumulate(sorted([sum(map(mul, row, v)) for row in rows],
-                                   reverse=True)))
+    return desc_prefix_sums([sum(map(mul, row, v)) for row in rows])
 
 
 def _images(rows, v, perms):
@@ -171,7 +165,8 @@ def _images(rows, v, perms):
 
 def _first_below(images, base):
     """The first image row whose profile is not majorized by ``base``."""
-    return next((row for row in images if not _maj(row[2], base)), None)
+    return next((row for row in images
+                 if _profile_violation(row[2], base) is not None), None)
 
 
 _Scan = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -285,7 +280,7 @@ def _upward_verdict(rows: tuple[tuple[int, ...], ...], scan: _Scan, trials: int,
     base = tuple(v * _STEP_SCALE for v in base)  # the draws' scale
     for _ in range(trials):
         y = _sample_above(nums, den, rng)
-        if not _maj(base, _profile(rows, y)):
+        if _profile_violation(base, _profile(rows, y)) is not None:
             y = _vec(y, den * _STEP_SCALE)
             witness = ({"perm": Perm.identity(len(nums)), "y": y}
                        if side == "right" else {"y": y})
@@ -366,12 +361,13 @@ def classify_global(a: Mat) -> GlobalForm | None:
     Trace maps (all rows constant, i.e. all columns equal) are reported
     first; multiples of the all-ones matrix fit both shapes and land
     there.  Otherwise a scaled permutation plus constant is recovered by
-    subtracting the candidate constant and checking for an exact scaled
-    permutation pattern.  At ``n = 2`` both representations exist for
-    every candidate; the off-diagonal constant is tried first so the
-    identity-patterned one wins deterministically.  Returns ``None``
-    when neither shape fits, which by the classical characterisation
-    means the map is not globally isotone.
+    subtracting a candidate constant and checking for an exact scaled
+    permutation pattern.  The candidates are the entries that fill all
+    but one place of the first row, tried last-seen first: past ``n = 2``
+    there is at most one, and at ``n = 2`` both entries qualify and the
+    off-diagonal one wins, so the identity-patterned form is the one
+    reported.  Returns ``None`` when neither shape fits, which by the
+    classical characterisation means the map is not globally isotone.
     """
     n = _require_square(a)
     rows = a.rows
@@ -379,30 +375,16 @@ def classify_global(a: Mat) -> GlobalForm | None:
         return TraceMap(Vec(row[0] for row in rows))
 
     first = rows[0]
-    if n == 2:
-        candidates = [first[1], first[0]]
-    else:
-        counts: dict[Rational, int] = {}
-        for v in first:
-            counts[v] = counts.get(v, 0) + 1
-        candidates = [v for v in dict.fromkeys(first) if counts[v] == n - 1]
-    for beta in candidates:
-        shifted = [[v - beta for v in row] for row in rows]
-        positions = []
-        values = []
-        ok = True
-        for row in shifted:
-            nz = [j for j, v in enumerate(row) if v != 0]
-            if len(nz) != 1:
-                ok = False
-                break
-            positions.append(nz[0])
-            values.append(row[nz[0]])
-        if not ok or len(set(positions)) != n:
+    for beta in reversed(dict.fromkeys(first)):
+        if first.count(beta) != n - 1:
             continue
-        if len(set(values)) != 1 or values[0] == 0:
+        moved = [[j for j, v in enumerate(row) if v != beta] for row in rows]
+        if any(len(js) != 1 for js in moved):
             continue
-        return PermScaled(values[0], beta, Perm(positions).inverse())
+        positions = [j for j, in moved]
+        scales = {row[j] - beta for row, j in zip(rows, positions)}
+        if len(set(positions)) == n and len(scales) == 1:
+            return PermScaled(scales.pop(), beta, Perm(positions).inverse())
     return None
 
 

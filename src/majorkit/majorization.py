@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import le
 from typing import Iterable, Iterator, Literal, TypeVar
 
 from .numerics import (
@@ -51,14 +53,10 @@ def trace(x: Vec) -> Rational:
     return sum(x, Fraction(0))
 
 
-def desc_prefix_sums(x: Vec) -> tuple[Rational, ...]:
-    """Prefix sums of the decreasing rearrangement; the last entry is the trace."""
-    acc = Fraction(0)
-    out = []
-    for v in sorted(x, reverse=True):
-        acc += v
-        out.append(acc)
-    return tuple(out)
+def desc_prefix_sums(x: Iterable[Rational]) -> tuple[Rational, ...]:
+    """Prefix sums of the decreasing rearrangement of exact numbers (a Vec's
+    Fractions or the integer kernel's ints); the last entry is the trace."""
+    return tuple(accumulate(sorted(x, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -75,19 +73,22 @@ class Violation:
     rhs: Rational
 
 
-def first_violation(x: Vec, y: Vec) -> Violation | None:
-    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
-    if len(x) != len(y):
+def _profile_violation(px: tuple, py: tuple) -> Violation | None:
+    """The first reason why profile ``px`` is not majorized by profile ``py``."""
+    if len(px) != len(py):
         raise DimensionMismatch("majorization compares vectors of equal length")
-    px = desc_prefix_sums(x)
-    py = desc_prefix_sums(y)
     n = len(px)
     if px[-1] != py[-1]:
         return Violation("total", n, px[-1], py[-1])
-    for k in range(n - 1):
-        if px[k] > py[k]:
-            return Violation("prefix", k + 1, px[k], py[k])
-    return None
+    if all(map(le, px, py)):
+        return None
+    k = next(k for k in range(n - 1) if px[k] > py[k])
+    return Violation("prefix", k + 1, px[k], py[k])
+
+
+def first_violation(x: Vec, y: Vec) -> Violation | None:
+    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
+    return _profile_violation(desc_prefix_sums(x), desc_prefix_sums(y))
 
 
 def majorizes(x: Vec, y: Vec) -> bool:
@@ -102,8 +103,9 @@ def majorizes(x: Vec, y: Vec) -> bool:
 
 
 def equivalent(x: Vec, y: Vec) -> bool:
-    """True iff ``x ≺ y`` and ``y ≺ x``, i.e. each is a rearrangement of the other."""
-    return majorizes(x, y) and majorizes(y, x)
+    """True iff ``x ≺ y`` and ``y ≺ x``: the prefix profiles are equal."""
+    px, py = desc_prefix_sums(x), desc_prefix_sums(y)
+    return _profile_violation(px, py) is None and px == py
 
 
 class _Gathers:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -225,7 +226,7 @@ class Perm:
     __slots__ = ("_image",)
 
     def __init__(self, image: Iterable[int]):
-        img = tuple(int(i) for i in image)
+        img = tuple(map(operator.index, image))
         if sorted(img) != list(range(len(img))):
             raise ValueError(f"{img!r} is not a permutation of 0..{len(img) - 1}")
         self._image = img

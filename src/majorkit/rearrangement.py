@@ -60,31 +60,24 @@ class ExtremizerReport:
 def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerReport:
     """Scan every permutation and collect those attaining the extremes.
 
-    The scan is exhaustive, never sampled: the counting statements the
-    report feeds are about exact cardinalities.
+    The extreme values come from :func:`extremes`; the scan is exhaustive,
+    never sampled, because the counting statements the report feeds are
+    about exact cardinalities.
     """
     if len(x) != len(y):
         raise DimensionMismatch("extremizer scan needs equal lengths")
     n = len(x)
-    yd = sort_desc(y).descending
+    best, worst = extremes(x, y)
+    yd = sorted(y, reverse=True)
     prod = [[xi * yj for yj in yd] for xi in x]
-    best: Rational | None = None
-    worst: Rational | None = None
     maximizers: list[Perm] = []
     minimizers: list[Perm] = []
     for p in enumerate_perms(n, guard):
         value = sum((prod[p(j)][j] for j in range(n)), Fraction(0))
-        if best is None or value > best:
-            best = value
-            maximizers = [p]
-        elif value == best:
+        if value == best:
             maximizers.append(p)
-        if worst is None or value < worst:
-            worst = value
-            minimizers = [p]
-        elif value == worst:
+        if value == worst:
             minimizers.append(p)
-    assert best is not None and worst is not None
     return ExtremizerReport(best, worst, tuple(maximizers), tuple(minimizers),
                             distinct_count(x))
 

@@ -15,11 +15,14 @@ from majorkit import (
     Perm,
     Rational,
     StatementCheck,
+    ExtremizerReport,
+    PermScaled,
+    TraceMap,
     Vec,
-    classify_global,
-    desc_prefix_sums,
+    distinct_count,
     enumerate_perms,
     random_ds,
+    sort_desc,
 )
 
 
@@ -117,6 +120,16 @@ def oracle_random_distinct_vec(n: int, rng: random.Random) -> Vec:
 # one-scan integer predicates in majorkit.isotone: each checks every
 # orbit image against every target.
 
+def oracle_prefix_sums(x) -> tuple[Rational, ...]:
+    """Prefix sums of the decreasing rearrangement, one Fraction at a time."""
+    acc = Fraction(0)
+    out = []
+    for v in sorted(x, reverse=True):
+        acc += v
+        out.append(acc)
+    return tuple(out)
+
+
 def _maj(pa, pb) -> bool:
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
 
@@ -134,15 +147,16 @@ def oracle_orbit(alpha: Vec, guard=DEFAULT_GUARD) -> list[tuple[Perm, Vec]]:
 
 
 def oracle_equiv(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
-    base = desc_prefix_sums(a @ anchor.alpha)
+    base = oracle_prefix_sums(a @ anchor.alpha)
     for p, v in oracle_orbit(anchor.alpha, guard):
-        if desc_prefix_sums(a @ v) != base:
+        if oracle_prefix_sums(a @ v) != base:
             return IsotoneVerdict(False, {"perm": p})
     return IsotoneVerdict(True)
 
 
 def oracle_left(a, anchor, guard=DEFAULT_GUARD) -> IsotoneVerdict:
-    images = [(p, desc_prefix_sums(a @ v)) for p, v in oracle_orbit(anchor.alpha, guard)]
+    images = [(p, oracle_prefix_sums(a @ v))
+              for p, v in oracle_orbit(anchor.alpha, guard)]
     for pt, target in images:
         for ps, source in images:
             if not _maj(source, target):
@@ -158,10 +172,10 @@ def _oracle_pool_above(anchor, trials, rng, guard):
 
 def oracle_right(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
     rng = random.Random(f"{seed}:right")
-    orbit_images = [(p, desc_prefix_sums(a @ v))
+    orbit_images = [(p, oracle_prefix_sums(a @ v))
                     for p, v in oracle_orbit(anchor.alpha, guard)]
     for y in _oracle_pool_above(anchor, trials, rng, guard):
-        target = desc_prefix_sums(a @ y)
+        target = oracle_prefix_sums(a @ y)
         for p, source in orbit_images:
             if not _maj(source, target):
                 return IsotoneVerdict(False, {"perm": p, "y": y}, trials=trials)
@@ -169,13 +183,13 @@ def oracle_right(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict
 
 
 def oracle_point(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> IsotoneVerdict:
-    base = desc_prefix_sums(a @ anchor.alpha)
+    base = oracle_prefix_sums(a @ anchor.alpha)
     for q, v in oracle_orbit(anchor.alpha, guard):
-        if not _maj(desc_prefix_sums(a @ v), base):
+        if not _maj(oracle_prefix_sums(a @ v), base):
             return IsotoneVerdict(False, {"perm": q})
     rng = random.Random(f"{seed}:point")
     for y in _oracle_pool_above(anchor, trials, rng, guard):
-        if not _maj(base, desc_prefix_sums(a @ y)):
+        if not _maj(base, oracle_prefix_sums(a @ y)):
             return IsotoneVerdict(False, {"y": y}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
@@ -187,9 +201,9 @@ def oracle_global(a, trials, seed, guard=DEFAULT_GUARD,
     targets = list(extra_targets)
     targets.extend(oracle_random_distinct_vec(n, rng) for _ in range(trials))
     for y in targets:
-        target = desc_prefix_sums(a @ y)
+        target = oracle_prefix_sums(a @ y)
         for q in enumerate_perms(n, guard):
-            if not _maj(desc_prefix_sums(a @ q.apply(y)), target):
+            if not _maj(oracle_prefix_sums(a @ q.apply(y)), target):
                 return IsotoneVerdict(False, {"perm": q, "y": y}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
@@ -200,7 +214,7 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
     left = oracle_left(a, anchor, guard)
     right = oracle_right(a, anchor, trials, seed, guard)
     point = oracle_point(a, anchor, trials, seed, guard)
-    form = classify_global(a)
+    form = oracle_classify_global(a)
     orbit = tuple(v for _, v in oracle_orbit(anchor.alpha, guard))
     global_sampled = oracle_global(a, trials, seed, guard, extra_targets=orbit)
     exact_bits = [left.holds, equiv.holds, form is not None]
@@ -212,6 +226,68 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
                      if v.holds and not all(exact_bits))
     return StatementCheck(left, right, point, equiv, form, global_sampled,
                           consistent, advisory)
+
+
+# The two-candidate-rule classify_global and the running-extreme
+# extremizer scan, kept as oracles for the one-rule classify_global and
+# for extremizer_sets, which takes its extreme values from extremes().
+
+def oracle_classify_global(a: Mat) -> TraceMap | PermScaled | None:
+    n = a.n_rows
+    rows = a.rows
+    if all(len(set(row)) == 1 for row in rows):
+        return TraceMap(Vec(row[0] for row in rows))
+    first = rows[0]
+    if n == 2:
+        candidates = [first[1], first[0]]
+    else:
+        counts: dict[Rational, int] = {}
+        for v in first:
+            counts[v] = counts.get(v, 0) + 1
+        candidates = [v for v in dict.fromkeys(first) if counts[v] == n - 1]
+    for beta in candidates:
+        shifted = [[v - beta for v in row] for row in rows]
+        positions = []
+        values = []
+        ok = True
+        for row in shifted:
+            nz = [j for j, v in enumerate(row) if v != 0]
+            if len(nz) != 1:
+                ok = False
+                break
+            positions.append(nz[0])
+            values.append(row[nz[0]])
+        if not ok or len(set(positions)) != n:
+            continue
+        if len(set(values)) != 1 or values[0] == 0:
+            continue
+        return PermScaled(values[0], beta, Perm(positions).inverse())
+    return None
+
+
+def oracle_extremizer_sets(x: Vec, y: Vec, guard=DEFAULT_GUARD) -> ExtremizerReport:
+    n = len(x)
+    yd = sort_desc(y).descending
+    prod = [[xi * yj for yj in yd] for xi in x]
+    best: Rational | None = None
+    worst: Rational | None = None
+    maximizers: list[Perm] = []
+    minimizers: list[Perm] = []
+    for p in enumerate_perms(n, guard):
+        value = sum((prod[p(j)][j] for j in range(n)), Fraction(0))
+        if best is None or value > best:
+            best = value
+            maximizers = [p]
+        elif value == best:
+            maximizers.append(p)
+        if worst is None or value < worst:
+            worst = value
+            minimizers = [p]
+        elif value == worst:
+            minimizers.append(p)
+    assert best is not None and worst is not None
+    return ExtremizerReport(best, worst, tuple(maximizers), tuple(minimizers),
+                            distinct_count(x))
 
 
 # Dense and recursive constructions kept as oracles for the two-row

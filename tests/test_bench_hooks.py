@@ -1,0 +1,76 @@
+"""The benchmark's tracer still finds every name it patches in majorkit.
+
+``bench/tracer.py`` wraps majorkit's functions by name from outside, so a
+rename in the package breaks only a traced benchmark run.  These tests
+import the tracer as it is and install it on the package.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import majorkit
+import majorkit.cli  # noqa: F401  the tracer wraps cli.main and cli.load_vector
+from majorkit import AnchorPoint, Mat, Vec
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer_module():
+    spec = importlib.util.spec_from_file_location("majorkit_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot() -> dict[tuple[str, str], object]:
+    """Every attribute of every majorkit module and of the patched classes."""
+    out = {}
+    for modname, module in list(sys.modules.items()):
+        if modname == "majorkit" or modname.startswith("majorkit."):
+            for attr, value in vars(module).items():
+                out[(modname, attr)] = value
+    for cls in (majorkit.Mat, majorkit.Perm):
+        for attr, value in vars(cls).items():
+            out[(cls.__qualname__, attr)] = value
+    return out
+
+
+@pytest.fixture
+def tracer():
+    t = _load_tracer_module().Tracer()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def test_uninstall_restores_every_patched_attribute(tracer):
+    before = _snapshot()
+    tracer.install(majorkit)
+    try:
+        assert majorkit.majorization.desc_prefix_sums is not before[
+            ("majorkit.majorization", "desc_prefix_sums")]
+        assert majorkit.Perm.apply is not before[("Perm", "apply")]
+    finally:
+        tracer.uninstall()
+    after = _snapshot()
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []
+
+
+def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer):
+    # The anchor (3, 2, 1) has 6 distinct rearrangements, so the orbit scan
+    # profiles 6 integer images, each through desc_prefix_sums.
+    a = Mat([[1, 2, 0], [0, 1, 3], [2, 0, 1]])
+    tracer.install(majorkit)
+    try:
+        majorkit.is_equiv_preserving_at(a, AnchorPoint(Vec([3, 2, 1])))
+    finally:
+        tracer.uninstall()
+    equiv = tracer.summary()["isotone.equiv"]
+    assert equiv["calls"] == 1
+    assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == 6

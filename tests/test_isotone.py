@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +49,7 @@ from majorkit.isotone import (
     random_trace_map,
 )
 from helpers import (
+    oracle_classify_global,
     oracle_equiv,
     oracle_global,
     oracle_left,
@@ -107,6 +108,20 @@ class TestClassifyGlobal:
             base = random_perm_scaled(n, rng) if rng.random() < 0.5 \
                 else random_trace_map(n, rng)
             assert classify_global(perturb_entry(base, rng)) is None
+
+    def test_matches_the_two_rule_oracle(self):
+        # Every 2x2 with entries -2..2, every 3x3 with entries 0..2, and
+        # seeded planted, perturbed and small-entry matrices up to n = 5.
+        cells = [Mat([e[:2], e[2:]]) for e in product(range(-2, 3), repeat=4)]
+        cells += [Mat([e[:3], e[3:6], e[6:]]) for e in product(range(3), repeat=9)]
+        rng = random.Random(107)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            scaled, trace = random_perm_scaled(n, rng), random_trace_map(n, rng)
+            cells += [scaled, trace, perturb_entry(scaled, rng),
+                      perturb_entry(trace, rng), random_matrix(n, rng, -1, 1)]
+        for a in cells:
+            assert classify_global(a) == oracle_classify_global(a), a
 
 
 class TestEquivPreserving:

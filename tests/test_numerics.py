@@ -132,6 +132,12 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm([1, 2])
 
+    def test_rejects_non_integer_images(self):
+        with pytest.raises(TypeError):
+            Perm([1.5, 0.2])
+        with pytest.raises(TypeError):
+            Perm(["1", "0"])
+
     def test_identity_apply(self):
         x = Vec([5, -1, 2])
         assert Perm.identity(3).apply(x) == x

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majorkit import (
     Perm,
@@ -17,7 +18,24 @@ from majorkit import (
     permuted_dot,
     sort_desc,
 )
-from helpers import rand_strictly_decreasing, rand_vec
+from helpers import oracle_extremizer_sets, rand_strictly_decreasing, rand_vec
+
+_SMALL = [Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+          Fraction(1), Fraction(3)]
+
+
+@st.composite
+def _tied_vec(draw, n):
+    """A length-``n`` vector drawn from at most ``n - 1`` values, so it ties."""
+    pool = draw(st.lists(st.sampled_from(_SMALL), min_size=1,
+                         max_size=max(1, n - 1), unique=True))
+    return Vec(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def _tied_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(_tied_vec(n)), draw(_tied_vec(n))
 
 
 def brute_force_extremes(x, y):
@@ -144,6 +162,12 @@ class TestExtremizerSets:
             negated = extremizer_sets(x.scale(-1), y)
             assert len(report.maximizers) == len(negated.minimizers)
             assert len(report.minimizers) == len(negated.maximizers)
+
+    @settings(max_examples=200)
+    @given(pair=_tied_pairs())
+    def test_matches_the_running_extreme_oracle(self, pair):
+        x, y = pair
+        assert extremizer_sets(x, y) == oracle_extremizer_sets(x, y)
 
 
 class TestDistinctCountAndBound:
