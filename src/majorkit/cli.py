@@ -30,7 +30,7 @@ from .numerics import (
     Vec,
     as_rational,
 )
-from .rearrangement import distinct_count, extremizer_bound, extremizer_sets
+from .rearrangement import extremizer_bound, extremizer_sets
 
 
 class CliError(Exception):
@@ -184,7 +184,7 @@ def cmd_extremizers(args: argparse.Namespace) -> int:
     x = load_vector(args.x, warnings)
     y = load_vector(args.y, warnings)
     rep = extremizer_sets(x, y, guard=args.guard_n)
-    k = distinct_count(x)
+    k = rep.distinct_count
     counts = {
         "max_value": rep.max_value,
         "min_value": rep.min_value,

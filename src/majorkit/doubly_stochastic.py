@@ -17,9 +17,9 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 
-from .majorization import Violation, first_violation, sort_desc
+from .majorization import Violation, _profile_violation, sort_desc
 from .numerics import DimensionMismatch, Mat, Perm, Rational, Vec
 
 
@@ -110,13 +110,14 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
-    violation = first_violation(x, y)
+    sx = sort_desc(x)
+    sy = sort_desc(y)
+    violation = _profile_violation(tuple(accumulate(sx.descending)),
+                                   tuple(accumulate(sy.descending)))
     if violation is not None:
         raise NotMajorized(violation)
 
     n = len(x)
-    sx = sort_desc(x)
-    sy = sort_desc(y)
     xs = list(sx.descending)
     vs = list(sy.descending)
 

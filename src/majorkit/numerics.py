@@ -294,8 +294,7 @@ def enumerate_perms(n: int, guard: int = DEFAULT_GUARD) -> Iterator[Perm]:
     """Stream all n! permutations of ``{0..n-1}`` in lexicographic image order.
 
     Raises :class:`GuardExceeded` immediately (not on first iteration)
-    when ``n`` is above ``guard``; every factorial-cost scan in the
-    package funnels through here so runaway enumerations fail fast and
+    when ``n`` is above ``guard``, so runaway enumerations fail fast and
     reproducibly.
     """
     if n < 1:

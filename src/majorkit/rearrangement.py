@@ -13,15 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import ne
 
 from .majorization import sort_desc
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
+    GuardExceeded,
     Perm,
     Rational,
     Vec,
-    enumerate_perms,
 )
 
 
@@ -48,7 +50,7 @@ def permuted_dot(x: Vec, p: Perm, y: Vec) -> Rational:
 
 @dataclass(frozen=True)
 class ExtremizerReport:
-    """Exhaustive scan result: the extreme values and every attaining permutation."""
+    """The extreme values and every permutation attaining each of them."""
 
     max_value: Rational
     min_value: Rational
@@ -58,28 +60,75 @@ class ExtremizerReport:
 
 
 def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerReport:
-    """Scan every permutation and collect those attaining the extremes.
+    """Enumerate every permutation attaining each extreme, in lexicographic order.
 
-    The extreme values come from :func:`extremes`; the scan is exhaustive,
+    ``p`` attains the maximum iff ``x∘p`` is similarly ordered with the
+    decreasing rearrangement ``yd`` of ``y``: on each block of tied
+    entries of ``yd`` it takes exactly the values that the decreasing
+    sort of ``x`` puts there.  The minimum is the same with the
+    increasing sort.  The attaining permutations are built directly,
     never sampled, because the counting statements the report feeds are
-    about exact cardinalities.
+    about exact cardinalities; the cost is O(n²) per permutation
+    returned.  The values come from :func:`extremes`.
+
+    Either set can hold all n! permutations, so :class:`GuardExceeded`
+    is raised for ``n`` above ``guard`` before any work.
     """
     if len(x) != len(y):
         raise DimensionMismatch("extremizer scan needs equal lengths")
-    n = len(x)
+    if len(x) > guard:
+        raise GuardExceeded(len(x), guard)
     best, worst = extremes(x, y)
+    ids = {v: c for c, v in enumerate(dict.fromkeys(x))}
+    classes = [ids[v] for v in x]
     yd = sorted(y, reverse=True)
-    prod = [[xi * yj for yj in yd] for xi in x]
-    maximizers: list[Perm] = []
-    minimizers: list[Perm] = []
-    for p in enumerate_perms(n, guard):
-        value = sum((prod[p(j)][j] for j in range(n)), Fraction(0))
-        if value == best:
-            maximizers.append(p)
-        if value == worst:
-            minimizers.append(p)
-    return ExtremizerReport(best, worst, tuple(maximizers), tuple(minimizers),
+    # block[j]: which run of tied entries of yd position j lies in
+    block = list(accumulate(map(ne, yd, yd[1:]), initial=0))
+    desc = [ids[v] for v in sorted(x, reverse=True)]
+    return ExtremizerReport(best, worst,
+                            _block_rearrangements(classes, desc, block),
+                            _block_rearrangements(classes, desc[::-1], block),
                             distinct_count(x))
+
+
+def _block_rearrangements(classes: list[int], want: list[int],
+                          block: list[int]) -> tuple[Perm, ...]:
+    """Every ``p``, in lexicographic image order, that gives each block the
+    classes ``want`` gives it.
+
+    Over the positions ``j`` of one block, the ``classes[p(j)]`` are a
+    rearrangement of the ``want[j]``.  Backtracks over positions:
+    position ``j`` takes the smallest unused index whose class its block
+    still owes.  Every partial assignment extends to a full one, so there
+    are no dead ends.
+    """
+    n = len(classes)
+    owed = [[0] * n for _ in range(block[-1] + 1)]
+    for b, c in zip(block, want):
+        owed[b][c] += 1
+    used = [False] * n
+    image: list[int] = []
+    found: list[Perm] = []
+    start = 0  # the smallest index still to try at position len(image)
+    while True:
+        if len(image) == n:
+            found.append(Perm(image))
+        else:
+            owe = owed[block[len(image)]]
+            i = next((i for i in range(start, n)
+                      if not used[i] and owe[classes[i]]), n)
+            if i < n:
+                image.append(i)
+                used[i] = True
+                owe[classes[i]] -= 1
+                start = 0
+                continue
+        if not image:
+            return tuple(found)
+        i = image.pop()
+        used[i] = False
+        owed[block[len(image)]][classes[i]] += 1
+        start = i + 1
 
 
 def distinct_count(x: Vec) -> int:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from majorkit import (
+    DEFAULT_GUARD,
+    GuardExceeded,
     Perm,
     Vec,
     distinct_count,
@@ -36,6 +38,31 @@ def _tied_vec(draw, n):
 def _tied_pairs(draw):
     n = draw(st.integers(1, 6))
     return draw(_tied_vec(n)), draw(_tied_vec(n))
+
+
+def _seeded_tied_vec(rng, n):
+    """A length-``n`` vector drawn from 2 to ``n - 2`` values, so it ties."""
+    pool = rng.sample(_SMALL, rng.randint(2, min(len(_SMALL), n - 2)))
+    return Vec(rng.choice(pool) for _ in range(n))
+
+
+_PERM_BUDGET = 50
+
+
+@pytest.fixture
+def perm_builds(monkeypatch):
+    """Count ``Perm`` constructions; fail at once past a budget far below n!."""
+    built = []
+    init = Perm.__init__
+
+    def counting_init(self, image):
+        built.append(1)
+        if len(built) > _PERM_BUDGET:
+            raise AssertionError(f"more than {_PERM_BUDGET} Perm constructions")
+        init(self, image)
+
+    monkeypatch.setattr(Perm, "__init__", counting_init)
+    return built
 
 
 def brute_force_extremes(x, y):
@@ -168,6 +195,45 @@ class TestExtremizerSets:
     def test_matches_the_running_extreme_oracle(self, pair):
         x, y = pair
         assert extremizer_sets(x, y) == oracle_extremizer_sets(x, y)
+
+    @pytest.mark.parametrize("n, seed", [(7, 0), (7, 1), (7, 2), (7, 3),
+                                         (8, 0), (8, 1)])
+    def test_matches_the_oracle_above_the_hypothesis_range(self, n, seed):
+        rng = random.Random(f"tied:{n}:{seed}")
+        x, y = _seeded_tied_vec(rng, n), _seeded_tied_vec(rng, n)
+        assert extremizer_sets(x, y) == oracle_extremizer_sets(x, y)
+
+    def test_all_tied_x_returns_every_perm_in_order(self):
+        x = Vec([Fraction(1, 3)] * 7)
+        y = Vec([3, 3, 1, 0, 0, 0, -2])
+        report = extremizer_sets(x, y)
+        assert report == oracle_extremizer_sets(x, y)
+        assert report.maximizers == report.minimizers == tuple(enumerate_perms(7))
+
+    def test_no_factorial_work_at_n_12(self, perm_builds):
+        # A scan of all 12! permutations trips the budget at once.  The
+        # enumeration builds one Perm per permutation it returns, plus the
+        # two sorting witnesses of extremes().
+        rng = random.Random(89)
+        n = 12
+        x = list(rand_strictly_decreasing(rng, n))
+        rng.shuffle(x)
+        x, y = Vec(x), rand_strictly_decreasing(rng, n)
+        report = extremizer_sets(x, y, guard=n)
+        assert len(perm_builds) <= 4
+        (p,), (q,) = report.maximizers, report.minimizers
+        assert p.inverse().apply(x) == sort_desc(x).descending
+        assert q.inverse().apply(x) == sort_desc(x).ascending
+
+    @pytest.mark.parametrize("guard", [3, DEFAULT_GUARD])
+    def test_guard_trips_before_any_work(self, guard, perm_builds):
+        # Distinct x and strictly decreasing y: the output would be one
+        # permutation a side, yet n above the guard is still refused.
+        n = guard + 1
+        x, y = Vec(range(n)), Vec(range(n, 0, -1))
+        with pytest.raises(GuardExceeded):
+            extremizer_sets(x, y, guard=guard)
+        assert perm_builds == []
 
 
 class TestDistinctCountAndBound:
