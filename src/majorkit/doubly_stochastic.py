@@ -8,6 +8,11 @@ of them into a convex combination of permutation matrices, and generates
 seeded random instances for test campaigns.  The decomposition is a
 greedy peel within ``(n-1)**2 + 1`` terms: each peel empties a cell, so
 the rescaled residual drops to a face of strictly lower dimension.
+
+The check, the T-chain and the peel all run in an integer frame: the
+entries are scaled once by the least common multiple ``L`` of their
+denominators, every comparison, sum and update is on Python ints, and
+only the results become ``Fraction``s again.
 """
 
 from __future__ import annotations
@@ -52,21 +57,25 @@ class DoublyStochastic:
 def check_ds(a: Mat) -> bool:
     """Exactly decide whether ``a`` is doubly stochastic.
 
-    Raises :class:`DimensionMismatch` for non-square input; a rectangular
+    Decides on integer numerators over ``L``, the least common multiple
+    of the entries' denominators: every row must be nonnegative and sum
+    to ``L``, and every column must sum to ``L``.  Raises
+    :class:`DimensionMismatch` for non-square input; a rectangular
     matrix cannot satisfy the definition at all.
     """
     if not a.is_square:
         raise DimensionMismatch("doubly stochastic matrices are square")
-    one = Fraction(1)
-    for row in a.rows:
-        if any(v < 0 for v in row):
-            return False
-        if sum(row) != one:
-            return False
-    for j in range(a.n_cols):
-        if sum(row[j] for row in a.rows) != one:
-            return False
-    return True
+    scale, rows = _clear_denominators(a.rows)
+    return (all(min(row) >= 0 and sum(row) == scale for row in rows)
+            and all(sum(col) == scale for col in zip(*rows)))
+
+
+def _clear_denominators(rows) -> tuple[int, list[list[int]]]:
+    """``(L, L * rows)``, with ``L`` the least common multiple of every
+    entry's denominator, so the scaled rows are lists of ints."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row]
+                   for row in rows]
 
 
 @dataclass(frozen=True)
@@ -103,10 +112,15 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
 
-    Each T-transform changes only the two rows of the chain that it
-    mixes, so it is applied as a two-row update in O(n); the sorting
-    permutations are applied by re-indexing rows and columns.  No matrix
-    product is formed.
+    The chain runs on integers: both sorted vectors are scaled by the
+    least common multiple of their denominators, so the entries, the
+    mass moved and the gaps are ints and each step's ``t`` is one
+    ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
+    over one denominator of its own; a T-transform changes only the two
+    rows it mixes, so it is applied as a two-row update in O(n), reduced
+    by one ``gcd`` per row.  The sorting permutations are applied by
+    re-indexing rows and columns, and the entries become ``Fraction``s
+    once, at the end.  No matrix product is formed.
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
@@ -118,24 +132,32 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
         raise NotMajorized(violation)
 
     n = len(x)
-    xs = list(sx.descending)
-    vs = list(sy.descending)
+    _, (xs, vs) = _clear_denominators((sx.descending, sy.descending))
 
     transforms: list[TTransform] = []
-    zero, one = Fraction(0), Fraction(1)
-    chain = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    # chain row r is nums[r] / dens[r]
+    nums = [[int(r == c) for c in range(n)] for r in range(n)]
+    dens = [1] * n
     while xs != vs:
         j = max(i for i in range(n) if xs[i] < vs[i])
         k = min(i for i in range(j + 1, n) if xs[i] > vs[i])
         delta = min(vs[j] - xs[j], xs[k] - vs[k])
-        t = delta / (vs[j] - vs[k])
+        t = Fraction(delta, vs[j] - vs[k])
         transforms.append(TTransform(j, k, t))
-        s = one - t
-        row_j, row_k = chain[j], chain[k]
-        chain[j] = [s * a + t * b if a or b else zero
-                    for a, b in zip(row_j, row_k)]
-        chain[k] = [s * b + t * a if a or b else zero
-                    for a, b in zip(row_j, row_k)]
+        # rows j, k <- (1-t) rows j, k + t rows k, j, over q * lcm(dens)
+        p, q = t.numerator, t.denominator
+        dj, dk = dens[j], dens[k]
+        m = math.lcm(dj, dk)
+        fj, fk = m // dj, m // dk
+        stay_j, move_j = (q - p) * fj, p * fj
+        stay_k, move_k = (q - p) * fk, p * fk
+        row_j, row_k = nums[j], nums[k]
+        new_j = [stay_j * a + move_k * b for a, b in zip(row_j, row_k)]
+        new_k = [stay_k * b + move_j * a for a, b in zip(row_j, row_k)]
+        for r, row in ((j, new_j), (k, new_k)):
+            g = math.gcd(q * m, *row)
+            nums[r] = [v // g for v in row]
+            dens[r] = q * m // g
         vs[j] -= delta
         vs[k] += delta
 
@@ -143,7 +165,9 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     # chain's row unsort^-1(i) = sx.sort_perm(i), read at columns presort(c).
     presort = sy.sort_perm
     unsort = sx.sort_perm.inverse()
-    d = Mat([chain[m][c] for c in presort.image] for m in sx.sort_perm.image)
+    zero = Fraction(0)
+    d = Mat([Fraction(nums[r][c], dens[r]) if nums[r][c] else zero
+             for c in presort.image] for r in sx.sort_perm.image)
     return MajorizationWitness(DoublyStochastic(d), tuple(transforms),
                                presort, unsort)
 
@@ -182,45 +206,57 @@ def _weighted_perm_sum(terms: Iterable[tuple[Rational, Perm]]) -> Mat:
 def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
     """Row-to-column perfect matching on a square support, or ``None``.
 
-    Augmenting-path search with rows processed in order and columns tried
-    in ascending index, so the result is deterministic: the first
-    augmenting path a depth-first search finds is taken.  The search
-    keeps its path on an explicit stack, so a path through every row of
-    a large support cannot exhaust the interpreter's recursion limit.
+    Roots are the rows in order, each augmented by :func:`_augment`, so
+    the result is deterministic.  :func:`birkhoff` runs the same roots,
+    resuming them across peels instead of starting from scratch.
     """
     n = len(support)
     adjacent = [list(compress(range(n), row)) for row in support]
     match_col = [-1] * n  # column -> row
-
     for root in range(n):
-        seen = [False] * n
-        path = [root]  # rows on the search path
-        via: list[int] = []  # via[d] leads from path[d] to path[d + 1]
-        untried = [iter(adjacent[root])]  # per path row: columns not yet tried
-        while untried:
-            for c in untried[-1]:
-                if not seen[c]:
-                    break
-            else:  # dead end: back up to the previous row
-                untried.pop()
-                path.pop()
-                if via:
-                    via.pop()
-                continue
-            seen[c] = True
-            via.append(c)
-            if match_col[c] < 0:  # free column: flip the whole path
-                for row, col in zip(path, via):
-                    match_col[col] = row
-                break
-            path.append(match_col[c])
-            untried.append(iter(adjacent[match_col[c]]))
-        else:
+        if not _augment(adjacent, match_col, root):
             return None
     cols = [-1] * n
     for c, r in enumerate(match_col):
         cols[r] = c
     return cols
+
+
+def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool:
+    """Match ``root`` by one augmenting path, or return ``False``.
+
+    ``match_col`` maps each column to its row (``-1`` if free) and is
+    updated in place.  Depth-first search from ``root``, trying each
+    row's columns in ascending index; the first augmenting path found is
+    flipped.  The search reads the adjacency of ``root`` and of rows
+    already matched only.  It keeps its path on an explicit stack, so a
+    path through every row of a large support cannot exhaust the
+    interpreter's recursion limit.
+    """
+    seen = [False] * len(match_col)
+    path = [root]  # rows on the search path
+    via: list[int] = []  # via[d] leads from path[d] to path[d + 1]
+    untried = [iter(adjacent[root])]  # per path row: columns not yet tried
+    while untried:
+        for c in untried[-1]:
+            if not seen[c]:
+                break
+        else:  # dead end: back up to the previous row
+            untried.pop()
+            path.pop()
+            if via:
+                via.pop()
+            continue
+        seen[c] = True
+        via.append(c)
+        row = match_col[c]
+        if row < 0:  # free column: flip the whole path
+            for r, col in zip(path, via):
+                match_col[col] = r
+            return True
+        path.append(row)
+        untried.append(iter(adjacent[row]))
+    return False
 
 
 def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
@@ -236,30 +272,42 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
 
     Denominators are cleared once: with ``L`` the least common multiple
     of the entries' denominators, the peel runs on the integer matrix
-    ``L * d`` and each weight is emitted as ``Fraction(w, L)``.  The
-    support is kept across peels and loses only the cells a peel empties.
+    ``L * d`` and each weight is emitted as ``Fraction(w, L)``.
+
+    The matching is resumed, not rebuilt.  The adjacency lists are kept
+    across peels and lose only the cells a peel empties.  When root
+    ``r`` starts, the matched rows are exactly ``0..r-1``, so its search
+    reads rows ``<= r`` only, and every root below the first row that a
+    peel emptied repeats its earlier choices.  The matching saved before
+    that root is restored and the roots run from there on, so a peel
+    costs the augmentations from its first emptied row onward, and the
+    terms are those of a from-scratch :func:`_perfect_matching` per peel.
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
     n = d.n
-    rows = d.matrix.rows
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    work = [[v.numerator * (scale // v.denominator) for v in row]
-            for row in rows]
-    support = [[v != 0 for v in row] for row in work]
-    remaining = sum(map(sum, support))
+    scale, work = _clear_denominators(d.matrix.rows)
+    adjacent = [list(compress(range(n), row)) for row in work]
+    remaining = sum(map(len, adjacent))
+    match_col = [-1] * n  # column -> row
+    saved: list[list[int]] = [[]] * n  # saved[r]: match_col as root r began
+    first = 0  # the first root to run
     terms: list[tuple[Rational, Perm]] = []
     while remaining:
-        cols = _perfect_matching(support)
-        if cols is None:
-            raise RuntimeError("no permutation inside the support; input invalid")
-        weight = min(work[i][cols[i]] for i in range(n))
-        terms.append((Fraction(weight, scale), Perm(cols).inverse()))
-        for i, c in enumerate(cols):
-            work[i][c] -= weight
-            if not work[i][c]:
-                support[i][c] = False
+        for root in range(first, n):
+            saved[root] = match_col.copy()
+            if not _augment(adjacent, match_col, root):
+                raise RuntimeError("no permutation inside the support; input invalid")
+        weight = min(work[r][c] for c, r in enumerate(match_col))
+        terms.append((Fraction(weight, scale), Perm(match_col)))
+        first = n
+        for c, r in enumerate(match_col):
+            work[r][c] -= weight
+            if not work[r][c]:
+                adjacent[r].remove(c)
                 remaining -= 1
+                first = min(first, r)
+        match_col = saved[first]
     return BirkhoffDecomposition(tuple(terms))
 
 

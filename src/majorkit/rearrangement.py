@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import ne
+from operator import mul, ne
 
 from .majorization import sort_desc
 from .numerics import (
@@ -35,9 +35,14 @@ def extremes(x: Vec, y: Vec) -> tuple[Rational, Rational]:
     """
     if len(x) != len(y):
         raise DimensionMismatch("rearrangement extremes need equal lengths")
-    sx = sort_desc(x)
-    yd = sort_desc(y).descending
-    return sx.descending.dot(yd), sx.ascending.dot(yd)
+    return _extreme_values(sorted(x, reverse=True), sorted(y, reverse=True))
+
+
+def _extreme_values(xd: list[Rational],
+                    yd: list[Rational]) -> tuple[Rational, Rational]:
+    """(maximum, minimum) from the decreasing sorts ``xd`` and ``yd``."""
+    return (sum(map(mul, xd, yd), Fraction(0)),
+            sum(map(mul, reversed(xd), yd), Fraction(0)))
 
 
 def permuted_dot(x: Vec, p: Perm, y: Vec) -> Rational:
@@ -69,7 +74,8 @@ def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerRep
     increasing sort.  The attaining permutations are built directly,
     never sampled, because the counting statements the report feeds are
     about exact cardinalities; the cost is O(n²) per permutation
-    returned.  The values come from :func:`extremes`.
+    returned.  The values come from the same sorted lists, with the
+    rule :func:`extremes` uses.
 
     Either set can hold all n! permutations, so :class:`GuardExceeded`
     is raised for ``n`` above ``guard`` before any work.
@@ -78,13 +84,13 @@ def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerRep
         raise DimensionMismatch("extremizer scan needs equal lengths")
     if len(x) > guard:
         raise GuardExceeded(len(x), guard)
-    best, worst = extremes(x, y)
+    xd, yd = sorted(x, reverse=True), sorted(y, reverse=True)
+    best, worst = _extreme_values(xd, yd)
     ids = {v: c for c, v in enumerate(dict.fromkeys(x))}
     classes = [ids[v] for v in x]
-    yd = sorted(y, reverse=True)
     # block[j]: which run of tied entries of yd position j lies in
     block = list(accumulate(map(ne, yd, yd[1:]), initial=0))
-    desc = [ids[v] for v in sorted(x, reverse=True)]
+    desc = [ids[v] for v in xd]
     return ExtremizerReport(best, worst,
                             _block_rearrangements(classes, desc, block),
                             _block_rearrangements(classes, desc[::-1], block),

@@ -8,6 +8,7 @@ from fractions import Fraction
 from majorkit import (
     DEFAULT_GUARD,
     BirkhoffDecomposition,
+    DimensionMismatch,
     DoublyStochastic,
     IsotoneVerdict,
     MajorizationWitness,
@@ -290,8 +291,25 @@ def oracle_extremizer_sets(x: Vec, y: Vec, guard=DEFAULT_GUARD) -> ExtremizerRep
                             distinct_count(x))
 
 
-# Dense and recursive constructions kept as oracles for the two-row
-# T-chain in witness_ds and the integer peel in birkhoff.
+# Dense, recursive and Fraction-loop constructions kept as oracles for
+# the integer T-chain in witness_ds, the resumed integer peel in
+# birkhoff and the integer check_ds.
+
+def oracle_check_ds(a: Mat) -> bool:
+    """Row and column sums one Fraction at a time."""
+    if not a.is_square:
+        raise DimensionMismatch("doubly stochastic matrices are square")
+    one = Fraction(1)
+    for row in a.rows:
+        if any(v < 0 for v in row):
+            return False
+        if sum(row) != one:
+            return False
+    for j in range(a.n_cols):
+        if sum(row[j] for row in a.rows) != one:
+            return False
+    return True
+
 
 def oracle_witness_matrix(w: MajorizationWitness, n: int) -> Mat:
     """``unsort.matrix() @ T_k @ ... @ T_1 @ presort.matrix()``, densely."""

@@ -1,5 +1,6 @@
 """Recognition, witnesses, decomposition, and seeded generation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,10 +21,12 @@ from majorkit import (
     random_ds,
     witness_ds,
 )
+from majorkit import doubly_stochastic
 from majorkit.doubly_stochastic import _perfect_matching
 from helpers import (
     majorizing_pair,
     oracle_birkhoff,
+    oracle_check_ds,
     oracle_witness_matrix,
     rand_vec,
 )
@@ -45,6 +48,58 @@ def majorized_pairs(draw):
     return d.matrix @ y, y
 
 
+@st.composite
+def small_matrices(draw):
+    """Any matrix up to 6 x 6, rectangular ones included."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return Mat(draw(st.lists(st.lists(scalars, min_size=n_cols, max_size=n_cols),
+                             min_size=n_rows, max_size=n_rows)))
+
+
+def _nudged(rows, kind, r, c, d):
+    """``rows`` after one nudge that leaves it just short of doubly stochastic.
+
+    ``"cell"`` moves one cell by ``1/d``; ``"negative"`` pushes mass
+    ``e`` around a 2 x 2 cycle, which keeps every row and column sum but
+    leaves ``-1/d`` at ``(r, c)``; ``"row"`` copies row ``r + 1`` over
+    row ``r``, which keeps every row nonnegative and summing to one.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if kind == "cell":
+        rows[r][c] += Fraction(1, d)
+    elif kind == "negative":
+        e = rows[r][c] + Fraction(1, d)
+        r2, c2 = (r + 1) % n, (c + 1) % n
+        rows[r][c] -= e
+        rows[r2][c2] -= e
+        rows[r2][c] += e
+        rows[r][c2] += e
+    elif kind == "row":
+        rows[r] = rows[(r + 1) % n]
+    return Mat(rows)
+
+
+@st.composite
+def near_misses(draw):
+    """A seeded doubly stochastic matrix, up to 6 x 6, with at most one nudge."""
+    n = draw(st.integers(1, 6))
+    rows = random_ds(n, seed=draw(st.integers(0, 2**32 - 1)),
+                     steps=draw(st.integers(1, 5))).matrix.rows
+    kind = draw(st.sampled_from(["none", "cell", "negative", "row"] if n > 1
+                                else ["none", "cell"]))
+    return _nudged(rows, kind, draw(st.integers(0, n - 1)),
+                   draw(st.integers(0, n - 1)),
+                   draw(st.integers(1, 12)) * draw(st.sampled_from([-1, 1])))
+
+
+def _verdict(check, a):
+    try:
+        return check(a)
+    except DimensionMismatch:
+        return DimensionMismatch
+
+
 class TestCheckDs:
     def test_identity_and_uniform(self):
         assert check_ds(Mat.identity(4))
@@ -63,6 +118,50 @@ class TestCheckDs:
     def test_wrapper_validates(self):
         with pytest.raises(ValueError):
             DoublyStochastic(Mat([[1, 1], [0, 0]]))
+
+    @given(a=small_matrices())
+    def test_matches_the_fraction_loop_oracle(self, a):
+        assert _verdict(check_ds, a) == _verdict(oracle_check_ds, a)
+
+    @given(a=near_misses())
+    def test_matches_the_oracle_on_near_misses(self, a):
+        assert check_ds(a) == oracle_check_ds(a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_near_misses_are_rejected(self, seed):
+        rng = random.Random(f"near-miss:{seed}")
+        n = rng.randint(2, 6)
+        rows = random_ds(n, seed=rng.getrandbits(32), steps=4).matrix.rows
+        r, c, d = rng.randrange(n), rng.randrange(n), rng.randint(2, 30)
+        assert check_ds(Mat(rows)) and oracle_check_ds(Mat(rows))
+        for step in (1, -1):
+            moved = _nudged(rows, "cell", r, c, step * d)
+            assert not check_ds(moved) and not oracle_check_ds(moved)
+        negative = _nudged(rows, "negative", r, c, d)
+        assert negative[r, c] == Fraction(-1, d)
+        assert all(sum(row) == 1 for row in negative.rows)
+        assert all(sum(col) == 1 for col in zip(*negative.rows))
+        assert not check_ds(negative) and not oracle_check_ds(negative)
+        copied = _nudged(rows, "row", r, c, d)
+        assert all(min(row) >= 0 and sum(row) == 1 for row in copied.rows)
+        verdict = rows[r] == rows[(r + 1) % n]
+        assert check_ds(copied) is oracle_check_ds(copied) is verdict
+
+    def test_column_sums_matter(self):
+        a = Mat([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert not check_ds(a) and not oracle_check_ds(a)
+
+    def test_one_by_one(self):
+        for entry, verdict in ((1, True), ("1/2", False), (2, False), (-1, False)):
+            a = Mat([[entry]])
+            assert check_ds(a) is oracle_check_ds(a) is verdict
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3), (6, 5)])
+    def test_rectangular_raises_in_both(self, shape):
+        a = Mat.ones(*shape).scale(Fraction(1, shape[1]))
+        for check in (check_ds, oracle_check_ds):
+            with pytest.raises(DimensionMismatch):
+                check(a)
 
 
 class TestWitness:
@@ -119,6 +218,20 @@ class TestWitness:
         x, y = pair
         w = witness_ds(x, y)
         assert w.matrix.matrix == oracle_witness_matrix(w, len(x))
+        assert w.matrix.matrix @ y == x
+
+    def test_matches_the_oracle_with_large_coprime_denominators(self):
+        # Twelve distinct primes near 10**6: the integer frame's scale is
+        # their product, and every chain row carries its own denominator.
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                  1000117, 1000121, 1000133, 1000151, 1000159, 1000171]
+        rng = random.Random(71)
+        y = Vec(Fraction(rng.randint(-10**6, 10**6), p) for p in primes)
+        assert math.lcm(*(v.denominator for v in y)) == math.prod(primes)
+        x = random_ds(12, seed=rng.getrandbits(32), steps=5).matrix @ y
+        w = witness_ds(x, y)
+        assert w.transforms
+        assert w.matrix.matrix == oracle_witness_matrix(w, 12)
         assert w.matrix.matrix @ y == x
 
 
@@ -184,6 +297,42 @@ class TestBirkhoff:
     def test_witness_terms_match_the_oracle(self, pair):
         d = witness_ds(*pair).matrix
         assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    def test_matches_the_oracle_above_n_8(self, n):
+        rng = random.Random(f"birkhoff:{n}")
+        for _ in range(2):
+            d = random_ds(n, seed=rng.getrandbits(32), steps=n)
+            assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+    def test_construct_witness_terms_match_the_oracle_at_n_20(self):
+        # x = D y with D a mix of four permutations, as in a construct item.
+        rng = random.Random(20)
+        for _ in range(3):
+            y = rand_vec(rng, 20, lo=-20, hi=20)
+            x = random_ds(20, seed=rng.getrandbits(32), steps=4).matrix @ y
+            d = witness_ds(x, y).matrix
+            assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+    def test_peel_resumes_the_matching_from_the_first_emptied_row(self, monkeypatch):
+        # diag(I_8, J_2 / 2): the first matching swaps rows 8 and 9, and
+        # its peel empties cells in those rows only, so the second peel
+        # reruns roots 8 and 9 alone: 10 + 2 augmentations, not 10 + 10.
+        roots = []
+        augment = doubly_stochastic._augment
+
+        def counting(adjacent, match_col, root):
+            roots.append(root)
+            return augment(adjacent, match_col, root)
+
+        monkeypatch.setattr(doubly_stochastic, "_augment", counting)
+        half = Fraction(1, 2)
+        rows = [[int(r == c) for c in range(10)] for r in range(8)]
+        rows += [[0] * 8 + [half, half]] * 2
+        dec = birkhoff(Mat(rows))
+        assert roots == [*range(10), 8, 9]
+        assert dec.terms == ((half, Perm.transposition(10, 8, 9)),
+                             (half, Perm.identity(10)))
 
 
 class TestPerfectMatching:

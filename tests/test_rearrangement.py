@@ -225,6 +225,19 @@ class TestExtremizerSets:
         assert p.inverse().apply(x) == sort_desc(x).descending
         assert q.inverse().apply(x) == sort_desc(x).ascending
 
+    def test_each_input_is_sorted_once(self, perm_builds):
+        # The extreme values come from the sorted lists that the
+        # enumeration uses, so no sorting witness is built: the only
+        # Perms are the two the report returns.
+        rng = random.Random(89)
+        n = 12
+        x = list(rand_strictly_decreasing(rng, n))
+        rng.shuffle(x)
+        x, y = Vec(x), rand_strictly_decreasing(rng, n)
+        report = extremizer_sets(x, y, guard=n)
+        assert len(report.maximizers) == len(report.minimizers) == 1
+        assert len(perm_builds) == 2
+
     @pytest.mark.parametrize("guard", [3, DEFAULT_GUARD])
     def test_guard_trips_before_any_work(self, guard, perm_builds):
         # Distinct x and strictly decreasing y: the output would be one
