@@ -51,13 +51,19 @@ def _scalar(value: Any, warnings: list[str], where: str) -> Rational:
     return exact
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str) -> tuple[Any, dict[str, str]]:
+    """The parsed document and the report's digest of the same bytes.
+
+    The file is read once; the bytes are hashed and then decoded as
+    strict UTF-8, so a byte order mark is rejected as invalid JSON.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    digest = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8")), digest
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
     except ValueError as exc:  # e.g. an integer literal over the digit limit
@@ -66,16 +72,16 @@ def _load_json(path: str) -> Any:
         raise CliError(f"{path} is nested too deeply to parse")
 
 
-def load_vector(path: str, warnings: list[str]) -> Vec:
-    doc = _load_json(path)
+def load_vector(path: str, warnings: list[str]) -> tuple[Vec, dict[str, str]]:
+    doc, digest = _load_json(path)
     if not isinstance(doc, list) or not doc:
         raise CliError(f"{path}: a vector file is a non-empty JSON array")
     entries = [_scalar(v, warnings, f"{path}[{i}]") for i, v in enumerate(doc)]
-    return Vec(entries)
+    return Vec(entries), digest
 
 
-def load_matrix(path: str, warnings: list[str]) -> Mat:
-    doc = _load_json(path)
+def load_matrix(path: str, warnings: list[str]) -> tuple[Mat, dict[str, str]]:
+    doc, digest = _load_json(path)
     if (not isinstance(doc, list) or not doc
             or not all(isinstance(r, list) and r for r in doc)):
         raise CliError(f"{path}: a matrix file is a non-empty JSON array of rows")
@@ -85,12 +91,7 @@ def load_matrix(path: str, warnings: list[str]) -> Mat:
     ]
     if any(len(r) != len(rows[0]) for r in rows):
         raise CliError(f"{path}: matrix rows have unequal lengths")
-    return Mat(rows)
-
-
-def _digest(path: str) -> dict[str, str]:
-    data = Path(path).read_bytes()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return Mat(rows), digest
 
 
 def _ser(value: Any) -> Any:
@@ -147,14 +148,14 @@ def _report(command: str, args: argparse.Namespace, inputs: Any, verdict: Any,
 def cmd_check(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
-    x = load_vector(args.x, warnings)
-    y = load_vector(args.y, warnings)
+    x, x_in = load_vector(args.x, warnings)
+    y, y_in = load_vector(args.y, warnings)
     px, py = desc_prefix_sums(x), desc_prefix_sums(y)
     violation = _profile_violation(px, py)
     holds = violation is None
     witness = None if holds else asdict(violation)
     counts = {"x_sorted_prefix_sums": list(px), "y_sorted_prefix_sums": list(py)}
-    report = _report("check", args, {"x": _digest(args.x), "y": _digest(args.y)},
+    report = _report("check", args, {"x": x_in, "y": y_in},
                      holds, start, witness, counts, warnings)
     return _emit(report, args.json)
 
@@ -162,9 +163,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
-    x = load_vector(args.x, warnings)
-    y = load_vector(args.y, warnings)
-    inputs = {"x": _digest(args.x), "y": _digest(args.y)}
+    x, x_in = load_vector(args.x, warnings)
+    y, y_in = load_vector(args.y, warnings)
+    inputs = {"x": x_in, "y": y_in}
     try:
         witness = witness_ds(x, y)
     except NotMajorized as exc:
@@ -181,8 +182,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_extremizers(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
-    x = load_vector(args.x, warnings)
-    y = load_vector(args.y, warnings)
+    x, x_in = load_vector(args.x, warnings)
+    y, y_in = load_vector(args.y, warnings)
     rep = extremizer_sets(x, y, guard=args.guard_n)
     k = rep.distinct_count
     counts = {
@@ -195,8 +196,7 @@ def cmd_extremizers(args: argparse.Namespace) -> int:
         "maximizers": list(rep.maximizers),
         "minimizers": list(rep.minimizers),
     }
-    report = _report("extremizers", args,
-                     {"x": _digest(args.x), "y": _digest(args.y)},
+    report = _report("extremizers", args, {"x": x_in, "y": y_in},
                      True, start, None, counts, warnings)
     return _emit(report, args.json)
 
@@ -222,8 +222,8 @@ def _form_json(form: isotone.GlobalForm | None) -> dict[str, Any]:
 def cmd_isotone(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
-    a = load_matrix(args.matrix, warnings)
-    inputs: dict[str, Any] = {"matrix": _digest(args.matrix)}
+    a, a_in = load_matrix(args.matrix, warnings)
+    inputs: dict[str, Any] = {"matrix": a_in}
 
     if args.global_:
         form = isotone.classify_global(a)
@@ -231,8 +231,8 @@ def cmd_isotone(args: argparse.Namespace) -> int:
                          None, {"classification": _form_json(form)}, warnings)
         return _emit(report, args.json)
 
-    anchor = isotone.AnchorPoint(load_vector(args.at, warnings))
-    inputs["alpha"] = _digest(args.at)
+    alpha, inputs["alpha"] = load_vector(args.at, warnings)
+    anchor = isotone.AnchorPoint(alpha)
     if args.predicate == "all":
         if not anchor.strictly_decreasing:
             raise CliError("--predicate all requires a strictly decreasing anchor")
@@ -268,8 +268,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
     if args.alpha is not None:
-        alpha = load_vector(args.alpha, warnings)
-        inputs: dict[str, Any] = {"alpha": _digest(args.alpha), "n": len(alpha)}
+        alpha, digest = load_vector(args.alpha, warnings)
+        inputs: dict[str, Any] = {"alpha": digest, "n": len(alpha)}
+    elif args.n > args.guard_n:  # fail before building the anchor
+        raise GuardExceeded(args.n, args.guard_n)
     else:
         alpha = Vec(range(args.n, 0, -1))
         inputs = {"alpha": _ser(alpha), "n": args.n}

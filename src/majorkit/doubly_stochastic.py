@@ -25,7 +25,14 @@ from fractions import Fraction
 from itertools import accumulate, compress
 
 from .majorization import Violation, _profile_violation, sort_desc
-from .numerics import DimensionMismatch, Mat, Perm, Rational, Vec
+from .numerics import (
+    DimensionMismatch,
+    Mat,
+    Perm,
+    Rational,
+    Vec,
+    _clear_denominators,
+)
 
 
 class NotMajorized(ValueError):
@@ -68,14 +75,6 @@ def check_ds(a: Mat) -> bool:
     scale, rows = _clear_denominators(a.rows)
     return (all(min(row) >= 0 and sum(row) == scale for row in rows)
             and all(sum(col) == scale for col in zip(*rows)))
-
-
-def _clear_denominators(rows) -> tuple[int, list[list[int]]]:
-    """``(L, L * rows)``, with ``L`` the least common multiple of every
-    entry's denominator, so the scaled rows are lists of ints."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row]
-                   for row in rows]
 
 
 @dataclass(frozen=True)
@@ -203,25 +202,6 @@ def _weighted_perm_sum(terms: Iterable[tuple[Rational, Perm]]) -> Mat:
     return sum(scaled, next(scaled))
 
 
-def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
-    """Row-to-column perfect matching on a square support, or ``None``.
-
-    Roots are the rows in order, each augmented by :func:`_augment`, so
-    the result is deterministic.  :func:`birkhoff` runs the same roots,
-    resuming them across peels instead of starting from scratch.
-    """
-    n = len(support)
-    adjacent = [list(compress(range(n), row)) for row in support]
-    match_col = [-1] * n  # column -> row
-    for root in range(n):
-        if not _augment(adjacent, match_col, root):
-            return None
-    cols = [-1] * n
-    for c, r in enumerate(match_col):
-        cols[r] = c
-    return cols
-
-
 def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool:
     """Match ``root`` by one augmenting path, or return ``False``.
 
@@ -281,7 +261,7 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     peel emptied repeats its earlier choices.  The matching saved before
     that root is restored and the roots run from there on, so a peel
     costs the augmentations from its first emptied row onward, and the
-    terms are those of a from-scratch :func:`_perfect_matching` per peel.
+    terms are those of running every root from scratch on each peel.
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)

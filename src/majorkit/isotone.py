@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .majorization import _Gathers, _orbit, _profile_violation, desc_prefix_sums
 from .numerics import (
@@ -54,6 +54,7 @@ from .numerics import (
     Perm,
     Rational,
     Vec,
+    _clear_denominators,
 )
 
 DEFAULT_TRIALS = 50
@@ -127,32 +128,25 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-# The image kernel.  A is scaled once by the LCM of its denominators and
-# each vector by the LCM of its own, so images, their decreasing sorts and
-# prefix profiles are Python ints, built and compared by majorization's
-# desc_prefix_sums and _profile_violation.  Two profiles are compared only
-# when their vectors share a scale: an orbit shares its anchor's, and the
-# samplers put the draws and A alpha on one.  Fractions are built for
-# witnesses only.
+# The image kernel.  _clear_denominators scales A once by the LCM of its
+# denominators and each vector by the LCM of its own, so images, their
+# decreasing sorts and prefix profiles are Python ints, built and compared
+# by majorization's desc_prefix_sums and _profile_violation.  Two profiles
+# are compared only when their vectors share a scale: an orbit shares its
+# anchor's, and the samplers put the draws and A alpha on one.  Fractions
+# are built for witnesses only.
 
-def _int_rows(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """The rows of ``a`` times the LCM of all its denominators."""
-    den = math.lcm(*(v.denominator for row in a.rows for v in row))
-    return tuple(tuple(v.numerator * (den // v.denominator) for v in row)
-                 for row in a.rows)
-
-
-def _numerators(x: Vec) -> tuple[tuple[int, ...], int]:
-    """``x`` as integer numerators over the LCM of its denominators, and that LCM."""
-    den = math.lcm(*(v.denominator for v in x))
-    return tuple(v.numerator * (den // v.denominator) for v in x), den
+def _int_rows(a: Mat) -> list[list[int]]:
+    """The rows of square ``a`` times the LCM of all its denominators."""
+    _require_square(a)
+    return _clear_denominators(a.rows)[1]
 
 
-def _vec(nums: tuple[int, ...], den: int) -> Vec:
+def _vec(nums: Sequence[int], den: int) -> Vec:
     return Vec(Fraction(v, den) for v in nums)
 
 
-def _profile(rows: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
+def _profile(rows: list[list[int]], v: tuple[int, ...]) -> tuple[int, ...]:
     """Prefix sums of the decreasing rearrangement of the integer image ``rows v``."""
     return desc_prefix_sums([sum(map(mul, row, v)) for row in rows])
 
@@ -169,10 +163,10 @@ def _first_below(images, base):
                  if _profile_violation(row[2], base) is not None), None)
 
 
-_Scan = tuple[tuple[int, ...], int, tuple[int, ...]]
+_Scan = tuple[list[int], int, tuple[int, ...]]
 
 
-def _orbit_scan(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
+def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
                 trials: int | None, guard: int
                 ) -> tuple[_Scan, dict[str, IsotoneVerdict] | None]:
     """The anchor as ``(numerators, denominator, profile of A alpha)`` and,
@@ -187,7 +181,7 @@ def _orbit_scan(rows: tuple[tuple[int, ...], ...], anchor: AnchorPoint,
     if anchor.n != len(rows):
         raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
                                 f"to a vector of length {anchor.n}")
-    nums, den = _numerators(anchor.alpha)
+    den, (nums,) = _clear_denominators((anchor.alpha,))
     orbit = list(_images(rows, nums, _Gathers(anchor.n, guard)))
     base = orbit[0][2]
     scan = nums, den, base
@@ -215,7 +209,6 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     Holds iff ``A (P alpha)`` is equivalent to ``A alpha`` for every
     permutation ``P``; the witness on failure is the offending ``P``.
     """
-    _require_square(a)
     _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
     return failed["equiv"] if failed else IsotoneVerdict(True)
 
@@ -231,7 +224,6 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     permutations ``(source, target)`` with ``A (source alpha)`` not
     majorized by ``A (target alpha)``.
     """
-    _require_square(a)
     _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
     return failed["left"] if failed else IsotoneVerdict(True)
 
@@ -243,7 +235,7 @@ _STEP_DEN = 8
 _STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
 
 
-def _sample_above(nums: tuple[int, ...], den: int,
+def _sample_above(nums: Sequence[int], den: int,
                   rng: random.Random) -> tuple[int, ...]:
     """Draw a vector that majorizes ``nums / den``, as numerators over
     ``den * _STEP_SCALE``.
@@ -267,7 +259,7 @@ def _sample_above(nums: tuple[int, ...], den: int,
     return tuple(vals)
 
 
-def _upward_verdict(rows: tuple[tuple[int, ...], ...], scan: _Scan, trials: int,
+def _upward_verdict(rows: list[list[int]], scan: _Scan, trials: int,
                     seed: int | str, side: str) -> IsotoneVerdict:
     """Check ``A alpha`` against ``trials`` draws above the anchor; ``scan``
     comes from :func:`_orbit_scan` on the same ``rows``.
@@ -298,7 +290,6 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     ``A alpha`` against each.  A failure witness ``(perm, y)``
     re-verifies exactly; a pass means no violation found.
     """
-    _require_square(a)
     rows = _int_rows(a)
     scan, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
@@ -315,7 +306,6 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     but against the single target ``A alpha``; its witness is ``perm``.
     The upward half samples as in :func:`is_right_isotone_at`; witness ``y``.
     """
-    _require_square(a)
     rows = _int_rows(a)
     scan, failed = _orbit_scan(rows, anchor, trials, guard)
     if failed:
@@ -341,8 +331,8 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     integer image evaluations over one lazy enumeration of the perms.  A
     failure witness ``(y, perm)`` re-verifies exactly.
     """
-    n = _require_square(a)
     rows = _int_rows(a)
+    n = len(rows)
     perms = _Gathers(n, guard) if trials > 0 else ()  # no draws, no enumeration
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
@@ -487,10 +477,9 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     come from it (the global witness is a pair of orbit points) and the
     samplers run only when it holds.
     """
-    _require_square(a)
+    rows = _int_rows(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    rows = _int_rows(a)
     scan, failed = _orbit_scan(rows, anchor, trials, guard)
     form = classify_global(a)
     if failed:

@@ -4,6 +4,8 @@ Everything in this package computes over arbitrary-precision rationals
 (`fractions.Fraction`), so every comparison, partial sum, and equality
 test downstream is decided exactly.  Decimal strings and binary64 floats
 are converted losslessly at the boundary; no operation ever rounds.
+Hot loops run in an integer frame: :func:`_clear_denominators` scales
+rows of rationals by the LCM of their denominators to Python ints.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def as_rational(value: RationalLike) -> Rational:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
+
+
+def _clear_denominators(rows) -> tuple[int, list[list[int]]]:
+    """``(L, L * rows)``, with ``L`` the least common multiple of every
+    entry's denominator, so the scaled rows are lists of ints."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row]
+                   for row in rows]
 
 
 class Vec:

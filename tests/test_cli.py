@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from majorkit import Mat, Perm, Vec, equivalent, first_violation, majorizes
-from majorkit import isotone
+from majorkit import cli, isotone
 from majorkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -103,6 +103,39 @@ class TestCheck:
         if text.startswith('["'):
             # Scalar rejections name the entry, so they happen at load time.
             assert "bad.json[0]: " in err
+
+
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbf[1, 1]", b"[1, \xff]"],
+                             ids=["byte-order-mark", "invalid-utf-8"])
+    def test_non_utf8_input_is_operational_error(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        code = main(["check", str(bad), str(DATA / "y_21.json")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "bad.json" in err
+
+    def test_report_hashes_the_bytes_it_parsed(self, sandbox, monkeypatch):
+        # x is replaced by other bytes right after its first open: the
+        # report's digest must still be that of the bytes that were parsed.
+        path_open = Path.open
+        swapped = []
+
+        def open_then_swap(self, *args, **kwargs):
+            f = path_open(self, *args, **kwargs)
+            if self.name == "x_mean3.json" and not swapped:
+                swapped.append(self)
+                tmp = self.with_name("x_swap.tmp")
+                tmp.write_bytes(b"[3, 0, 0]\n")
+                os.replace(tmp, self)
+            return f
+
+        monkeypatch.setattr(Path, "open", open_then_swap)
+        code, report = sandbox("check", "x_mean3.json", "y_desc3.json")
+        assert swapped and swapped[0].read_bytes() == b"[3, 0, 0]\n"
+        assert code == 0
+        assert_matches_golden(report, "check_holds.json")
 
 
 class TestWitness:
@@ -227,14 +260,24 @@ class TestVerify:
         ["--n", "300", "--matrices", "1"],
         ["--n", "3", "--guard-n", "2"],
         ["--alpha", "y_desc3.json", "--guard-n", "2"],
+        ["--n", "4000000", "--matrices", "0"],
+        ["--n", "9"],
     ])
     def test_guard_trips_before_the_pool_is_built(self, sandbox, monkeypatch,
                                                    argv):
         def unreachable(*args):  # main does not map AssertionError to exit 2
-            raise AssertionError("campaign_matrices ran above the guard")
+            raise AssertionError("work started above the guard")
 
         monkeypatch.setattr(isotone, "campaign_matrices", unreachable)
+        if "--alpha" not in argv:  # --n alone: not even the anchor is built
+            monkeypatch.setattr(cli, "Vec", unreachable)
         code, report = sandbox("verify", *argv)
+        assert code == 2
+        assert report is None
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_exits_two(self, sandbox, n):
+        code, report = sandbox("verify", "--n", n)
         assert code == 2
         assert report is None
 

@@ -22,7 +22,7 @@ from majorkit import (
     witness_ds,
 )
 from majorkit import doubly_stochastic
-from majorkit.doubly_stochastic import _perfect_matching
+from majorkit.doubly_stochastic import _augment
 from helpers import (
     majorizing_pair,
     oracle_birkhoff,
@@ -340,14 +340,15 @@ class TestPerfectMatching:
         # Rows r -> {r, r+1}, the last row -> {0}: the greedy pass matches
         # r to r, so the last row needs a path through all n rows.
         n = 1500
-        support = [[False] * n for _ in range(n)]
-        for r in range(n - 1):
-            support[r][r] = support[r][r + 1] = True
-        support[n - 1][0] = True
-        assert _perfect_matching(support) == [*range(1, n), 0]
+        adjacent = [[r, r + 1] for r in range(n - 1)] + [[0]]
+        match_col = [-1] * n
+        assert all(_augment(adjacent, match_col, root) for root in range(n))
+        assert match_col == [n - 1, *range(n - 1)]
 
-    def test_no_matching_is_none(self):
-        assert _perfect_matching([[True, True], [False, False]]) is None
+    def test_no_matching_is_false(self):
+        match_col = [-1] * 2
+        assert _augment([[0, 1], []], match_col, 0)
+        assert not _augment([[0, 1], []], match_col, 1)
 
 
 class TestRandomDs:

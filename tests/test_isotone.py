@@ -35,10 +35,9 @@ from majorkit import (
 )
 from majorkit import isotone, majorization, numerics
 from majorkit.majorization import _Gathers
-from majorkit.numerics import enumerate_perms
+from majorkit.numerics import _clear_denominators, enumerate_perms
 from majorkit.isotone import (
     _STEP_SCALE,
-    _numerators,
     _random_distinct_vec,
     _sample_above,
     _vec,
@@ -661,7 +660,7 @@ class TestIntegerKernelMatchesFractionOracles:
             n = rng.randint(1, 5)
             alpha = rand_vec(rng, n, -4, 4, max_den=7)  # ties and mixed dens
             ours, theirs = random.Random(seed), random.Random(seed)
-            nums, den = _numerators(alpha)
+            den, (nums,) = _clear_denominators((alpha,))
             for _ in range(2):
                 y = _vec(_sample_above(nums, den, ours), den * _STEP_SCALE)
                 assert y == oracle_sample_above(alpha, theirs)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from majorkit import (
     DimensionMismatch,
@@ -17,9 +17,17 @@ from majorkit import (
     as_rational,
     enumerate_perms,
 )
+from majorkit.numerics import _clear_denominators
 from helpers import mat_mul, naive_mat_vec, rand_perm, rand_vec, transpose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+# Large primes: entries over them have pairwise coprime denominators.
+_PRIMES = (2**31 - 1, 2**61 - 1, 10**9 + 7, 998244353)
+frame_entries = st.one_of(
+    st.just(Fraction(0)),
+    rationals,
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(_PRIMES)),
+)
 
 
 class TestRationalScalar:
@@ -62,6 +70,23 @@ class TestRationalScalar:
     def test_canonical_form(self, a):
         assert a.denominator > 0
         assert math.gcd(abs(a.numerator), a.denominator) == 1
+
+
+class TestClearDenominators:
+    @given(rows=st.lists(st.lists(frame_entries, min_size=1, max_size=5),
+                         min_size=1, max_size=4))
+    @example(rows=[[Fraction(0)]])
+    @example(rows=[[Fraction(-7, 2**61 - 1)]])
+    @example(rows=[[Fraction(1, 2**31 - 1), Fraction(-1, 10**9 + 7)],
+                   [Fraction(3, 998244353), Fraction(0)]])
+    def test_scales_every_row_to_ints_over_the_lcm(self, rows):
+        scale, scaled = _clear_denominators(rows)
+        assert scale == math.lcm(*(v.denominator for row in rows for v in row))
+        assert [len(row) for row in scaled] == [len(row) for row in rows]
+        for row, ints in zip(rows, scaled):
+            for v, num in zip(row, ints):
+                assert type(num) is int
+                assert Fraction(num, scale) == v
 
 
 class TestVec:

@@ -1,0 +1,38 @@
+"""Source hygiene: checks on the package's code itself, not its behaviour."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "majorkit"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions and classes (dunders excluded)."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name used, attribute read and name imported in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_helper_has_a_caller():
+    # A private helper nothing in the package uses is a duplicate or dead
+    # code; tests alone do not keep it alive.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _private_definitions(tree) - used)
+    assert unused == []
