@@ -32,6 +32,8 @@ from .numerics import (
 )
 from .rearrangement import extremizer_bound, extremizer_sets
 
+_MAX_MATRICES = 100_000  # verify builds every cell before it checks the first
+
 
 class CliError(Exception):
     """Operational failure that should exit with code 2."""
@@ -267,6 +269,8 @@ def cmd_isotone(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     start = time.monotonic()
     warnings: list[str] = []
+    if args.matrices > _MAX_MATRICES:  # fail before building anything
+        raise CliError(f"--matrices {args.matrices} exceeds {_MAX_MATRICES}")
     if args.alpha is not None:
         alpha, digest = load_vector(args.alpha, warnings)
         inputs: dict[str, Any] = {"alpha": digest, "n": len(alpha)}
@@ -376,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", help="anchor vector file (default n, n-1, .., 1)")
     p.add_argument("--matrices", type=_count, default=100,
-                   help="random matrices to draw (default 100); max(2, N//8) "
-                        "planted forms of each of 3 kinds are added")
+                   help=f"random matrices to draw, at most {_MAX_MATRICES} "
+                        "(default 100); max(2, N//8) planted forms of each "
+                        "of 3 kinds are added")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -208,10 +208,9 @@ def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool
     ``match_col`` maps each column to its row (``-1`` if free) and is
     updated in place.  Depth-first search from ``root``, trying each
     row's columns in ascending index; the first augmenting path found is
-    flipped.  The search reads the adjacency of ``root`` and of rows
-    already matched only.  It keeps its path on an explicit stack, so a
-    path through every row of a large support cannot exhaust the
-    interpreter's recursion limit.
+    flipped.  It keeps its path on an explicit stack, so a path through
+    every row of a large support cannot exhaust the interpreter's
+    recursion limit.
     """
     seen = [False] * len(match_col)
     path = [root]  # rows on the search path
@@ -254,14 +253,11 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     of the entries' denominators, the peel runs on the integer matrix
     ``L * d`` and each weight is emitted as ``Fraction(w, L)``.
 
-    The matching is resumed, not rebuilt.  The adjacency lists are kept
-    across peels and lose only the cells a peel empties.  When root
-    ``r`` starts, the matched rows are exactly ``0..r-1``, so its search
-    reads rows ``<= r`` only, and every root below the first row that a
-    peel emptied repeats its earlier choices.  The matching saved before
-    that root is restored and the roots run from there on, so a peel
-    costs the augmentations from its first emptied row onward, and the
-    terms are those of running every root from scratch on each peel.
+    The matching is repaired, not rebuilt: a peel unmatches only the rows
+    whose matched cell it emptied, and the next peel rematches them in
+    ascending order, one augmenting path each.  The residual is a scaled
+    doubly stochastic matrix, so it holds a perfect matching, and an
+    augmenting path starts at every unmatched row (Berge, 1957).
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
@@ -270,24 +266,22 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     adjacent = [list(compress(range(n), row)) for row in work]
     remaining = sum(map(len, adjacent))
     match_col = [-1] * n  # column -> row
-    saved: list[list[int]] = [[]] * n  # saved[r]: match_col as root r began
-    first = 0  # the first root to run
+    unmatched = list(range(n))  # rows to match before the next peel
     terms: list[tuple[Rational, Perm]] = []
     while remaining:
-        for root in range(first, n):
-            saved[root] = match_col.copy()
+        for root in sorted(unmatched):
             if not _augment(adjacent, match_col, root):
                 raise RuntimeError("no permutation inside the support; input invalid")
         weight = min(work[r][c] for c, r in enumerate(match_col))
         terms.append((Fraction(weight, scale), Perm(match_col)))
-        first = n
+        unmatched = []
         for c, r in enumerate(match_col):
             work[r][c] -= weight
             if not work[r][c]:
                 adjacent[r].remove(c)
                 remaining -= 1
-                first = min(first, r)
-        match_col = saved[first]
+                match_col[c] = -1
+                unmatched.append(r)
     return BirkhoffDecomposition(tuple(terms))
 
 

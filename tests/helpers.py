@@ -292,7 +292,7 @@ def oracle_extremizer_sets(x: Vec, y: Vec, guard=DEFAULT_GUARD) -> ExtremizerRep
 
 
 # Dense, recursive and Fraction-loop constructions kept as oracles for
-# the integer T-chain in witness_ds, the resumed integer peel in
+# the integer T-chain in witness_ds, the repaired integer peel in
 # birkhoff and the integer check_ds.
 
 def oracle_check_ds(a: Mat) -> bool:
@@ -319,40 +319,36 @@ def oracle_witness_matrix(w: MajorizationWitness, n: int) -> Mat:
     return mat_mul(mat_mul(w.unsort.matrix(), chain), w.presort.matrix())
 
 
-def _oracle_perfect_matching(support: list[list[bool]]) -> list[int] | None:
-    n = len(support)
-    match_col = [-1] * n  # column -> row
-
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if support[r][c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    cols = [-1] * n
-    for c, r in enumerate(match_col):
-        cols[r] = c
-    return cols
+def _oracle_try_row(support: list[list[bool]], match_col: list[int], r: int,
+                    seen: list[bool]) -> bool:
+    """Kuhn's recursive augmenting path from row ``r``, columns ascending."""
+    for c, positive in enumerate(support[r]):
+        if positive and not seen[c]:
+            seen[c] = True
+            if match_col[c] < 0 or _oracle_try_row(support, match_col,
+                                                   match_col[c], seen):
+                match_col[c] = r
+                return True
+    return False
 
 
 def oracle_birkhoff(d: DoublyStochastic) -> BirkhoffDecomposition:
-    """Fraction peeling that rebuilds the support and recurses to match."""
+    """Fraction peeling that rebuilds the support on every peel and
+    rematches, in ascending order, the rows whose matched cell emptied."""
     n = d.n
     work = [list(row) for row in d.matrix.rows]
+    match_col = [-1] * n  # column -> row
+    rows = list(range(n))  # rows to rematch
     terms: list[tuple[Rational, Perm]] = []
     while any(v != 0 for row in work for v in row):
         support = [[v != 0 for v in row] for row in work]
-        cols = _oracle_perfect_matching(support)
-        if cols is None:
-            raise RuntimeError("no permutation inside the support; input invalid")
-        weight = min(work[i][cols[i]] for i in range(n))
-        terms.append((weight, Perm(cols).inverse()))
-        for i in range(n):
-            work[i][cols[i]] -= weight
+        for r in rows:
+            if not _oracle_try_row(support, match_col, r, [False] * n):
+                raise RuntimeError("no permutation inside the support; input invalid")
+        weight = min(work[r][c] for c, r in enumerate(match_col))
+        terms.append((weight, Perm(match_col)))
+        for c, r in enumerate(match_col):
+            work[r][c] -= weight
+        rows = sorted(r for c, r in enumerate(match_col) if work[r][c] == 0)
+        match_col = [-1 if work[r][c] == 0 else r for c, r in enumerate(match_col)]
     return BirkhoffDecomposition(tuple(terms))

@@ -262,6 +262,7 @@ class TestVerify:
         ["--alpha", "y_desc3.json", "--guard-n", "2"],
         ["--n", "4000000", "--matrices", "0"],
         ["--n", "9"],
+        ["--n", "3", "--matrices", "100001"],
     ])
     def test_guard_trips_before_the_pool_is_built(self, sandbox, monkeypatch,
                                                    argv):

@@ -314,25 +314,57 @@ class TestBirkhoff:
             d = witness_ds(x, y).matrix
             assert birkhoff(d).terms == oracle_birkhoff(d).terms
 
-    def test_peel_resumes_the_matching_from_the_first_emptied_row(self, monkeypatch):
-        # diag(I_8, J_2 / 2): the first matching swaps rows 8 and 9, and
-        # its peel empties cells in those rows only, so the second peel
-        # reruns roots 8 and 9 alone: 10 + 2 augmentations, not 10 + 10.
-        roots = []
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """The root of every ``_augment`` call, in order."""
+        calls = []
         augment = doubly_stochastic._augment
 
         def counting(adjacent, match_col, root):
-            roots.append(root)
+            calls.append(root)
             return augment(adjacent, match_col, root)
 
         monkeypatch.setattr(doubly_stochastic, "_augment", counting)
+        return calls
+
+    @pytest.mark.parametrize("at, expected, first", [
+        # diag(I_8, J_2 / 2): the first matching swaps rows 8 and 9, and
+        # its peel empties their matched cells alone.
+        (8, [*range(10), 8, 9], Perm.transposition(10, 8, 9)),
+        # diag(J_2 / 2, I_8): the peel empties the cells of rows 0 and 1,
+        # and rows 2..9 keep their matches.
+        (0, [*range(10), 0, 1], Perm.transposition(10, 0, 1)),
+    ], ids=["block_at_8", "block_at_0"])
+    def test_peel_rematches_only_the_rows_it_emptied(self, roots, at,
+                                                     expected, first):
         half = Fraction(1, 2)
-        rows = [[int(r == c) for c in range(10)] for r in range(8)]
-        rows += [[0] * 8 + [half, half]] * 2
+        rows = [[int(r == c) for c in range(10)] for r in range(10)]
+        for r in (at, at + 1):
+            rows[r][at:at + 2] = [half, half]
         dec = birkhoff(Mat(rows))
-        assert roots == [*range(10), 8, 9]
-        assert dec.terms == ((half, Perm.transposition(10, 8, 9)),
-                             (half, Perm.identity(10)))
+        assert roots == expected
+        assert dec.terms == ((half, first), (half, Perm.identity(10)))
+
+    def test_augments_once_per_row_and_per_emptied_cell(self, roots):
+        # The first peel matches all n rows; each later peel rematches one
+        # row per cell that the peel before it emptied.  The last peel
+        # empties all n of its cells and rematches nothing.
+        rng = random.Random(20)
+        for _ in range(3):
+            y = rand_vec(rng, 20, lo=-20, hi=20)
+            x = random_ds(20, seed=rng.getrandbits(32), steps=4).matrix @ y
+            d = witness_ds(x, y).matrix
+            roots.clear()
+            dec = birkhoff(d)
+            residual = [list(row) for row in d.matrix.rows]
+            emptied = []
+            for w, p in dec.terms:
+                for c, r in enumerate(p.image):
+                    residual[r][c] -= w
+                emptied.append(sum(residual[r][c] == 0
+                                   for c, r in enumerate(p.image)))
+            assert len(roots) == 20 + sum(emptied[:-1])
+            assert emptied[-1] == 20
 
 
 class TestPerfectMatching:

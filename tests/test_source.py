@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "majorkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "majorkit"
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:
@@ -35,4 +36,19 @@ def test_every_private_helper_has_a_caller():
     used = set().union(*map(_references, trees.values()))
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in _private_definitions(tree) - used)
+    assert unused == []
+
+
+def test_every_test_helper_has_a_caller():
+    # An oracle that no test compares against checks nothing; a helper
+    # only its own body refers to is dead too.
+    helpers = ast.parse((TESTS / "helpers.py").read_text(encoding="utf-8"))
+    used = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sorted(TESTS.glob("test_*.py"))))
+    unused = []
+    for node in helpers.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            others = ast.Module([n for n in helpers.body if n is not node], [])
+            if node.name not in used | _references(others):
+                unused.append(node.name)
     assert unused == []
