@@ -1,9 +1,12 @@
 """Command line surface: JSON vector/matrix files in, JSON reports out.
 
-Exit codes are uniform across subcommands: 0 when the queried predicate
-holds, 1 when it fails (the report then embeds a witness that the
-library predicates re-verify), 2 for usage, parse, guard, or
-precondition errors.
+Each ``cmd_*`` function takes ``(args, warnings)`` and returns
+``(inputs, verdict, witness, counts)``; ``main`` alone times the command,
+builds its report and emits it.  Exit codes are uniform across
+subcommands: 0 when the queried predicate holds, 1 when it fails (the
+report then embeds a witness that the library predicates re-verify), 2
+for usage, parse, guard, or precondition errors, including an error
+while running a command or while building or printing its report.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .numerics import (
 )
 from .rearrangement import extremizer_bound, extremizer_sets
 
-_MAX_MATRICES = 100_000  # verify builds every cell before it checks the first
+_MAX_MATRICES = 100_000  # bounds verify's report: one per_matrix row per cell
 
 
 class CliError(Exception):
@@ -131,59 +134,33 @@ def _emit(report: dict[str, Any], as_json: bool) -> int:
     return code
 
 
-def _report(command: str, args: argparse.Namespace, inputs: Any, verdict: Any,
-            start: float, witness: Any = None, counts: Any = None,
-            warnings: list[str] | None = None) -> dict[str, Any]:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "seed": args.seed,
-        "trials": args.trials,
-        "verdict": _ser(verdict),
-        "witness": _ser(witness),
-        "counts": _ser(counts),
-        "warnings": warnings or [],
-        "elapsed_ms": int((time.monotonic() - start) * 1000),
-    }
+_Result = tuple[Any, bool, Any, Any]  # (inputs, verdict, witness, counts)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    warnings: list[str] = []
+def cmd_check(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
     px, py = desc_prefix_sums(x), desc_prefix_sums(y)
     violation = _profile_violation(px, py)
-    holds = violation is None
-    witness = None if holds else asdict(violation)
+    witness = None if violation is None else asdict(violation)
     counts = {"x_sorted_prefix_sums": list(px), "y_sorted_prefix_sums": list(py)}
-    report = _report("check", args, {"x": x_in, "y": y_in},
-                     holds, start, witness, counts, warnings)
-    return _emit(report, args.json)
+    return {"x": x_in, "y": y_in}, violation is None, witness, counts
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    warnings: list[str] = []
+def cmd_witness(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
     inputs = {"x": x_in, "y": y_in}
     try:
         witness = witness_ds(x, y)
     except NotMajorized as exc:
-        report = _report("witness", args, inputs, False, start,
-                         asdict(exc.violation), None, warnings)
-        return _emit(report, args.json)
+        return inputs, False, asdict(exc.violation), None
     write_matrix(args.out, witness.matrix.matrix)
     counts = {"transforms": len(witness.transforms), "out": args.out}
-    report = _report("witness", args, inputs, True, start,
-                     {"matrix": witness.matrix.matrix}, counts, warnings)
-    return _emit(report, args.json)
+    return inputs, True, {"matrix": witness.matrix.matrix}, counts
 
 
-def cmd_extremizers(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    warnings: list[str] = []
+def cmd_extremizers(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
     rep = extremizer_sets(x, y, guard=args.guard_n)
@@ -198,9 +175,7 @@ def cmd_extremizers(args: argparse.Namespace) -> int:
         "maximizers": list(rep.maximizers),
         "minimizers": list(rep.minimizers),
     }
-    report = _report("extremizers", args, {"x": x_in, "y": y_in},
-                     True, start, None, counts, warnings)
-    return _emit(report, args.json)
+    return {"x": x_in, "y": y_in}, True, None, counts
 
 
 def _statement_counts(check: isotone.StatementCheck) -> dict[str, Any]:
@@ -221,17 +196,13 @@ def _form_json(form: isotone.GlobalForm | None) -> dict[str, Any]:
             "beta": str(form.beta), "perm": list(form.perm.image)}
 
 
-def cmd_isotone(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    warnings: list[str] = []
+def cmd_isotone(args: argparse.Namespace, warnings: list[str]) -> _Result:
     a, a_in = load_matrix(args.matrix, warnings)
     inputs: dict[str, Any] = {"matrix": a_in}
 
     if args.global_:
         form = isotone.classify_global(a)
-        report = _report("isotone", args, inputs, form is not None, start,
-                         None, {"classification": _form_json(form)}, warnings)
-        return _emit(report, args.json)
+        return inputs, form is not None, None, {"classification": _form_json(form)}
 
     alpha, inputs["alpha"] = load_vector(args.at, warnings)
     anchor = isotone.AnchorPoint(alpha)
@@ -247,9 +218,7 @@ def cmd_isotone(args: argparse.Namespace) -> int:
             if not verdict.holds:
                 witness = {"statement": name, **(verdict.witness or {})}
                 break
-        report = _report("isotone", args, inputs, ok, start, witness,
-                         _statement_counts(check), warnings)
-        return _emit(report, args.json)
+        return inputs, ok, witness, _statement_counts(check)
 
     runners = {
         "equiv": lambda: isotone.is_equiv_preserving_at(a, anchor, args.guard_n),
@@ -260,15 +229,10 @@ def cmd_isotone(args: argparse.Namespace) -> int:
             a, anchor, args.trials, args.seed, args.guard_n),
     }
     verdict = runners[args.predicate]()
-    counts = {"sampled_trials": verdict.trials}
-    report = _report("isotone", args, inputs, verdict.holds, start,
-                     verdict.witness, counts, warnings)
-    return _emit(report, args.json)
+    return inputs, verdict.holds, verdict.witness, {"sampled_trials": verdict.trials}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    start = time.monotonic()
-    warnings: list[str] = []
+def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     if args.matrices > _MAX_MATRICES:  # fail before building anything
         raise CliError(f"--matrices {args.matrices} exceeds {_MAX_MATRICES}")
     if args.alpha is not None:
@@ -301,19 +265,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             unclassified_preservers.append({"matrix": _ser(a), **row})
     ok = not inconsistent and not unclassified_preservers
     counts = {
-        "matrices": len(cells),
-        "consistent": len(cells) - len(inconsistent),
+        "matrices": len(per_matrix),
+        "consistent": len(per_matrix) - len(inconsistent),
         "all_true": sum(1 for r in per_matrix if r["bits"] == "11111"),
         "all_false": sum(1 for r in per_matrix if r["bits"] == "00000"),
         "unclassified_preservers": len(unclassified_preservers),
         "per_matrix": per_matrix,
     }
-    witness = None
-    if not ok:
-        witness = {"inconsistent": inconsistent,
-                   "unclassified_preservers": unclassified_preservers}
-    report = _report("verify", args, inputs, ok, start, witness, counts, warnings)
-    return _emit(report, args.json)
+    witness = None if ok else {"inconsistent": inconsistent,
+                               "unclassified_preservers": unclassified_preservers}
+    return inputs, ok, witness, counts
 
 
 def _count(text: str) -> int:
@@ -393,8 +354,22 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    start = time.monotonic()
+    warnings: list[str] = []
     try:
-        return args.func(args)
+        inputs, verdict, witness, counts = args.func(args, warnings)
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "seed": args.seed,
+            "trials": args.trials,
+            "verdict": verdict,
+            "witness": _ser(witness),
+            "counts": _ser(counts),
+            "warnings": warnings,
+            "elapsed_ms": int((time.monotonic() - start) * 1000),
+        }
+        return _emit(report, args.json)  # a report that cannot print exits 2
     except (CliError, GuardExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,13 +193,16 @@ class BirkhoffDecomposition:
         return len(self.terms[0][1])
 
     def recompose(self) -> Mat:
-        return _weighted_perm_sum(self.terms)
+        return _weighted_perm_sum(self.n, self.terms)
 
 
-def _weighted_perm_sum(terms: Iterable[tuple[Rational, Perm]]) -> Mat:
-    """``sum(w * p.matrix())`` over at least one ``(w, p)`` pair, in order."""
-    scaled = (p.matrix().scale(w) for w, p in terms)
-    return sum(scaled, next(scaled))
+def _weighted_perm_sum(n: int, terms: Iterable[tuple[Rational, Perm]]) -> Mat:
+    """``sum(w * p.matrix())``: each weight goes into the n cells ``(p(j), j)``."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for w, p in terms:
+        for j, i in enumerate(p.image):
+            rows[i][j] += w
+    return Mat(rows)
 
 
 def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool:
@@ -302,4 +305,4 @@ def random_ds(n: int, seed: int, steps: int = 8,
         raw.append((rng.randint(1, max_weight), Perm(image)))
     total = sum(w for w, _ in raw)
     return DoublyStochastic(
-        _weighted_perm_sum((Fraction(w, total), p) for w, p in raw))
+        _weighted_perm_sum(n, ((Fraction(w, total), p) for w, p in raw)))

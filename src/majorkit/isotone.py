@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _Gathers, _orbit, _profile_violation, desc_prefix_sums
 from .numerics import (
@@ -542,26 +542,23 @@ def perturb_entry(a: Mat, rng: random.Random) -> Mat:
     return Mat(rows)
 
 
-def campaign_matrices(n: int, count: int, seed: int) -> list[tuple[str, Mat]]:
+def campaign_matrices(n: int, count: int, seed: int) -> Iterator[tuple[str, Mat]]:
     """Deterministic labelled matrix pool: randoms plus structured positives.
 
-    Each cell derives its own generator from ``(seed, index)``, so a
-    parallel run partitioned any way produces the identical pool.
+    The cells are yielded one at a time, so a campaign holds only the
+    cell it checks.  Each cell derives its own generator from
+    ``(seed, index)``, so a parallel run partitioned any way produces
+    the identical pool.
     """
-    cells: list[tuple[str, Mat]] = []
     for i in range(count):
-        rng = random.Random(f"{seed}:random:{i}")
-        cells.append(("random", random_matrix(n, rng)))
-    planted = max(2, count // 8)
-    for i in range(planted):
-        rng = random.Random(f"{seed}:trace:{i}")
-        cells.append(("trace_map", random_trace_map(n, rng)))
-        rng = random.Random(f"{seed}:scaled:{i}")
-        cells.append(("perm_scaled", random_perm_scaled(n, rng)))
+        yield "random", random_matrix(n, random.Random(f"{seed}:random:{i}"))
+    for i in range(max(2, count // 8)):
+        yield "trace_map", random_trace_map(n, random.Random(f"{seed}:trace:{i}"))
+        yield "perm_scaled", random_perm_scaled(
+            n, random.Random(f"{seed}:scaled:{i}"))
         rng = random.Random(f"{seed}:perturbed:{i}")
         base = random_trace_map(n, rng) if i % 2 else random_perm_scaled(n, rng)
-        cells.append(("perturbed", perturb_entry(base, rng)))
-    return cells
+        yield "perturbed", perturb_entry(base, rng)
 
 
 @dataclass(frozen=True)
@@ -591,12 +588,12 @@ def isotone_point_campaign(anchor: AnchorPoint, matrices: int = 200,
     """
     if anchor.n > guard:
         raise GuardExceeded(anchor.n, guard)
-    cells = campaign_matrices(anchor.n, matrices, seed)
-    equiv_count = 0
+    total = equiv_count = 0
     violations: list[tuple[str, Mat]] = []
-    for label, a in cells:
+    for label, a in campaign_matrices(anchor.n, matrices, seed):
+        total += 1
         if is_equiv_preserving_at(a, anchor, guard).holds:
             equiv_count += 1
             if classify_global(a) is None:
                 violations.append((label, a))
-    return CampaignReport(anchor, len(cells), equiv_count, tuple(violations))
+    return CampaignReport(anchor, total, equiv_count, tuple(violations))

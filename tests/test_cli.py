@@ -105,6 +105,17 @@ class TestCheck:
             assert "bad.json[0]: " in err
 
 
+    def test_unprintable_report_is_operational_error(self, tmp_path, capsys):
+        # Each entry prints, but their 4301-digit sum does not: the report
+        # fails after the work is done and must still exit 2 with no output.
+        big = tmp_path / "big.json"
+        big.write_text('["9e4299", "9e4299"]')
+        code = main(["check", str(big), str(big)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("data", [b"\xef\xbb\xbf[1, 1]", b"[1, \xff]"],
                              ids=["byte-order-mark", "invalid-utf-8"])
     def test_non_utf8_input_is_operational_error(self, tmp_path, capsys, data):
@@ -165,6 +176,7 @@ class TestWitness:
         code, report = sandbox("witness", "x_peak.json", "y_210.json", "d.json")
         assert code == 1
         assert report["witness"]["kind"] == "prefix"
+        assert_matches_golden(report, "witness_fails.json")
         assert not Path("d.json").exists()
 
 
@@ -236,6 +248,15 @@ class TestIsotone:
                                "--trials", "10", "--seed", "3")
         assert code == 0
         assert report["counts"]["bits"] == "11111"
+        assert_matches_golden(report, "isotone_all_holds.json")
+
+    def test_right_holds_on_planted_form(self, sandbox):
+        code, report = sandbox("isotone", "mat_sym31.json",
+                               "--at", "alpha_21.json", "--predicate", "right",
+                               "--trials", "10", "--seed", "3")
+        assert code == 0
+        assert report["counts"] == {"sampled_trials": 10}
+        assert_matches_golden(report, "isotone_right_holds.json")
 
 
 class TestVerify:
@@ -251,6 +272,13 @@ class TestVerify:
                    if r["label"] in ("trace_map", "perm_scaled")]
         assert planted and all(r["bits"] == "11111" for r in planted)
         assert_matches_golden(report, "verify_n2.json")
+
+    def test_campaign_at_an_anchor_file_golden(self, sandbox):
+        code, report = sandbox("verify", "--alpha", "alpha_21.json",
+                               "--matrices", "6", "--seed", "7", "--trials", "8")
+        assert code == 0
+        assert report["inputs"]["n"] == 2
+        assert_matches_golden(report, "verify_alpha21.json")
 
     def test_flat_anchor_rejected(self, sandbox):
         code, _ = sandbox("verify", "--n", "4", "--alpha", "alpha_flat.json")
@@ -313,12 +341,17 @@ class TestContract:
         assert code == 2
         assert report is None
 
-    def test_text_mode(self, sandbox, capsys):
-        code = main(["check", str(DATA / "x_mean3.json"),
-                     str(DATA / "y_desc3.json"), "--text"])
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "x_mean3.json", "y_desc3.json"], 0),
+        (["witness", "x_peak.json", "y_210.json", "d.json"], 1),
+        (["extremizers", "x_ties.json", "y_desc3.json"], 0),
+        (["isotone", "mat_diag12.json", "--global"], 1),
+        (["verify", "--n", "2", "--matrices", "2"], 0),
+    ], ids=["check", "witness", "extremizers", "isotone", "verify"])
+    def test_text_mode(self, sandbox, capsys, argv, code):
+        assert main([*argv, "--text"]) == code
         out = capsys.readouterr().out
-        assert code == 0
-        assert "verdict = True" in out
+        assert out.splitlines()[0] == f"{argv[0]}: verdict = {code == 0}"
 
     @pytest.mark.parametrize("module", ["majorkit", "majorkit.cli"])
     def test_runs_as_a_module(self, module):

@@ -285,6 +285,15 @@ class TestBirkhoff:
                 longest = max(longest, len(dec.terms))
             assert longest == bound
 
+    def test_recompose_adds_each_weight_into_n_cells(self, monkeypatch):
+        # A dense n x n matrix per term made recompose O(terms * n^2).
+        def dense(self):
+            raise AssertionError("a dense permutation matrix was built")
+
+        monkeypatch.setattr(Perm, "matrix", dense)
+        d = random_ds(40, seed=0, steps=40)
+        assert birkhoff(d).recompose() == d.matrix
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_fraction_peeling_oracle(self, n):
         rng = random.Random(61 + n)

@@ -693,10 +693,10 @@ class TestIntegerKernelMatchesFractionOracles:
 
 class TestCampaign:
     def test_matrix_pool_is_deterministic(self):
-        a = campaign_matrices(3, 20, seed=9)
-        b = campaign_matrices(3, 20, seed=9)
+        a = list(campaign_matrices(3, 20, seed=9))
+        b = list(campaign_matrices(3, 20, seed=9))
         assert a == b
-        assert campaign_matrices(3, 20, seed=10) != a
+        assert list(campaign_matrices(3, 20, seed=10)) != a
 
     def test_no_violations_at_small_sizes(self):
         report = isotone_point_campaign(ANCHOR21, matrices=200, seed=1)

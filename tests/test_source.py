@@ -52,3 +52,21 @@ def test_every_test_helper_has_a_caller():
             if node.name not in used | _references(others):
                 unused.append(node.name)
     assert unused == []
+
+
+def test_only_main_times_and_builds_the_cli_report():
+    # Commands return (inputs, verdict, witness, counts); one place reads
+    # the clock and assembles the report, so every report has one grammar.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for func in ast.walk(tree):
+        if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or func.name == "main"):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and node.attr == "monotonic"
+                    or isinstance(node, ast.Dict) and any(
+                        isinstance(k, ast.Constant) and k.value == "elapsed_ms"
+                        for k in node.keys)):
+                offenders.append(f"{func.name}:{node.lineno}")
+    assert offenders == []
