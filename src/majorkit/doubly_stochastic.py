@@ -288,11 +288,10 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     return BirkhoffDecomposition(tuple(terms))
 
 
-def random_ds(n: int, seed: int, steps: int = 8,
-              max_weight: int = 1000) -> DoublyStochastic:
+def random_ds(n: int, seed: int, steps: int = 8) -> DoublyStochastic:
     """Seeded random convex combination of ``steps`` permutation matrices.
 
-    Weights are integers up to ``max_weight`` normalised exactly, so the
+    Weights are integers from 1 to 1000 normalised exactly, so the
     denominators stay small; the same seed always yields the same matrix.
     """
     if n < 1 or steps < 1:
@@ -302,7 +301,7 @@ def random_ds(n: int, seed: int, steps: int = 8,
     for _ in range(steps):
         image = list(range(n))
         rng.shuffle(image)
-        raw.append((rng.randint(1, max_weight), Perm(image)))
+        raw.append((rng.randint(1, 1000), Perm(image)))
     total = sum(w for w, _ in raw)
     return DoublyStochastic(
         _weighted_perm_sum(n, ((Fraction(w, total), p) for w, p in raw)))

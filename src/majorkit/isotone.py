@@ -26,10 +26,10 @@ rearrangements and the preorder's lower sets are convex.  The region
 *above* the anchor is unbounded, so the right-sided predicates are
 refuted by sampling instead: a ``False`` verdict carries a concrete
 counterexample and is definitive, a ``True`` verdict is only "no
-violation found".  One scan of the orbit's images decides every orbit
-quantifier, and the samplers run it before drawing anything (the orbit
-lies above the anchor too), so whenever the exact equivalence predicate
-fails the sampled ones fail too, deterministically, even with no samples.
+violation found".  One forward scan of the orbit decides every orbit
+quantifier: it stops at the image that decides a failure and reads every
+image of a holding orbit.  The samplers run it first (the orbit lies above
+the anchor too), so when equivalence fails they fail too, even at 0 trials.
 
 Every image is evaluated by one integer kernel: the matrix and each
 vector are scaled to integers once, images, sorts and prefix profiles are
@@ -42,6 +42,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -173,23 +174,25 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
     unless every orbit image is equivalent to ``A alpha``, the failing
     orbit-half verdicts in :class:`StatementCheck` order.
 
-    Mutually majorizing images have equal profiles, so two rows decide all:
-    ``below``, the first image not majorized by ``A alpha``, and ``moved``,
-    the first with another profile.  A pairwise (target, source) scan
-    first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
+    Mutually majorizing images have equal profiles, so two rows decide all,
+    found in one forward pass: ``moved``, the first image with another
+    profile, then ``below``, the first not majorized by ``A alpha`` (every
+    image before ``moved`` has its profile).  A pairwise (target, source)
+    scan first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
     """
     if anchor.n != len(rows):
         raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
                                 f"to a vector of length {anchor.n}")
     den, (nums,) = _clear_denominators((anchor.alpha,))
-    orbit = list(_images(rows, nums, _Gathers(anchor.n, guard)))
-    base = orbit[0][2]
+    images = _images(rows, nums, _Gathers(anchor.n, guard))
+    first = next(images)
+    base = first[2]
     scan = nums, den, base
-    moved = next((row for row in orbit if row[2] != base), None)
+    moved = next((row for row in images if row[2] != base), None)
     if moved is None:
         return scan, None
-    below = _first_below(orbit, base)
-    (ps, _, _), (pt, y, _) = (below, orbit[0]) if below else (orbit[0], moved)
+    below = _first_below(chain((moved,), images), base)
+    (ps, _, _), (pt, y, _) = (below, first) if below else (first, moved)
     y = _vec(y, den)
     return scan, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),

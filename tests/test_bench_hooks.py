@@ -62,10 +62,15 @@ def test_uninstall_restores_every_patched_attribute(tracer):
     assert changed == []
 
 
-def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer):
-    # The anchor (3, 2, 1) has 6 distinct rearrangements, so the orbit scan
-    # profiles 6 integer images, each through desc_prefix_sums.
-    a = Mat([[1, 2, 0], [0, 1, 3], [2, 0, 1]])
+@pytest.mark.parametrize("rows, profiled", [
+    ([[2, 1, 1], [1, 1, 2], [1, 2, 1]], 6),  # J plus a permutation
+    ([[1, 2, 0], [0, 1, 3], [2, 0, 1]], 2),  # fails at the second image
+], ids=["holds", "fails"])
+def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer, rows, profiled):
+    # The anchor (3, 2, 1) has 6 distinct rearrangements.  The orbit scan
+    # profiles each image it reads through desc_prefix_sums: all 6 when
+    # the orbit holds, and only up to the deciding image when it fails.
+    a = Mat(rows)
     tracer.install(majorkit)
     try:
         majorkit.is_equiv_preserving_at(a, AnchorPoint(Vec([3, 2, 1])))
@@ -73,4 +78,4 @@ def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer):
         tracer.uninstall()
     equiv = tracer.summary()["isotone.equiv"]
     assert equiv["calls"] == 1
-    assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == 6
+    assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == profiled

@@ -64,6 +64,21 @@ from helpers import (
 DIAG12 = Mat([[1, 0], [0, 2]])
 SYM31 = Mat([[3, 1], [1, 3]])
 ANCHOR21 = AnchorPoint(Vec([2, 1]))
+DIAG8 = Mat([[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
+
+
+@pytest.fixture
+def perms_read(monkeypatch):
+    """Every perm the lazy enumeration hands out, in the order read."""
+    read = []
+
+    def counting(n, guard):
+        for p in numerics.enumerate_perms(n, guard):
+            read.append(p)
+            yield p
+
+    monkeypatch.setattr(majorization, "enumerate_perms", counting)
+    return read
 
 
 class TestClassifyGlobal:
@@ -273,23 +288,15 @@ class TestGlobalSampled:
         verdict = is_global_isotone_sampled(Mat.identity(3), trials=-2, guard=2)
         assert verdict.holds and verdict.trials == -2
 
-    def test_failing_first_trial_reads_few_perms(self, monkeypatch):
+    def test_failing_first_trial_reads_few_perms(self, perms_read):
         # The perms are built lazily: a refutation in the first trial at
         # n = 8 must not pay for all 40,320 of them.
-        read = []
-
-        def counting(n, guard):
-            for p in numerics.enumerate_perms(n, guard):
-                read.append(p)
-                yield p
-
-        monkeypatch.setattr(majorization, "enumerate_perms", counting)
-        a = Mat([[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
+        a = DIAG8
         verdict = is_global_isotone_sampled(a, trials=50, seed=0, guard=8)
         assert not verdict.holds
         q, y = verdict.witness["perm"], verdict.witness["y"]
         assert not majorizes(a @ q.apply(y), a @ y)
-        assert 0 < len(read) < 100
+        assert 0 < len(perms_read) < 100
 
     def test_survivors_of_long_campaigns_are_classified(self):
         # Desk-scale necessity: an integer matrix the sampler cannot refute
@@ -593,6 +600,51 @@ class TestOrbitScanMatchesPairwiseOracles:
         assert check.global_sampled.witness == \
             {"perm": Perm([2, 0, 1]), "y": anchor.alpha}
         assert check == oracle_verify(a, anchor, trials=0, seed=0)
+
+
+class TestOrbitScanIsOneForwardPass:
+    @pytest.mark.parametrize("name, predicate", [
+        ("equiv", is_equiv_preserving_at),
+        ("left", is_left_isotone_at),
+        ("point", is_isotone_at),
+    ], ids=["equiv", "left", "point"])
+    def test_failing_orbit_stops_early_at_n8(self, perms_read, name, predicate):
+        # diag(1..8) fails at the second image of (8, .., 1), so the scan
+        # must not pay for the other 40,318 perms.
+        anchor = AnchorPoint(Vec(range(8, 0, -1)))
+        verdict = predicate(DIAG8, anchor, guard=8)
+        assert not verdict.holds
+        _assert_reverifies(name, DIAG8, anchor.alpha, verdict.witness)
+        assert 0 < len(perms_read) < 100
+
+    @pytest.mark.parametrize("rows, alpha, moved, source, target", [
+        # below: the first image not majorized by A alpha; moved: the first
+        # with another profile.  Failing pairs are (below, anchor), else
+        # (anchor, moved).
+        ([[-4, 5, -1, 3], [-1, -3, 5, 4], [5, -3, 5, 0], [-5, 4, 3, 5]],
+         (8, 2, 1, 0), [0, 1, 3, 2], [0, 2, 1, 3], [0, 1, 2, 3]),
+        ([[3, -1], [-4, 0]], (2, 1), [1, 0], [0, 1], [1, 0]),
+        (DIAG12.rows, (2, 1), [1, 0], [1, 0], [0, 1]),
+    ], ids=["below-after-moved", "moved-without-below", "below-is-moved"])
+    def test_each_branch_matches_the_fraction_oracles(self, rows, alpha, moved,
+                                                      source, target):
+        # Random cells rarely reach the first two branches, so each is
+        # pinned here by its witnesses.
+        a, anchor = Mat(rows), AnchorPoint(Vec(alpha))
+        equiv = is_equiv_preserving_at(a, anchor)
+        left = is_left_isotone_at(a, anchor)
+        assert equiv == oracle_equiv(a, anchor)
+        assert left == oracle_left(a, anchor)
+        assert equiv.witness == {"perm": Perm(moved)}
+        assert left.witness == {"source_perm": Perm(source),
+                                "target_perm": Perm(target)}
+        for trials in (0, 3):
+            assert is_right_isotone_at(a, anchor, trials, seed=1) == \
+                oracle_right(a, anchor, trials, seed=1)
+            assert is_isotone_at(a, anchor, trials, seed=1) == \
+                oracle_point(a, anchor, trials, seed=1)
+            assert verify_statements(a, anchor, trials, seed=1) == \
+                oracle_verify(a, anchor, trials, seed=1)
 
 
 # Entries with mixed denominators, zeros and negatives.
