@@ -36,6 +36,7 @@ from .numerics import (
 from .rearrangement import extremizer_bound, extremizer_sets
 
 _MAX_MATRICES = 100_000  # bounds verify's report: one per_matrix row per cell
+_MAX_TRIALS = 100_000  # bounds the samplers' time: each trial draws and checks a vector
 
 
 class CliError(Exception):
@@ -197,6 +198,8 @@ def _form_json(form: isotone.GlobalForm | None) -> dict[str, Any]:
 
 
 def cmd_isotone(args: argparse.Namespace, warnings: list[str]) -> _Result:
+    if args.trials > _MAX_TRIALS:  # fail before loading anything
+        raise CliError(f"--trials {args.trials} exceeds {_MAX_TRIALS}")
     a, a_in = load_matrix(args.matrix, warnings)
     inputs: dict[str, Any] = {"matrix": a_in}
 
@@ -235,6 +238,8 @@ def cmd_isotone(args: argparse.Namespace, warnings: list[str]) -> _Result:
 def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     if args.matrices > _MAX_MATRICES:  # fail before building anything
         raise CliError(f"--matrices {args.matrices} exceeds {_MAX_MATRICES}")
+    if args.trials > _MAX_TRIALS:
+        raise CliError(f"--trials {args.trials} exceeds {_MAX_TRIALS}")
     if args.alpha is not None:
         alpha, digest = load_vector(args.alpha, warnings)
         inputs: dict[str, Any] = {"alpha": digest, "n": len(alpha)}
@@ -289,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every sampled campaign (default 0)")
     common.add_argument("--trials", type=_count, default=isotone.DEFAULT_TRIALS,
-                        help="sample count for the one-sided predicates")
+                        help="sample count for the one-sided predicates, at "
+                             f"most {_MAX_TRIALS} on isotone and verify")
     common.add_argument("--guard-n", type=int, default=DEFAULT_GUARD,
                         help="largest size allowed for factorial enumeration")
     fmt = common.add_mutually_exclusive_group()

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _Gathers, _orbit, _profile_violation, desc_prefix_sums
@@ -322,6 +322,40 @@ def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], i
     return tuple(nums), rng.randint(1, 6)
 
 
+_Table = list[dict[tuple[int, ...], None]]
+
+
+def _subset_table(rows: list[list[int]]) -> _Table | None:
+    """Entry ``k - 1`` holds the distinct decreasing sorts of the sums
+    ``c_S`` of ``k`` rows of ``rows``, for ``k = 1..n-1``; ``None`` when
+    the column sums differ, as traces can then move."""
+    n = len(rows)
+    if len(set(map(sum, zip(*rows)))) > 1:
+        return None
+    sums = [(0,) * n]  # sums[s]: the rows in bitmask s, from s minus its lowest bit
+    table: _Table = [{} for _ in range(n - 1)]
+    for s in range(1, (1 << n) - 1):
+        low = s & -s
+        sums.append(tuple(map(add, sums[s ^ low], rows[low.bit_length() - 1])))
+        table[s.bit_count() - 1][tuple(sorted(sums[s], reverse=True))] = None
+    return table
+
+
+def _all_below(table: _Table, v: Sequence[int], base: tuple[int, ...]) -> bool:
+    """Whether every rearrangement ``P v`` has an image majorized by ``A v``,
+    whose profile is ``base``; ``table`` is :func:`_subset_table` of A's rows.
+
+    The largest sum of ``k`` entries of ``A P v`` is the largest
+    ``c_S . P v`` over ``k``-row subsets ``S``, and by the rearrangement
+    inequality its maximum over ``P`` is ``sorted(c_S) . sorted(v)``.  Equal
+    column sums fix the trace, so comparing those maxima with ``base`` for
+    ``k = 1..n-1`` decides.
+    """
+    vd = sorted(v, reverse=True)
+    return all(sum(map(mul, c, vd)) <= top
+               for sorts, top in zip(table, base) for c in sorts)
+
+
 def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
                               seed: int | str = 0,
                               guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
@@ -329,19 +363,29 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
 
     For each drawn ``y`` (distinct-entry rationals) it suffices to check
     the rearrangements of ``y`` against ``y`` itself, since the vectors
-    below ``y`` form the convex hull of those rearrangements: the orbit
-    scan's ``below`` search with anchor ``y``, at most ``trials * n!``
-    integer image evaluations over one lazy enumeration of the perms.  A
-    failure witness ``(y, perm)`` re-verifies exactly.
+    below ``y`` form the convex hull of those rearrangements.  When A's
+    column sums are equal, the ``2^n - 2`` proper row-subset sums of A,
+    tabled once per call, decide that exactly by the rearrangement
+    inequality (Marshall, Olkin & Arnold, *Inequalities: Theory of
+    Majorization and Its Applications*, 2nd ed., 2011, ch. 1 and 6), and
+    a trial they clear reads no perm.  Every other trial runs the orbit
+    scan's ``below`` search with anchor ``y`` over one lazy enumeration of
+    the perms, so a failure witness ``(y, perm)`` is the first perm in
+    enumeration order and re-verifies exactly.
     """
     rows = _int_rows(a)
     n = len(rows)
-    perms = _Gathers(n, guard) if trials > 0 else ()  # no draws, no enumeration
+    if trials <= 0:  # no draws: no enumeration and no table, at any n
+        return IsotoneVerdict(True, trials=trials)
+    perms = _Gathers(n, guard)
+    table = _subset_table(rows)
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
         nums, den = _random_distinct_vec(n, rng)
-        images = _images(rows, nums, perms)
-        below = _first_below(images, next(images)[2])
+        base = _profile(rows, nums)
+        if table is not None and _all_below(table, nums, base):
+            continue
+        below = _first_below(_images(rows, nums, perms), base)
         if below:
             return IsotoneVerdict(False, {"perm": below[0], "y": _vec(nums, den)},
                                   trials=trials)

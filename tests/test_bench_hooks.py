@@ -7,6 +7,7 @@ import the tracer as it is and install it on the package.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,21 @@ def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer, rows, profiled):
     equiv = tracer.summary()["isotone.equiv"]
     assert equiv["calls"] == 1
     assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == profiled
+
+
+def test_global_sampler_clears_a_planted_form_without_perms(tracer):
+    # Equal column sums let the subset gate clear every trial of a planted
+    # form, so no perm is enumerated and each trial profiles only A y:
+    # 10 * 8! perms and 10 * 8! profiles without the gate.
+    a = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                            majorkit.Perm([3, 0, 7, 5, 1, 6, 2, 4])).as_matrix()
+    tracer.install(majorkit)
+    try:
+        verdict = majorkit.is_global_isotone_sampled(a, trials=10, seed=0)
+    finally:
+        tracer.uninstall()
+    assert verdict.holds
+    sampled = tracer.summary()["isotone.global_sampled"]
+    assert sampled["calls"] == 1
+    assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
+    assert sampled["kernels"]["majorization.prefix_sums"][0] == 10

@@ -291,6 +291,7 @@ class TestVerify:
         ["--n", "4000000", "--matrices", "0"],
         ["--n", "9"],
         ["--n", "3", "--matrices", "100001"],
+        ["--n", "3", "--trials", "100001"],
     ])
     def test_guard_trips_before_the_pool_is_built(self, sandbox, monkeypatch,
                                                    argv):
@@ -331,11 +332,17 @@ class TestContract:
         ["isotone", "mat_sym31.json", "--at", "y_desc3.json"],  # equiv
         *(["isotone", "mat_sym31.json", "--at", "y_desc3.json", "--predicate", pred]
           for pred in ["left", "right", "point", "all"]),
+        ["verify", "--n", "3", "--trials", "100001"],
+        ["isotone", "mat_sym31.json", "--at", "alpha_21.json", "--predicate", "all",
+         "--trials", "100001"],
+        ["isotone", "mat_sym31.json", "--global", "--trials", "100001"],
     ], ids=["no-such-command", "no-target", "negative-matrices",
             "negative-trials", "negative-both", "negative-trials-isotone",
             "non-integer-matrices", "n-above-guard",
             *(f"anchor-length-{pred}"
-              for pred in ["equiv", "left", "right", "point", "all"])])
+              for pred in ["equiv", "left", "right", "point", "all"]),
+            "trials-above-ceiling-verify", "trials-above-ceiling-isotone",
+            "trials-above-ceiling-global"])
     def test_usage_error_exits_two(self, sandbox, argv):
         code, report = sandbox(*argv)
         assert code == 2

@@ -38,8 +38,14 @@ from majorkit.majorization import _Gathers
 from majorkit.numerics import _clear_denominators, enumerate_perms
 from majorkit.isotone import (
     _STEP_SCALE,
+    _all_below,
+    _first_below,
+    _images,
+    _int_rows,
+    _profile,
     _random_distinct_vec,
     _sample_above,
+    _subset_table,
     _vec,
     campaign_matrices,
     perturb_entry,
@@ -288,6 +294,26 @@ class TestGlobalSampled:
         verdict = is_global_isotone_sampled(Mat.identity(3), trials=-2, guard=2)
         assert verdict.holds and verdict.trials == -2
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_build_no_subset_table(self, monkeypatch, perms_read, trials):
+        # The table has 2^n - 2 entries and the guard allows n = 12 here:
+        # with no draws neither it nor the perms may be built.
+        def unreachable(rows):
+            raise AssertionError("subset table built with no trials")
+
+        monkeypatch.setattr(isotone, "_subset_table", unreachable)
+        verdict = is_global_isotone_sampled(Mat.identity(12), trials, guard=12)
+        assert verdict.holds and verdict.trials == trials
+        assert perms_read == []
+
+    def test_guard_trips_before_the_subset_table(self, monkeypatch):
+        def unreachable(rows):
+            raise AssertionError("subset table built above the guard")
+
+        monkeypatch.setattr(isotone, "_subset_table", unreachable)
+        with pytest.raises(GuardExceeded):
+            is_global_isotone_sampled(Mat.identity(3), trials=5, guard=2)
+
     def test_failing_first_trial_reads_few_perms(self, perms_read):
         # The perms are built lazily: a refutation in the first trial at
         # n = 8 must not pay for all 40,320 of them.
@@ -307,6 +333,79 @@ class TestGlobalSampled:
             a = random_matrix(n, rng)
             if is_global_isotone_sampled(a, trials=2000, seed=i).holds:
                 assert classify_global(a) is not None
+
+
+def _gate_and_scan(rows, v):
+    """The subset gate's "every image below" and the ordered scan's, for A v."""
+    base = _profile(rows, v)
+    scan = _first_below(_images(rows, v, _Gathers(len(rows))), base)
+    return _all_below(_subset_table(rows), v, base), scan is None
+
+
+def _balanced(rows, total):
+    """``rows`` plus a last row that makes every column sum to ``total``."""
+    n = len(rows) + 1
+    return [*rows, [total - sum(row[j] for row in rows) for j in range(n)]]
+
+
+@st.composite
+def _gate_cases(draw):
+    n = draw(st.integers(1, 6))
+    ints = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                         min_size=n - 1, max_size=n - 1))
+    last = draw(st.one_of(st.none(), st.lists(ints, min_size=n, max_size=n)))
+    rows = _balanced(rows, draw(ints)) if last is None else [*rows, last]
+    v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))  # ties likely
+    return rows, tuple(v)
+
+
+class TestSubsetGate:
+    """The gate must decide exactly what the ordered scan decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gate_cases())
+    def test_matches_the_ordered_scan(self, case):
+        rows, v = case
+        balanced = len({sum(col) for col in zip(*rows)}) == 1
+        assert (_subset_table(rows) is not None) == balanced
+        if balanced:
+            gate, scan = _gate_and_scan(rows, v)
+            assert gate == scan
+
+    @pytest.mark.parametrize("kind", ["balanced", "perm_scaled", "trace_map"])
+    def test_seeded_cases_match_the_ordered_scan(self, kind):
+        rng = random.Random(f"gate:{kind}")
+        outcomes = set()
+        for i in range(60):
+            n = 1 + i % 6
+            if kind == "balanced":  # equal column sums, almost never a form
+                rows = _balanced([[rng.randint(-4, 4) for _ in range(n)]
+                                  for _ in range(n - 1)], rng.randint(-5, 5))
+            else:
+                make = random_perm_scaled if kind == "perm_scaled" else random_trace_map
+                rows = _int_rows(make(n, rng))
+            distinct = tuple(rng.sample(range(-24, 25), n))
+            tied = tuple(rng.choice([-1, 0, 2]) for _ in range(n))
+            for v in (distinct, tied, (rng.randint(-5, 5),) * n):
+                gate, scan = _gate_and_scan(rows, v)
+                assert gate == scan
+                outcomes.add(gate)
+        # Planted forms are globally isotone: every image stays below A v.
+        assert outcomes == ({True, False} if kind == "balanced" else {True})
+
+    @pytest.mark.parametrize("rows, v, below", [
+        ([[5]], (3,), True),
+        ([[1, 0], [0, 1]], (2, 1), True),
+        ([[2, 1], [1, 2]], (1, 1), True),  # constant y: one image
+        ([[1, 2], [1, 0]], (2, 1), False),  # (1, 2) maps to (5, 1), not below (4, 2)
+        ([[1, 2], [1, 0]], (-1, -1), True),
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 1, 0), True),  # J - P: a form
+        ([[2, 0, 0], [0, 1, 1], [0, 1, 1]], (1, 1, 0), False),  # tied y, no form
+    ], ids=["n1", "n2-identity", "n2-constant-y", "n2-fails",
+            "n2-constant-y-non-form", "n3-tied-form", "n3-tied-non-form"])
+    def test_small_and_tied_cases(self, rows, v, below):
+        assert _gate_and_scan(rows, v) == (below, below)
 
 
 class TestAnchorLength:
