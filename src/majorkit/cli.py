@@ -23,7 +23,7 @@ from typing import Any
 
 from . import isotone
 from .doubly_stochastic import NotMajorized, witness_ds
-from .majorization import _profile_violation, desc_prefix_sums
+from .majorization import _int_profiles, _profile_violation, _unscaled
 from .numerics import (
     DEFAULT_GUARD,
     GuardExceeded,
@@ -141,10 +141,11 @@ _Result = tuple[Any, bool, Any, Any]  # (inputs, verdict, witness, counts)
 def cmd_check(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
-    px, py = desc_prefix_sums(x), desc_prefix_sums(y)
-    violation = _profile_violation(px, py)
+    scale, px, py = _int_profiles(x, y)
+    violation = _unscaled(_profile_violation(px, py), scale)
     witness = None if violation is None else asdict(violation)
-    counts = {"x_sorted_prefix_sums": list(px), "y_sorted_prefix_sums": list(py)}
+    counts = {"x_sorted_prefix_sums": [Fraction(v, scale) for v in px],
+              "y_sorted_prefix_sums": [Fraction(v, scale) for v in py]}
     return {"x": x_in, "y": y_in}, violation is None, witness, counts
 
 

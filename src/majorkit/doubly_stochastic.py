@@ -9,7 +9,8 @@ seeded random instances for test campaigns.  The decomposition is a
 greedy peel within ``(n-1)**2 + 1`` terms: each peel empties a cell, so
 the rescaled residual drops to a face of strictly lower dimension.
 
-The check, the T-chain and the peel all run in an integer frame: the
+The check, the witness's precheck and T-chain, the peel and the
+decomposition's weight check all run in an integer frame: the
 entries are scaled once by the least common multiple ``L`` of their
 denominators, every comparison, sum and update is on Python ints, and
 only the results become ``Fraction``s again.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .majorization import Violation, _profile_violation, sort_desc
+from .majorization import Violation, _profile_violation, _unscaled, sort_desc
 from .numerics import (
     DimensionMismatch,
     Mat,
@@ -111,9 +112,10 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
 
-    The chain runs on integers: both sorted vectors are scaled by the
-    least common multiple of their denominators, so the entries, the
-    mass moved and the gaps are ints and each step's ``t`` is one
+    The precheck and the chain run on integers: both sorted vectors are
+    scaled by the least common multiple of their denominators, so the
+    prefix sums, the entries, the mass moved and the gaps are ints, only
+    a violation's sums become ``Fraction``s, and each step's ``t`` is one
     ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
     over one denominator of its own; a T-transform changes only the two
     rows it mixes, so it is applied as a two-row update in O(n), reduced
@@ -125,13 +127,12 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
         raise DimensionMismatch("witness requires vectors of equal length")
     sx = sort_desc(x)
     sy = sort_desc(y)
-    violation = _profile_violation(tuple(accumulate(sx.descending)),
-                                   tuple(accumulate(sy.descending)))
+    scale, (xs, vs) = _clear_denominators((sx.descending, sy.descending))
+    violation = _profile_violation(tuple(accumulate(xs)), tuple(accumulate(vs)))
     if violation is not None:
-        raise NotMajorized(violation)
+        raise NotMajorized(_unscaled(violation, scale))
 
     n = len(x)
-    _, (xs, vs) = _clear_denominators((sx.descending, sy.descending))
 
     transforms: list[TTransform] = []
     # chain row r is nums[r] / dens[r]
@@ -181,9 +182,10 @@ class BirkhoffDecomposition:
         if not self.terms:
             raise ValueError("decomposition needs at least one term")
         n = len(self.terms[0][1])
-        if any(w <= 0 for w, _ in self.terms):
+        scale, (weights,) = _clear_denominators([[w for w, _ in self.terms]])
+        if min(weights) <= 0:
             raise ValueError("weights must be positive")
-        if sum(w for w, _ in self.terms) != 1:
+        if sum(weights) != scale:
             raise ValueError("weights must sum to one")
         if len(self.terms) > (n - 1) ** 2 + 1:
             raise ValueError("too many terms for a minimal-style decomposition")

@@ -3,12 +3,17 @@
 ``x`` is majorized by ``y`` (x ≺ y) when every prefix sum of the
 decreasing rearrangement of ``x`` is at most the corresponding prefix
 sum for ``y`` and the totals agree.  Because the boundary cases are
-equalities of sums, all decisions are made in exact rational arithmetic.
+equalities of sums, all decisions are exact.  They run on integers: ``x``
+and ``y`` are scaled together by the least common multiple ``L`` of
+their denominators, which keeps every order and every tie, so the
+profiles are sorted and summed as Python ints.  Only reported sums
+become ``Fraction``s again, as ``Fraction(v, L)``: a violation's two
+sums, and the two profiles that ``majorkit check`` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import le
@@ -20,6 +25,7 @@ from .numerics import (
     Perm,
     Rational,
     Vec,
+    _clear_denominators,
     enumerate_perms,
 )
 
@@ -54,8 +60,9 @@ def trace(x: Vec) -> Rational:
 
 
 def desc_prefix_sums(x: Iterable[Rational]) -> tuple[Rational, ...]:
-    """Prefix sums of the decreasing rearrangement of exact numbers (a Vec's
-    Fractions or the integer kernel's ints); the last entry is the trace."""
+    """Prefix sums of the decreasing rearrangement of exact numbers; the
+    last entry is the trace.  Every order decision in the package passes
+    ints, numerators over one common denominator."""
     return tuple(accumulate(sorted(x, reverse=True)))
 
 
@@ -86,9 +93,26 @@ def _profile_violation(px: tuple, py: tuple) -> Violation | None:
     return Violation("prefix", k + 1, px[k], py[k])
 
 
+def _int_profiles(x: Vec, y: Vec) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(L, px, py)``: the decreasing prefix profiles of ``L x`` and ``L y``,
+    with ``L`` the least common multiple of both vectors' denominators."""
+    scale, (xs, ys) = _clear_denominators((x, y))
+    return scale, desc_prefix_sums(xs), desc_prefix_sums(ys)
+
+
+def _unscaled(violation: Violation | None, scale: int) -> Violation | None:
+    """A violation between the profiles of ``L x`` and ``L y``, restated
+    with the exact sums of ``x`` and ``y``."""
+    if violation is None:
+        return None
+    return replace(violation, lhs=Fraction(violation.lhs, scale),
+                   rhs=Fraction(violation.rhs, scale))
+
+
 def first_violation(x: Vec, y: Vec) -> Violation | None:
     """Return the first reason why ``x`` is not majorized by ``y``, if any."""
-    return _profile_violation(desc_prefix_sums(x), desc_prefix_sums(y))
+    scale, px, py = _int_profiles(x, y)
+    return _unscaled(_profile_violation(px, py), scale)
 
 
 def majorizes(x: Vec, y: Vec) -> bool:
@@ -104,7 +128,7 @@ def majorizes(x: Vec, y: Vec) -> bool:
 
 def equivalent(x: Vec, y: Vec) -> bool:
     """True iff ``x ≺ y`` and ``y ≺ x``: the prefix profiles are equal."""
-    px, py = desc_prefix_sums(x), desc_prefix_sums(y)
+    _, px, py = _int_profiles(x, y)
     return _profile_violation(px, py) is None and px == py
 
 

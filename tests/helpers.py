@@ -117,9 +117,10 @@ def oracle_random_distinct_vec(n: int, rng: random.Random) -> Vec:
     return Vec(Fraction(v, den) for v in nums)
 
 
-# Pairwise orbit loops on Fraction matvecs kept as oracles for the
-# one-scan integer predicates in majorkit.isotone: each checks every
-# orbit image against every target.
+# Fraction profiles and pairwise orbit loops on Fraction matvecs kept as
+# oracles for the integer order test in majorkit.majorization and the
+# one-scan integer predicates in majorkit.isotone: each orbit loop
+# checks every orbit image against every target.
 
 def oracle_prefix_sums(x) -> tuple[Rational, ...]:
     """Prefix sums of the decreasing rearrangement, one Fraction at a time."""
@@ -133,6 +134,17 @@ def oracle_prefix_sums(x) -> tuple[Rational, ...]:
 
 def _maj(pa, pb) -> bool:
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
+
+
+def oracle_first_violation(x, y) -> tuple[str, int, Rational, Rational] | None:
+    """``(kind, index, lhs, rhs)`` of the first failing Fraction prefix sum."""
+    px, py = oracle_prefix_sums(x), oracle_prefix_sums(y)
+    if px[-1] != py[-1]:
+        return "total", len(px), px[-1], py[-1]
+    for k, (a, b) in enumerate(zip(px, py)):
+        if a > b:
+            return "prefix", k + 1, a, b
+    return None
 
 
 def oracle_orbit(alpha: Vec, guard=DEFAULT_GUARD) -> list[tuple[Perm, Vec]]:

@@ -98,3 +98,18 @@ def test_global_sampler_clears_a_planted_form_without_perms(tracer):
     assert sampled["calls"] == 1
     assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
     assert sampled["kernels"]["majorization.prefix_sums"][0] == 10
+
+
+def test_first_violation_profiles_both_vectors_as_kernels(tracer):
+    # The order test profiles the integer rows of x and y through
+    # desc_prefix_sums, so the per-layer counter still sees two kernels.
+    x, y = Vec(["1/2", 3, "-2/3"]), Vec([1, "5/6", 1])
+    tracer.install(majorkit)
+    try:
+        violation = majorkit.first_violation(x, y)
+    finally:
+        tracer.uninstall()
+    assert violation.kind == "prefix" and violation.lhs == 3
+    span = tracer.summary()["majorization.first_violation"]
+    assert span["calls"] == 1
+    assert span["kernels"]["majorization.prefix_sums"][0] == 2

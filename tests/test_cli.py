@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from majorkit import Mat, Perm, Vec, equivalent, first_violation, majorizes
 from majorkit import cli, isotone
 from majorkit.cli import main
+from helpers import oracle_first_violation, oracle_prefix_sums, rand_perm, rand_vec
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,6 +67,38 @@ class TestCheck:
         violation = first_violation(Vec([3, 0, 0]), Vec([2, 1, 0]))
         assert violation.index == report["witness"]["index"]
         assert str(violation.lhs) == report["witness"]["lhs"]
+
+    @pytest.mark.parametrize("holds", [True, False], ids=["holds", "fails"])
+    def test_large_mixed_denominator_pair_matches_the_oracle(
+            self, tmp_path, capsys, holds):
+        # y has denominators 1..30; x is a rearrangement of y averaged by
+        # T-steps, so x is majorized by y and y is not majorized by x.
+        rng = random.Random(256)
+        y = rand_vec(rng, 256, lo=-50, hi=50, max_den=30)
+        x = list(rand_perm(rng, 256).apply(y))
+        for _ in range(64):
+            i, j = rng.sample(range(256), 2)
+            t = Fraction(rng.randint(1, 4), 5)
+            x[i], x[j] = (1 - t) * x[i] + t * x[j], t * x[i] + (1 - t) * x[j]
+        x = Vec(x)
+        if not holds:
+            x, y = y, x
+        for name, v in (("x.json", x), ("y.json", y)):
+            (tmp_path / name).write_text(json.dumps([str(a) for a in v]))
+        code = main(["check", str(tmp_path / "x.json"), str(tmp_path / "y.json")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == (0 if holds else 1)
+        counts = report["counts"]
+        assert counts["x_sorted_prefix_sums"] == [str(v) for v in oracle_prefix_sums(x)]
+        assert counts["y_sorted_prefix_sums"] == [str(v) for v in oracle_prefix_sums(y)]
+        expected = oracle_first_violation(x, y)
+        if holds:
+            assert expected is None and report["witness"] is None
+        else:
+            kind, index, lhs, rhs = expected
+            assert kind == "prefix"
+            assert report["witness"] == {"kind": kind, "index": index,
+                                         "lhs": str(lhs), "rhs": str(rhs)}
 
     def test_malformed_input_is_operational_error(self, sandbox):
         code, _ = sandbox("check", "malformed.json", "y_desc3.json")

@@ -17,8 +17,10 @@ from majorkit import (
     Vec,
     birkhoff,
     check_ds,
+    first_violation,
     majorizes,
     random_ds,
+    sort_desc,
     witness_ds,
 )
 from majorkit import doubly_stochastic
@@ -188,6 +190,21 @@ class TestWitness:
         assert info.value.violation.kind == "prefix"
         assert info.value.violation.index == 1
 
+    @given(x=st.lists(scalars, min_size=2, max_size=6))
+    def test_not_majorized_carries_the_first_violation(self, x):
+        # y spreads x by one unit, so y is never majorized by x.
+        x = Vec(x)
+        view = sort_desc(x)
+        y = list(view.descending)
+        y[0] += 1
+        y[-1] -= 1
+        y = Vec(y)
+        with pytest.raises(NotMajorized) as info:
+            witness_ds(y, x)
+        violation = info.value.violation
+        assert violation == first_violation(y, x)
+        assert type(violation.lhs) is Fraction and type(violation.rhs) is Fraction
+
     def test_soundness_random_products(self):
         # x := D y is always majorized by y.
         rng = random.Random(41)
@@ -270,6 +287,21 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             BirkhoffDecomposition(((Fraction(0), Perm([0, 1])),
                                    (Fraction(1), Perm([1, 0]))))
+
+    @pytest.mark.parametrize("weights, error", [
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), None),
+        ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 6)), "sum to one"),
+        ((Fraction(1, 2), Fraction(2, 3), Fraction(-1, 6)), "positive"),
+        ((Fraction(1), Fraction(0), Fraction(0)), "positive"),
+    ], ids=["sums-to-one", "sums-to-five-sixths", "negative", "zero"])
+    def test_weights_are_checked_exactly(self, weights, error):
+        terms = tuple(zip(weights, (Perm([0, 1, 2]), Perm([1, 2, 0]),
+                                    Perm([2, 0, 1]))))
+        if error is None:
+            assert BirkhoffDecomposition(terms).terms == terms
+        else:
+            with pytest.raises(ValueError, match=error):
+                BirkhoffDecomposition(terms)
 
     def test_peel_meets_the_bound_on_long_combinations(self):
         # Piles of twice as many permutations as the bound allows still

@@ -20,10 +20,55 @@ from majorkit import (
     sort_desc,
     trace,
 )
-from helpers import majorizing_pair, rand_perm, rand_vec
+from helpers import (
+    _maj,
+    majorizing_pair,
+    oracle_first_violation,
+    oracle_prefix_sums,
+    rand_perm,
+    rand_vec,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 vectors = st.lists(rationals, min_size=1, max_size=6).map(Vec)
+# Small pools make ties, equal totals and holding pairs common.
+tied = st.sampled_from([Fraction(v, d) for v in range(-3, 4) for d in (1, 2, 3)])
+integers = st.integers(min_value=-20, max_value=20).map(Fraction)
+
+
+@st.composite
+def vector_pairs(draw, entries):
+    """Independent pairs (mostly unequal totals), rearrangements, and one
+    T-step averages of a rearrangement, in either order (held or failed)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    y = draw(st.lists(entries, min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["independent", "rearranged", "averaged",
+                                 "spread"]))
+    if mode == "independent":
+        return Vec(draw(st.lists(entries, min_size=n, max_size=n))), Vec(y)
+    x = draw(st.permutations(y))
+    if mode != "rearranged" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        t = draw(st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2),
+                                  Fraction(3, 4)]))
+        x[i], x[j] = (1 - t) * x[i] + t * x[j], t * x[i] + (1 - t) * x[j]
+    return (Vec(y), Vec(x)) if mode == "spread" else (Vec(x), Vec(y))
+
+
+def assert_agrees_with_oracle(x, y):
+    """first_violation, majorizes and equivalent decide as the Fraction oracle."""
+    px, py = oracle_prefix_sums(x), oracle_prefix_sums(y)
+    expected = oracle_first_violation(x, y)
+    violation = first_violation(x, y)
+    if expected is None:
+        assert violation is None
+    else:
+        assert (violation.kind, violation.index, violation.lhs,
+                violation.rhs) == expected
+        assert type(violation.lhs) is Fraction and type(violation.rhs) is Fraction
+    assert majorizes(x, y) == _maj(px, py) == (expected is None)
+    assert equivalent(x, y) == (px == py)
 
 
 def solve_exact(rows, rhs):
@@ -163,6 +208,55 @@ class TestMajorizes:
                 px = p.apply(x)
                 for q in enumerate_perms(5):
                     assert majorizes(px, q.apply(y)) == base
+
+
+class TestIntegerFrameAgreesWithOracle:
+    """The order test runs on ints over one LCM; the oracle adds Fractions."""
+
+    @given(pair=vector_pairs(rationals))
+    def test_mixed_denominators(self, pair):
+        assert_agrees_with_oracle(*pair)
+
+    @given(pair=vector_pairs(integers))
+    def test_integer_vectors(self, pair):
+        assert_agrees_with_oracle(*pair)
+
+    @given(pair=vector_pairs(tied))
+    def test_ties_and_negatives(self, pair):
+        assert_agrees_with_oracle(*pair)
+
+    def test_seeded_pairs(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            x, y = majorizing_pair(rng, n)
+            assert_agrees_with_oracle(x, y)
+            assert_agrees_with_oracle(y, x)
+            assert_agrees_with_oracle(x, rand_perm(rng, n).apply(x))
+            assert_agrees_with_oracle(rand_vec(rng, n, max_den=30),
+                                      rand_vec(rng, n, max_den=30))
+
+    @pytest.mark.parametrize("decide", [first_violation, majorizes, equivalent])
+    def test_length_mismatch_raises(self, decide):
+        with pytest.raises(DimensionMismatch):
+            decide(Vec([1]), Vec([1, 2]))
+        with pytest.raises(DimensionMismatch):
+            decide(Vec(["1/2", "1/3"]), Vec(["5/6"]))
+
+    @pytest.mark.parametrize("x, y, expected", [
+        (["1/2"], ["1/2"], None),
+        (["1/2"], ["1/3"], ("total", 1, Fraction(1, 2), Fraction(1, 3))),
+        ([-4], [3], ("total", 1, Fraction(-4), Fraction(3))),
+        ([3, 0, 0], [2, 1, 0], ("prefix", 1, Fraction(3), Fraction(2))),
+        (["1/6", "5/6", "-1/4"], ["5/6", "-1/4", "1/6"], None),
+        (["-1/2", "5/6", "2/3"], ["5/6", "1/2", "-1/3"],
+         ("prefix", 2, Fraction(3, 2), Fraction(4, 3))),
+    ], ids=["n1-equal", "n1-total", "n1-int-total", "prefix-1",
+            "rearranged", "tie-then-prefix"])
+    def test_pinned(self, x, y, expected):
+        x, y = Vec(x), Vec(y)
+        assert oracle_first_violation(x, y) == expected
+        assert_agrees_with_oracle(x, y)
 
 
 class TestEquivalent:
