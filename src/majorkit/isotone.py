@@ -46,7 +46,7 @@ from itertools import chain
 from operator import add, mul
 from typing import Any, Iterator, Mapping, Sequence
 
-from .majorization import _Gathers, _orbit, _profile_violation, desc_prefix_sums
+from .majorization import _orbit, _profile_violation, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -56,6 +56,7 @@ from .numerics import (
     Rational,
     Vec,
     _clear_denominators,
+    _perm_images,
 )
 
 DEFAULT_TRIALS = 50
@@ -152,10 +153,10 @@ def _profile(rows: list[list[int]], v: tuple[int, ...]) -> tuple[int, ...]:
     return desc_prefix_sums([sum(map(mul, row, v)) for row in rows])
 
 
-def _images(rows, v, perms):
-    """``(perm, rearrangement, profile of its image)`` over the distinct
-    rearrangements of ``v``, lazily; the first row is ``v`` itself."""
-    return ((p, w, _profile(rows, w)) for p, w in _orbit(v, perms))
+def _images(rows, v, guard):
+    """``(perm image, rearrangement, profile of its A-image)`` over the
+    distinct rearrangements of ``v``, lazily; the first row is ``v`` itself."""
+    return ((p, w, _profile(rows, w)) for p, w in _orbit(v, guard))
 
 
 def _first_below(images, base):
@@ -184,7 +185,7 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
         raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
                                 f"to a vector of length {anchor.n}")
     den, (nums,) = _clear_denominators((anchor.alpha,))
-    images = _images(rows, nums, _Gathers(anchor.n, guard))
+    images = _images(rows, nums, guard)
     first = next(images)
     base = first[2]
     scan = nums, den, base
@@ -193,13 +194,13 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
         return scan, None
     below = _first_below(chain((moved,), images), base)
     (ps, _, _), (pt, y, _) = (below, first) if below else (first, moved)
-    y = _vec(y, den)
+    ps, pt, y = Perm(ps), Perm(pt), _vec(y, den)
     return scan, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
-        "point": IsotoneVerdict(False, {"perm": below[0]}) if below
+        "point": IsotoneVerdict(False, {"perm": ps}) if below
         else IsotoneVerdict(False, {"y": y}, trials=trials),
-        "equiv": IsotoneVerdict(False, {"perm": moved[0]}),
+        "equiv": IsotoneVerdict(False, {"perm": Perm(moved[0])}),
         "global_sampled": IsotoneVerdict(
             False, {"perm": ps.compose(pt.inverse()), "y": y}, trials=trials),
     }
@@ -369,15 +370,15 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     inequality (Marshall, Olkin & Arnold, *Inequalities: Theory of
     Majorization and Its Applications*, 2nd ed., 2011, ch. 1 and 6), and
     a trial they clear reads no perm.  Every other trial runs the orbit
-    scan's ``below`` search with anchor ``y`` over one lazy enumeration of
-    the perms, so a failure witness ``(y, perm)`` is the first perm in
-    enumeration order and re-verifies exactly.
+    scan's ``below`` search with anchor ``y``, so a failure witness
+    ``(y, perm)`` is the first perm in lexicographic order and re-verifies
+    exactly.
     """
     rows = _int_rows(a)
     n = len(rows)
     if trials <= 0:  # no draws: no enumeration and no table, at any n
         return IsotoneVerdict(True, trials=trials)
-    perms = _Gathers(n, guard)
+    _perm_images(n, guard)  # the guard trips before the table is built
     table = _subset_table(rows)
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
@@ -385,10 +386,10 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
         base = _profile(rows, nums)
         if table is not None and _all_below(table, nums, base):
             continue
-        below = _first_below(_images(rows, nums, perms), base)
+        below = _first_below(_images(rows, nums, guard), base)
         if below:
-            return IsotoneVerdict(False, {"perm": below[0], "y": _vec(nums, den)},
-                                  trials=trials)
+            return IsotoneVerdict(False, {"perm": Perm(below[0]),
+                                          "y": _vec(nums, den)}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
 

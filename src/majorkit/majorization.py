@@ -26,7 +26,7 @@ from .numerics import (
     Rational,
     Vec,
     _clear_denominators,
-    enumerate_perms,
+    _perm_images,
 )
 
 T = TypeVar("T")
@@ -132,43 +132,34 @@ def equivalent(x: Vec, y: Vec) -> bool:
     return _profile_violation(px, py) is None and px == py
 
 
-class _Gathers:
-    """Every perm of :func:`enumerate_perms`, in its order, with its gather.
+def _orbit(values: tuple[T, ...], guard: int = DEFAULT_GUARD
+           ) -> Iterator[tuple[tuple[int, ...], tuple[T, ...]]]:
+    """Distinct rearrangements of ``values``, each with the first perm image
+    ``p`` giving it: entry ``j`` of ``values`` moves to place ``p[j]``.
 
-    The gather ``g = p.inverse().image`` applies the perm to any sequence:
-    entry ``k`` of ``p.apply(x)`` is ``x[g[k]]``.  :class:`GuardExceeded`
-    is raised on construction, before any work.  Pairs are built only as
-    far as a scan reads and are kept for the next scan, so a scan that
-    stops early pays only for what it read.  Scans must not interleave.
+    The images come from :func:`_perm_images`, so the identity comes first
+    and :class:`GuardExceeded` is raised on the call.  An image is the first
+    to give its rearrangement iff it keeps every two tied entries in order,
+    so the scan keeps O(n) state and builds no :class:`Perm`.  Lazy, so a
+    scan can stop at its first hit.
     """
+    images = _perm_images(len(values), guard)
+    last: dict[T, int] = {}
+    ties = []  # consecutive indices of equal entries
+    for j, v in enumerate(values):
+        if v in last:
+            ties.append((last[v], j))
+        last[v] = j
 
-    def __init__(self, n: int, guard: int = DEFAULT_GUARD):
-        self._perms = enumerate_perms(n, guard)
-        self._read: list[tuple[Perm, tuple[int, ...]]] = []
-
-    def __iter__(self) -> Iterator[tuple[Perm, tuple[int, ...]]]:
-        yield from self._read
-        for p in self._perms:
-            pair = (p, p.inverse().image)
-            self._read.append(pair)
-            yield pair
-
-
-def _orbit(values: tuple[T, ...], perms: Iterable[tuple[Perm, tuple[int, ...]]]
-           ) -> Iterator[tuple[Perm, tuple[T, ...]]]:
-    """Distinct rearrangements of ``values``, each with the first perm giving it.
-
-    ``perms`` comes from :class:`_Gathers`, so the identity comes first.
-    Lazy, so a scan can stop at its first hit.  One representative perm
-    per image suffices: the orbit predicates quantify over the rearranged
-    vectors, not the permutations.
-    """
-    seen: set[tuple[T, ...]] = set()
-    for p, gather in perms:
-        v = tuple(map(values.__getitem__, gather))
-        if v not in seen:
-            seen.add(v)
-            yield p, v
+    def rearrangements():
+        for p in images:
+            if ties and not all(p[i] < p[j] for i, j in ties):
+                continue
+            out = list(values)
+            for j, i in enumerate(p):
+                out[i] = values[j]
+            yield p, tuple(out)
+    return rearrangements()
 
 
 def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
@@ -177,4 +168,4 @@ def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
     These are the vertices of the permutohedron of ``alpha``, whose convex
     hull is exactly the set of vectors majorized by ``alpha``.
     """
-    return [Vec(v) for _, v in _orbit(alpha.entries, _Gathers(len(alpha), guard))]
+    return [Vec(v) for _, v in _orbit(alpha.entries, guard)]

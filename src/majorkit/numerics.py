@@ -23,9 +23,9 @@ RationalLike = Union[Fraction, int, float, str]
 
 #: Largest size for which factorial-cost enumeration runs without an
 #: explicit override.  8! = 40320 permutations is still sub-second; the
-#: orbit predicates in :mod:`majorkit.isotone` scan the orbit once, and
-#: its global sampler enumerates the perms once and evaluates trials * n!
-#: integer images.
+#: orbit predicates in :mod:`majorkit.isotone` read the anchor's orbit
+#: once, and its global sampler reads a trial's orbit only when the
+#: subset gate cannot clear that trial.
 DEFAULT_GUARD = 8
 
 # CPython's default int-string digit limit; without a cap on exponents,
@@ -300,15 +300,20 @@ class Perm:
         return Vec(out)  # type: ignore[arg-type]
 
 
-def enumerate_perms(n: int, guard: int = DEFAULT_GUARD) -> Iterator[Perm]:
-    """Stream all n! permutations of ``{0..n-1}`` in lexicographic image order.
-
-    Raises :class:`GuardExceeded` immediately (not on first iteration)
-    when ``n`` is above ``guard``, so runaway enumerations fail fast and
-    reproducibly.
+def _perm_images(n: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple[int, ...]]:
+    """Image tuples of all n! permutations of ``{0..n-1}`` in lexicographic
+    order, the one source of every permutation scan.  Raises
+    :class:`GuardExceeded` on the call (not on first iteration) when ``n``
+    is above ``guard``, so runaway enumerations fail fast and reproducibly.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > guard:
         raise GuardExceeded(n, guard)
-    return (Perm(image) for image in itertools.permutations(range(n)))
+    return itertools.permutations(range(n))
+
+
+def enumerate_perms(n: int, guard: int = DEFAULT_GUARD) -> Iterator[Perm]:
+    """Stream all n! permutations of ``{0..n-1}`` in lexicographic image
+    order; raises :class:`GuardExceeded` on the call, as :func:`_perm_images`."""
+    return map(Perm, _perm_images(n, guard))

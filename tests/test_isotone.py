@@ -1,11 +1,12 @@
 """Point-wise predicates, global classification, and the joint verifier."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from majorkit import (
     AnchorPoint,
@@ -34,8 +35,8 @@ from majorkit import (
     verify_statements,
 )
 from majorkit import isotone, majorization, numerics
-from majorkit.majorization import _Gathers
-from majorkit.numerics import _clear_denominators, enumerate_perms
+from majorkit.majorization import _orbit
+from majorkit.numerics import _clear_denominators
 from majorkit.isotone import (
     _STEP_SCALE,
     _all_below,
@@ -58,6 +59,7 @@ from helpers import (
     oracle_equiv,
     oracle_global,
     oracle_left,
+    oracle_orbit,
     oracle_point,
     oracle_random_distinct_vec,
     oracle_right,
@@ -75,15 +77,19 @@ DIAG8 = Mat([[i + 1 if i == j else 0 for j in range(8)] for i in range(8)])
 
 @pytest.fixture
 def perms_read(monkeypatch):
-    """Every perm the lazy enumeration hands out, in the order read."""
+    """Every perm image tuple the orbit reads, in the order read."""
     read = []
 
     def counting(n, guard):
-        for p in numerics.enumerate_perms(n, guard):
-            read.append(p)
-            yield p
+        images = numerics._perm_images(n, guard)  # the guard trips on the call
 
-    monkeypatch.setattr(majorization, "enumerate_perms", counting)
+        def reading():
+            for p in images:
+                read.append(p)
+                yield p
+        return reading()
+
+    monkeypatch.setattr(majorization, "_perm_images", counting)
     return read
 
 
@@ -338,7 +344,7 @@ class TestGlobalSampled:
 def _gate_and_scan(rows, v):
     """The subset gate's "every image below" and the ordered scan's, for A v."""
     base = _profile(rows, v)
-    scan = _first_below(_images(rows, v, _Gathers(len(rows))), base)
+    scan = _first_below(_images(rows, v, guard=len(rows)), base)
     return _all_below(_subset_table(rows), v, base), scan is None
 
 
@@ -423,24 +429,27 @@ class TestAnchorLength:
             predicate(Mat.identity(3), ANCHOR21)
 
 
-class TestGathers:
-    def test_gather_applies_the_perm(self):
-        for p, g in _Gathers(4):
-            x = Vec([5, -1, 7, 2])
-            assert p.apply(x).entries == tuple(x[k] for k in g)
+_orbit_values = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),  # ties likely
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+             min_size=n, max_size=n),
+))
 
-    def test_pairs_are_built_as_read_and_kept(self):
-        gathers = _Gathers(5)
-        first = list(islice(gathers, 3))
-        assert len(gathers._read) == 3
-        full = list(gathers)
-        assert full[:3] == first
-        assert [p for p, _ in full] == list(enumerate_perms(5))
-        assert list(gathers) == full
 
-    def test_guard_trips_on_construction(self):
+class TestOrbit:
+    @settings(max_examples=200, deadline=None)
+    @given(_orbit_values)
+    @example([5, -1, 7, 2])  # distinct: all 24 images, each applying its perm
+    def test_matches_the_first_seen_oracle(self, values):
+        # Same image tuples, same rearrangements, same order as the oracle
+        # that applies every Perm and keeps the first of each vector.
+        expected = [(p.image, v.entries) for p, v in oracle_orbit(Vec(values))]
+        assert list(_orbit(tuple(values))) == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_guard_trips_on_the_call(self, n):
         with pytest.raises(GuardExceeded):
-            _Gathers(3, guard=2)
+            _orbit(tuple(range(n)), guard=n - 1)
 
 
 class TestColumnSumsAndShift:
@@ -715,6 +724,34 @@ class TestOrbitScanIsOneForwardPass:
         assert not verdict.holds
         _assert_reverifies(name, DIAG8, anchor.alpha, verdict.witness)
         assert 0 < len(perms_read) < 100
+
+    @pytest.mark.parametrize("alpha", [range(8, 0, -1), (3, 3, 2, 2, 1, 1, 0, 0)],
+                             ids=["strict", "tied"])
+    def test_holding_orbit_builds_no_perm_and_keeps_no_memo(self, monkeypatch,
+                                                            alpha):
+        # A planted form holds at every anchor, so the scan reads every one
+        # of the 8! images.  It may build no Perm (a Perm is built only for a
+        # witness) and hold nothing that grows with the orbit.
+        a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                       Perm([3, 0, 7, 5, 1, 6, 2, 4])).as_matrix()
+        anchor = AnchorPoint(Vec(alpha))
+        built = []
+        init = Perm.__init__
+
+        def counting_init(self, image):
+            built.append(image)
+            init(self, image)
+
+        monkeypatch.setattr(Perm, "__init__", counting_init)
+        tracemalloc.start()
+        try:
+            verdict = is_equiv_preserving_at(a, anchor, guard=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert built == []
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("rows, alpha, moved, source, target", [
         # below: the first image not majorized by A alpha; moved: the first
