@@ -239,6 +239,16 @@ _STEP_DEN = 8
 _STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
 
 
+def _below(bits, n: int) -> int:
+    """``Random._randbelow(n)`` for ``n >= 1``, word for word from ``bits``,
+    an ``rng.getrandbits``; every draw of the samplers goes through it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _sample_above(nums: Sequence[int], den: int,
                   rng: random.Random) -> tuple[int, ...]:
     """Draw a vector that majorizes ``nums / den``, as numerators over
@@ -246,20 +256,27 @@ def _sample_above(nums: Sequence[int], den: int,
 
     Applies a short chain of spreading steps, each moving positive mass
     from a smaller entry to a larger one (which preserves the total and
-    pushes the vector up the order), then shuffles the coordinates.
+    pushes the vector up the order), then shuffles the coordinates.  Its
+    draws are those of ``randint``, ``sample(range(n), 2)`` (the pool path,
+    taken for ``n <= 21``; the n! orbit read first bounds n) and ``shuffle``,
+    word for word from ``getrandbits``, as ``tests/test_isotone.py`` pins.
     """
     n = len(nums)
     vals = [v * _STEP_SCALE for v in nums]
     if n == 1:
         return tuple(vals)
-    for _ in range(rng.randint(1, 3 * n)):
+    bits = rng.getrandbits
+    for _ in range(1 + _below(bits, 3 * n)):
         order = sorted(range(n), key=vals.__getitem__, reverse=True)
-        si, sj = sorted(rng.sample(range(n), 2))
-        num, step_den = rng.randint(1, 12), rng.randint(1, _STEP_DEN)
+        i, j = _below(bits, n), _below(bits, n - 1)
+        si, sj = sorted((i, n - 1 if j == i else j))
+        num, step_den = 1 + _below(bits, 12), 1 + _below(bits, _STEP_DEN)
         t = num * den * (_STEP_SCALE // step_den)
         vals[order[si]] += t
         vals[order[sj]] -= t
-    rng.shuffle(vals)
+    for i in range(n - 1, 0, -1):
+        j = _below(bits, i + 1)
+        vals[i], vals[j] = vals[j], vals[i]
     return tuple(vals)
 
 
@@ -318,9 +335,23 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
 
 
 def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
-    """Distinct numerators in ``[-24, 24]`` and one common denominator."""
-    nums = rng.sample(range(-24, 25), n)
-    return tuple(nums), rng.randint(1, 6)
+    """Distinct numerators in ``[-24, 24]`` and one common denominator, the
+    draws of ``rng.sample(range(-24, 25), n), rng.randint(1, 6)`` word for
+    word from ``getrandbits``, as ``tests/test_isotone.py`` pins."""
+    bits, nums = rng.getrandbits, []
+    if n <= 5:  # sample's set path: redraw a repeat
+        while len(nums) < n:
+            if (v := _below(bits, 49) - 24) not in nums:
+                nums.append(v)
+    elif n > 49:
+        raise ValueError("Sample larger than population or is negative")
+    else:  # its pool path: the last unpicked entry fills the gap
+        pool = list(range(-24, 25))
+        for i in range(49, 49 - n, -1):
+            j = _below(bits, i)
+            nums.append(pool[j])
+            pool[j] = pool[i - 1]
+    return tuple(nums), 1 + _below(bits, 6)
 
 
 _Table = list[dict[tuple[int, ...], None]]

@@ -1,5 +1,6 @@
 """Point-wise predicates, global classification, and the joint verifier."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -40,6 +41,7 @@ from majorkit.numerics import _clear_denominators
 from majorkit.isotone import (
     _STEP_SCALE,
     _all_below,
+    _below,
     _first_below,
     _images,
     _int_rows,
@@ -842,10 +844,11 @@ def _assert_reverifies(name, a, alpha, witness):
 
 class TestIntegerKernelMatchesFractionOracles:
     def test_integer_draws_equal_the_fraction_draws(self):
-        # Same vectors from the same rng calls in the same order.
+        # Same vectors from the same rng calls in the same order; n >= 6
+        # reaches random.sample's pool path, n <= 5 its set path.
         for seed in range(3000):
             rng = random.Random(seed)
-            n = rng.randint(1, 5)
+            n = rng.randint(1, 8)
             alpha = rand_vec(rng, n, -4, 4, max_den=7)  # ties and mixed dens
             ours, theirs = random.Random(seed), random.Random(seed)
             den, (nums,) = _clear_denominators((alpha,))
@@ -877,6 +880,69 @@ class TestIntegerKernelMatchesFractionOracles:
         for name, verdict in got.items():
             if not verdict.holds:
                 _assert_reverifies(name, a, anchor.alpha, verdict.witness)
+
+
+# sha256 of repr of the draws below, taken when both samplers still called
+# random.Random.randint, sample and shuffle.  The pytest job runs on every
+# CI Python, so each of them must draw the same streams.
+SAMPLER_STREAMS_SHA256 = \
+    "3f710b42f5ad2796f9650721e675ceb757569d9847a4682786bbc6f1e0607842"
+
+
+def _raise_on_call(*args, **kwargs):
+    raise AssertionError("a sampler drew through a random.Random method")
+
+
+class TestSamplerStreams:
+    @pytest.mark.parametrize("n", [*range(1, 131), 2**31, 2**32, 2**32 + 1, 2**64])
+    def test_below_draws_the_words_randrange_draws(self, n):
+        # Powers of two reject about half of their words; past 32 bits one
+        # draw reads two words.
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_below(ours.getrandbits, n) for _ in range(40)] == \
+                [theirs.randrange(n) for _ in range(40)]
+            assert ours.getstate() == theirs.getstate()
+
+    def test_streams_match_the_pinned_hash(self):
+        draws = []
+        for seed in range(50):
+            for n in range(1, 9):
+                above = random.Random(f"{seed}:right")
+                distinct = random.Random(f"{seed}:global")
+                nums, den = tuple(range(n, 0, -1)), 1 + seed % 5
+                draws.append([_sample_above(nums, den, above) for _ in range(20)])
+                draws.append([_random_distinct_vec(n, distinct) for _ in range(20)])
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+        assert digest == SAMPLER_STREAMS_SHA256
+
+    def test_samplers_call_no_random_method(self, monkeypatch):
+        rng = random.Random(211)
+        cells = []
+        for n, alpha in ((4, [Fraction(7, 2), 2, Fraction(1, 3), -1]),
+                         (5, [5, Fraction(9, 2), 1, 0, Fraction(-5, 3)])):
+            for planted in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
+                cells.append((planted, AnchorPoint(Vec(alpha))))
+        before = [verify_statements(a, anchor, trials=50, seed=i)
+                  for i, (a, anchor) in enumerate(cells)]
+        assert all(check.all_hold for check in before)
+        for name in ("randint", "randrange", "sample", "shuffle", "choice"):
+            monkeypatch.setattr(random.Random, name, _raise_on_call)
+        after = [verify_statements(a, anchor, trials=50, seed=i)
+                 for i, (a, anchor) in enumerate(cells)]
+        assert after == before
+        tied = AnchorPoint(Vec([2, 1, 1, 0]))
+        a = cells[0][0]
+        assert is_right_isotone_at(a, tied, trials=50, seed=1).holds
+        assert is_isotone_at(a, tied, trials=50, seed=1).holds
+        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
+
+    def test_more_entries_than_the_range_is_a_value_error(self):
+        # As random.sample(range(-24, 25), 50) is, at a guard that lets
+        # n = 50 through; unequal column sums build no subset table.
+        a = Mat([[int(i == j == 0) for j in range(50)] for i in range(50)])
+        with pytest.raises(ValueError, match="Sample larger than population"):
+            is_global_isotone_sampled(a, trials=1, guard=50)
 
 
 class TestCampaign:
