@@ -7,11 +7,14 @@ subcommands: 0 when the queried predicate holds, 1 when it fails (the
 report then embeds a witness that the library predicates re-verify), 2
 for usage, parse, guard, or precondition errors, including an error
 while running a command or while building or printing its report.
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -355,10 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on ``main``'s first call;
+    parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.monotonic()

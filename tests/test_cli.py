@@ -122,10 +122,11 @@ class TestCheck:
     @pytest.mark.parametrize("text", [
         "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
         "[" * 100_000, '["1e4300", 1]', '["3e-4300", 1]', '["123e4298", 1]',
-        "[" + "1" * 5000 + ", 1]",
+        "[" + "1" * 5000 + ", 1]", '["1/0", 1]', '["' + "1" * 4301 + '/1", 1]',
     ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting",
             "unprintable-numerator", "unprintable-denominator",
-            "unprintable-mantissa", "huge-integer-literal"])
+            "unprintable-mantissa", "huge-integer-literal", "zero-denominator",
+            "huge-ratio-numerator"])
     def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -354,6 +355,44 @@ class TestContract:
         assert normalized(first) == normalized(second)
         assert json.dumps(normalized(first), sort_keys=True) == \
             json.dumps(normalized(second), sort_keys=True)
+
+    def test_calls_in_one_process_share_no_state(self, sandbox, monkeypatch):
+        # main reuses one parser: each report must equal the report of the
+        # same call on a freshly built parser, whatever ran before it.
+        sequence = [
+            ["check", "x_mean3.json", "y_desc3.json"],
+            ["isotone", "mat_sym31.json", "--at", "alpha_21.json",
+             "--predicate", "all", "--trials", "7"],
+            ["check", "x_mean3.json", "y_desc3.json", "--no-such-flag"],
+            ["verify", "--n", "3", "--matrices", "4"],
+            ["check", "x_mean3.json", "y_desc3.json"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(sandbox(*argv))
+
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        shared = [sandbox(*argv) for argv in sequence]
+        cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert [code for code, _ in shared] == [code for code, _ in fresh] \
+            == [0, 0, 2, 0, 0]
+        for (_, got), (_, want) in zip(shared, fresh):
+            assert (got and normalized(got)) == (want and normalized(want))
+        assert_matches_golden(shared[0][1], "check_holds.json")
+        assert_matches_golden(shared[4][1], "check_holds.json")
+        assert shared[1][1]["trials"] == 7
+        assert shared[2][1] is None
+        assert shared[3][1]["trials"] == isotone.DEFAULT_TRIALS == 50
 
     @pytest.mark.parametrize("argv", [
         ["no-such-command"],

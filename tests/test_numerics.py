@@ -17,7 +17,7 @@ from majorkit import (
     as_rational,
     enumerate_perms,
 )
-from majorkit.numerics import _clear_denominators
+from majorkit.numerics import _PLAIN_RATIO, _clear_denominators
 from helpers import mat_mul, naive_mat_vec, rand_perm, rand_vec, transpose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -28,6 +28,32 @@ frame_entries = st.one_of(
     rationals,
     st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(_PRIMES)),
 )
+
+
+# Signed, zero-padded digit strings "p/q", zero denominators and parts
+# either side of CPython's 4300-digit int-string limit included.
+_digits = st.one_of(
+    st.builds(lambda pad, n: "0" * pad + str(n),
+              st.integers(0, 3), st.integers(0, 10**40)),
+    st.integers(4298, 4302).map(lambda k: "7" * k),
+)
+plain_ratios = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
+                         st.sampled_from(["", "+", "-"]), _digits, _digits)
+
+
+def _assert_reads_as_fraction(text):
+    """``as_rational(text)`` gives ``Fraction(text)``'s value, or raises
+    its exception type with its message."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            as_rational(text)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+    else:
+        got = as_rational(text)
+        assert type(got) is Fraction and got == expected
 
 
 class TestRationalScalar:
@@ -57,6 +83,32 @@ class TestRationalScalar:
         # The cap is on the exponent's magnitude, not on its spelling.
         assert as_rational("1e4300") == 10 ** 4300
         assert as_rational("3e-0004300") == Fraction(3, 10 ** 4300)
+
+    @given(text=plain_ratios)
+    @example(text="1/0")
+    @example(text="-0/0")
+    @example(text="-5/0")
+    @example(text="+007/0010")
+    @example(text="1" * 4301 + "/1")
+    @example(text="1/" + "0" * 4301)
+    @example(text="-" + "9" * 4300 + "/" + "3" * 4300)
+    def test_plain_ratios_read_as_fraction_does(self, text):
+        assert _PLAIN_RATIO.fullmatch(text)  # the direct path
+        _assert_reads_as_fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        " 1/2", "1_0/3", "\u0661/\u0662", "1/2 ", "3/4\n", "1.5", "2e3",
+        "+3/-4", "1/ 2", "/2", "1/", "7", "-0",
+    ])
+    def test_near_misses_take_the_fraction_grammar(self, text):
+        assert not _PLAIN_RATIO.fullmatch(text)
+        _assert_reads_as_fraction(text)
+
+    @given(n=st.integers())
+    @example(n=10**4300 + 1)
+    def test_ints_read_as_fraction_does(self, n):
+        assert as_rational(n) == Fraction(n)
+        assert type(as_rational(n)) is Fraction
 
     @given(a=rationals, b=rationals)
     def test_add_then_subtract_is_identity(self, a, b):
