@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .majorization import Violation, _profile_violation, _unscaled, sort_desc
+from .majorization import Violation, _profile_violation, _unscaled
 from .numerics import (
     DimensionMismatch,
     Mat,
@@ -112,8 +112,8 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
 
-    The precheck and the chain run on integers: both sorted vectors are
-    scaled by the least common multiple of their denominators, so the
+    The precheck and the chain run on integers: ``x`` and ``y`` are scaled
+    by one common denominator and sorted as ints, keeping every tie, so the
     prefix sums, the entries, the mass moved and the gaps are ints, only
     a violation's sums become ``Fraction``s, and each step's ``t`` is one
     ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
@@ -125,14 +125,14 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
-    sx = sort_desc(x)
-    sy = sort_desc(y)
-    scale, (xs, vs) = _clear_denominators((sx.descending, sy.descending))
+    n = len(x)
+    scale, (xn, yn) = _clear_denominators((x, y))
+    order_x, order_y = (sorted(range(n), key=v.__getitem__, reverse=True)
+                        for v in (xn, yn))
+    xs, vs = [xn[i] for i in order_x], [yn[i] for i in order_y]
     violation = _profile_violation(tuple(accumulate(xs)), tuple(accumulate(vs)))
     if violation is not None:
         raise NotMajorized(_unscaled(violation, scale))
-
-    n = len(x)
 
     transforms: list[TTransform] = []
     # chain row r is nums[r] / dens[r]
@@ -162,12 +162,12 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
         vs[k] += delta
 
     # D = unsort.matrix() @ chain @ presort.matrix(): row i of D is the
-    # chain's row unsort^-1(i) = sx.sort_perm(i), read at columns presort(c).
-    presort = sy.sort_perm
-    unsort = sx.sort_perm.inverse()
+    # chain's row unsort^-1(i), read at columns presort(c).
+    unsort = Perm(order_x)
+    presort = Perm(order_y).inverse()
     zero = Fraction(0)
     d = Mat([Fraction(nums[r][c], dens[r]) if nums[r][c] else zero
-             for c in presort.image] for r in sx.sort_perm.image)
+             for c in presort.image] for r in unsort.inverse().image)
     return MajorizationWitness(DoublyStochastic(d), tuple(transforms),
                                presort, unsort)
 

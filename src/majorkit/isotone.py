@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _orbit, _profile_violation, desc_prefix_sums
@@ -173,7 +173,7 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
                 ) -> tuple[_Scan, dict[str, IsotoneVerdict] | None]:
     """The anchor as ``(numerators, denominator, profile of A alpha)`` and,
     unless every orbit image is equivalent to ``A alpha``, the failing
-    orbit-half verdicts in :class:`StatementCheck` order.
+    orbit-half verdicts keyed by their :class:`StatementCheck` field.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
     found in one forward pass: ``moved``, the first image with another
@@ -360,29 +360,29 @@ _Table = list[dict[tuple[int, ...], None]]
 def _subset_table(rows: list[list[int]]) -> _Table | None:
     """Entry ``k - 1`` holds the distinct decreasing sorts of the sums
     ``c_S`` of ``k`` rows of ``rows``, for ``k = 1..n-1``; ``None`` when
-    the column sums differ, as traces can then move."""
+    the column sums differ, as traces can then move.  One running sum walks
+    the subsets in Gray-code order (Knuth, *TAOCP* 4A, §7.2.1.1)."""
     n = len(rows)
     if len(set(map(sum, zip(*rows)))) > 1:
         return None
-    sums = [(0,) * n]  # sums[s]: the rows in bitmask s, from s minus its lowest bit
-    table: _Table = [{} for _ in range(n - 1)]
-    for s in range(1, (1 << n) - 1):
-        low = s & -s
-        sums.append(tuple(map(add, sums[s ^ low], rows[low.bit_length() - 1])))
-        table[s.bit_count() - 1][tuple(sorted(sums[s], reverse=True))] = None
-    return table
+    table: _Table = [{} for _ in range(n)]
+    inside, total = 0, [0] * n  # the subset S as a bitmask, and c_S
+    for i in range(1, 1 << n):  # step i toggles the row of i's lowest bit
+        inside ^= (low := i & -i)
+        total = list(map(add if inside & low else sub, total, rows[low.bit_length() - 1]))
+        table[inside.bit_count() - 1][tuple(sorted(total, reverse=True))] = None
+    return table[:-1]  # all n rows is no proper subset
 
 
 def _all_below(table: _Table, v: Sequence[int], base: tuple[int, ...]) -> bool:
     """Whether every rearrangement ``P v`` has an image majorized by ``A v``,
     whose profile is ``base``; ``table`` is :func:`_subset_table` of A's rows.
 
-    The largest sum of ``k`` entries of ``A P v`` is the largest
-    ``c_S . P v`` over ``k``-row subsets ``S``, and by the rearrangement
-    inequality its maximum over ``P`` is ``sorted(c_S) . sorted(v)``.  Equal
-    column sums fix the trace, so comparing those maxima with ``base`` for
-    ``k = 1..n-1`` decides.
-    """
+    The largest sum of ``k`` entries of ``A P v`` is the largest ``c_S . P v``
+    over ``k``-row subsets ``S``; by the rearrangement inequality its maximum
+    over ``P`` is ``sorted(c_S) . sorted(v)``, so only each size's set of
+    sorts is read.  Equal column sums fix the trace, so comparing those
+    maxima with ``base`` for ``k = 1..n-1`` decides."""
     vd = sorted(v, reverse=True)
     return all(sum(map(mul, c, vd)) <= top
                for sorts, top in zip(table, base) for c in sorts)
@@ -397,7 +397,7 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     the rearrangements of ``y`` against ``y`` itself, since the vectors
     below ``y`` form the convex hull of those rearrangements.  When A's
     column sums are equal, the ``2^n - 2`` proper row-subset sums of A,
-    tabled once per call, decide that exactly by the rearrangement
+    walked once per call, decide that exactly by the rearrangement
     inequality (Marshall, Olkin & Arnold, *Inequalities: Theory of
     Majorization and Its Applications*, 2nd ed., 2011, ch. 1 and 6), and
     a trial they clear reads no perm.  Every other trial runs the orbit
@@ -562,7 +562,8 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     scan, failed = _orbit_scan(rows, anchor, trials, guard)
     form = classify_global(a)
     if failed:
-        left, right, point, equiv, global_sampled = failed.values()
+        left, right, point, equiv, global_sampled = (
+            failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
         right = _upward_verdict(rows, scan, trials, seed, "right")

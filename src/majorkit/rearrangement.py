@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul, ne
 
-from .majorization import sort_desc
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
@@ -49,7 +48,7 @@ def permuted_dot(x: Vec, p: Perm, y: Vec) -> Rational:
     """Exact ``x^T P y_desc``: entry ``x[p(j)]`` pairs with the j-th largest of ``y``."""
     if len(x) != len(y) or len(p) != len(x):
         raise DimensionMismatch("permuted dot needs matching lengths")
-    yd = sort_desc(y).descending
+    yd = sorted(y, reverse=True)
     return sum((x[p(j)] * yd[j] for j in range(len(x))), Fraction(0))
 
 

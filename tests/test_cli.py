@@ -118,15 +118,36 @@ class TestCheck:
         assert len(report["warnings"]) == 4  # two floats in each of x and y
         assert "3602879701896397/36028797018963968" in report["warnings"][0]
 
+    def test_text_mode_prints_warnings_to_stderr(self, sandbox, capsys):
+        assert main(["check", "vec_float.json", "vec_float.json", "--text"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "check: verdict = True"
+        assert "warning" not in out
+        lines = err.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("warning: vec_float.json[0]: float 0.1 ")
+
+    @pytest.mark.parametrize("text", ["[[1], []]", "[[1, 2], [3]]"],
+                             ids=["empty-row", "ragged-rows"])
+    def test_malformed_matrix_names_the_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["isotone", str(bad), "--global"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(bad) in err
+
 
     @pytest.mark.parametrize("text", [
         "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
         "[" * 100_000, '["1e4300", 1]', '["3e-4300", 1]', '["123e4298", 1]',
         "[" + "1" * 5000 + ", 1]", '["1/0", 1]', '["' + "1" * 4301 + '/1", 1]',
+        "[]",
     ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting",
             "unprintable-numerator", "unprintable-denominator",
             "unprintable-mantissa", "huge-integer-literal", "zero-denominator",
-            "huge-ratio-numerator"])
+            "huge-ratio-numerator", "empty-vector"])
     def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -277,6 +298,17 @@ class TestIsotone:
         code, _ = sandbox("isotone", "mat_sym31.json",
                           "--at", "alpha_tie.json", "--predicate", "all")
         assert code == 2
+
+    def test_all_reports_the_left_witness(self, sandbox):
+        code, report = sandbox("isotone", "mat_diag12.json",
+                               "--at", "alpha_21.json", "--predicate", "all",
+                               "--trials", "5")
+        assert code == 1
+        witness = report["witness"]
+        assert witness["statement"] == "left"
+        source, target = Perm(witness["source_perm"]), Perm(witness["target_perm"])
+        a, alpha = Mat([[1, 0], [0, 2]]), Vec([2, 1])
+        assert not majorizes(a @ source.apply(alpha), a @ target.apply(alpha))
 
     def test_all_statements_pass_on_planted_form(self, sandbox):
         code, report = sandbox("isotone", "mat_sym31.json",

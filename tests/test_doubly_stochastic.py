@@ -184,6 +184,10 @@ class TestWitness:
         assert w.matrix.matrix @ y == x
         assert check_ds(w.matrix.matrix)
 
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(DimensionMismatch, match="equal length"):
+            witness_ds(Vec([1, 2]), Vec([3, 2, 1]))
+
     def test_not_majorized_raises_with_prefix_index(self):
         with pytest.raises(NotMajorized) as info:
             witness_ds(Vec([3, 0, 0]), Vec([2, 1, 0]))
@@ -287,6 +291,15 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             BirkhoffDecomposition(((Fraction(0), Perm([0, 1])),
                                    (Fraction(1), Perm([1, 0]))))
+
+    def test_empty_and_overlong_term_lists_raise(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            BirkhoffDecomposition(())
+        # n = 2 allows (n-1)^2 + 1 = 2 terms.
+        third, identity, swap = Fraction(1, 3), Perm([0, 1]), Perm([1, 0])
+        with pytest.raises(ValueError, match="too many terms"):
+            BirkhoffDecomposition(((third, identity), (third, swap),
+                                   (third, identity)))
 
     @pytest.mark.parametrize("weights, error", [
         ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), None),
@@ -424,6 +437,42 @@ class TestPerfectMatching:
         assert not _augment([[0, 1], []], match_col, 1)
 
 
+class TestNoFractionOrder:
+    """``majorizes``, ``witness_ds`` and ``birkhoff`` decide every order on
+    ints over one LCM, so they run unchanged with Fraction's order gone."""
+
+    @staticmethod
+    def _run(x, y):
+        holds = majorizes(x, y)
+        try:
+            w = witness_ds(x, y)
+        except NotMajorized as exc:
+            return holds, exc.violation
+        return holds, w, birkhoff(w.matrix)
+
+    def test_results_equal_with_fraction_comparisons_raising(self, monkeypatch):
+        rng = random.Random(101)
+        pairs = [(Vec([1, 1, 2, 2]), Vec([2, 2, 1, 1])),
+                 (Vec(["3/2", "3/2", 1, 1]), Vec([2, 1, 2, 0])),
+                 (Vec([0, "1/2", "1/2", 0, 1]), Vec([1, 0, 1, 0, 0]))]
+        for n in (1, 2, 5, 20):
+            for _ in range(3):
+                x, y = majorizing_pair(rng, n)
+                pairs += [(x, y), (y, x)]
+        pairs += [(y, x) for x, y in pairs[:3]]
+        expected = [self._run(x, y) for x, y in pairs]
+        assert {len(r) for r in expected} == {2, 3}  # witnesses and violations
+
+        def unordered(self, other):
+            raise AssertionError("two Fractions compared by order")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, unordered)
+        got = [self._run(x, y) for x, y in pairs]
+        monkeypatch.undo()
+        assert got == expected
+
+
 class TestRandomDs:
     def test_single_step_is_a_permutation_matrix(self):
         d = random_ds(5, seed=3, steps=1)
@@ -432,6 +481,10 @@ class TestRandomDs:
     def test_always_doubly_stochastic(self):
         for seed in range(20):
             assert check_ds(random_ds(4, seed=seed, steps=5).matrix)
+
+    def test_empty_size_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            random_ds(0, 1)
 
     def test_deterministic_per_seed(self):
         assert random_ds(4, seed=11, steps=6).matrix == \

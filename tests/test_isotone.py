@@ -13,6 +13,7 @@ from majorkit import (
     AnchorPoint,
     DimensionMismatch,
     GuardExceeded,
+    IsotoneVerdict,
     Mat,
     Perm,
     PermScaled,
@@ -66,6 +67,7 @@ from helpers import (
     oracle_random_distinct_vec,
     oracle_right,
     oracle_sample_above,
+    oracle_subset_table,
     oracle_verify,
     rand_strictly_decreasing,
     rand_vec,
@@ -402,6 +404,43 @@ class TestSubsetGate:
         # Planted forms are globally isotone: every image stays below A v.
         assert outcomes == ({True, False} if kind == "balanced" else {True})
 
+    def test_gray_walk_tables_what_the_partial_sums_tabled(self):
+        # The same distinct sorts per subset size, whatever the walk order;
+        # unequal column sums give no table in both.
+        rng = random.Random("gate:gray")
+        for n in range(1, 9):
+            for make in (random_perm_scaled, random_trace_map):
+                rows = _int_rows(make(n, rng))
+                levels = _subset_table(rows)
+                assert levels is not None
+                assert list(map(set, levels)) == \
+                    list(map(set, oracle_subset_table(rows)))
+            balanced = _balanced([[rng.randint(-4, 4) for _ in range(n)]
+                                  for _ in range(n - 1)], rng.randint(-5, 5))
+            assert list(map(set, _subset_table(balanced))) == \
+                list(map(set, oracle_subset_table(balanced)))
+            if n > 1:
+                uneven = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                first, second = map(sum, list(zip(*uneven))[:2])
+                uneven[0][0] += second - first + 1  # column 0 sums one more
+                assert _subset_table(uneven) is oracle_subset_table(uneven) is None
+
+    def test_planted_cycle_keeps_no_per_subset_sums(self):
+        # A planted n-cycle form has few distinct sorts per size, so the
+        # walk's peak stays flat while the 2^14 - 2 subsets are summed;
+        # keeping every partial sum peaked at 7.7 MiB here.
+        n = 14
+        a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                       Perm([*range(1, n), 0])).as_matrix()
+        tracemalloc.start()
+        try:
+            verdict = is_global_isotone_sampled(a, trials=1, guard=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("rows, v, below", [
         ([[5]], (3,), True),
         ([[1, 0], [0, 1]], (2, 1), True),
@@ -429,6 +468,24 @@ class TestAnchorLength:
             predicate(SYM31, self.ANCHOR3)
         with pytest.raises(DimensionMismatch):
             predicate(Mat.identity(3), ANCHOR21)
+
+    @pytest.mark.parametrize("call", [
+        lambda a: is_equiv_preserving_at(a, ANCHOR21),
+        lambda a: is_left_isotone_at(a, ANCHOR21),
+        lambda a: is_right_isotone_at(a, ANCHOR21),
+        lambda a: is_isotone_at(a, ANCHOR21),
+        lambda a: verify_statements(a, ANCHOR21),
+        is_global_isotone_sampled,
+        classify_global,
+    ], ids=["equiv", "left", "right", "point", "verify", "global_sampled",
+            "classify_global"])
+    def test_non_square_matrix_raises(self, call):
+        with pytest.raises(DimensionMismatch, match="square matrices"):
+            call(Mat([[1, 0, 2], [0, 1, 2]]))
+
+    def test_failing_verdict_is_falsy(self):
+        assert bool(IsotoneVerdict(False)) is False
+        assert bool(IsotoneVerdict(True)) is True
 
 
 _orbit_values = st.integers(1, 6).flatmap(lambda n: st.one_of(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from majorkit import (
     DEFAULT_GUARD,
+    DimensionMismatch,
     GuardExceeded,
     Perm,
     Vec,
@@ -117,6 +118,16 @@ class TestPermutedDot:
             hi, lo = extremes(x, y)
             for p in enumerate_perms(n):
                 assert lo <= permuted_dot(x, p, y) <= hi
+
+
+@pytest.mark.parametrize("call", [
+    extremes,
+    lambda x, y: permuted_dot(x, Perm.identity(len(x)), y),
+    extremizer_sets,
+], ids=["extremes", "permuted_dot", "extremizer_sets"])
+def test_unequal_lengths_raise(call):
+    with pytest.raises(DimensionMismatch):
+        call(Vec([1, 2]), Vec([3, 2, 1]))
 
 
 class TestExtremizerSets:

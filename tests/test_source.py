@@ -70,3 +70,13 @@ def test_only_main_times_and_builds_the_cli_report():
                         for k in node.keys)):
                 offenders.append(f"{func.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_calls_sort_desc():
+    # sort_desc is a public view only: the package sorts its own integer
+    # frames, so the witness path compares no two Fractions.
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "sort_desc"]
+    assert calls == []
