@@ -9,6 +9,16 @@ for usage, parse, guard, or precondition errors, including an error
 while running a command or while building or printing its report.
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the same process.
+
+Every input scalar is read by ``_scalar`` into a coprime integer pair
+``(p, q)``.  A JSON int and a plain "p/q" string print because each of
+their parts did; every other form is printed once on load, so an input
+that could not be reported fails before the work.  ``check`` runs on
+those pairs from end to end: it scales both vectors by the least common
+multiple ``L`` of their denominators, decides on the integer profiles,
+and prints each reported sum ``v`` as ``str(Fraction(v, L))`` without
+building a ``Fraction``.  The other commands build their ``Vec`` and
+``Mat`` from the pairs.
 """
 
 from __future__ import annotations
@@ -21,19 +31,21 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import starmap
+from math import gcd, lcm
 from pathlib import Path
 from typing import Any
 
 from . import isotone
 from .doubly_stochastic import NotMajorized, witness_ds
-from .majorization import _int_profiles, _profile_violation, _unscaled
+from .majorization import _profile_violation, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     GuardExceeded,
     Mat,
     Perm,
-    Rational,
     Vec,
+    _plain_ratio,
     as_rational,
 )
 from .rearrangement import extremizer_bound, extremizer_sets
@@ -46,18 +58,39 @@ class CliError(Exception):
     """Operational failure that should exit with code 2."""
 
 
-def _scalar(value: Any, warnings: list[str], where: str) -> Rational:
+def _scalar(value: Any, warnings: list[str], path: str,
+            *index: int) -> tuple[int, int]:
+    """A JSON scalar as a coprime ``(p, q)`` with ``q > 0``.
+
+    A JSON int is ``(value, 1)``, and a plain "p/q" string is its two
+    ints reduced by one ``gcd``.  Every other form goes through
+    :func:`as_rational` and is printed once, so that an unprintable
+    input fails here, not after the work.  ``path`` and ``index`` name
+    the entry only in an error or a float warning.
+    """
+    if type(value) is int:
+        return value, 1
     try:
+        if type(value) is str and (ratio := _plain_ratio(value)):
+            p, q = ratio
+            if not q:
+                Fraction(p, q)  # raises CPython's own ZeroDivisionError
+            g = gcd(p, q)
+            return p // g, q // g
         exact = as_rational(value)
-        str(exact)  # reports print every input; fail here, not after the work
+        str(exact)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{where}: {exc}")
+        raise CliError(f"{_label(path, index)}: {exc}")
     if isinstance(value, float):
         warnings.append(
-            f"{where}: float {value!r} converted to the exact binary64 "
-            f"rational {exact}"
+            f"{_label(path, index)}: float {value!r} converted to the exact "
+            f"binary64 rational {exact}"
         )
-    return exact
+    return exact.numerator, exact.denominator
+
+
+def _label(path: str, index: tuple[int, ...]) -> str:
+    return path + "".join(f"[{i}]" for i in index)
 
 
 def _load_json(path: str) -> tuple[Any, dict[str, str]]:
@@ -81,12 +114,18 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
         raise CliError(f"{path} is nested too deeply to parse")
 
 
-def load_vector(path: str, warnings: list[str]) -> tuple[Vec, dict[str, str]]:
+def load_vector(path: str, warnings: list[str]
+                ) -> tuple[list[tuple[int, int]], dict[str, str]]:
+    """A vector file's entries as ``_scalar`` pairs, and its digest."""
     doc, digest = _load_json(path)
     if not isinstance(doc, list) or not doc:
         raise CliError(f"{path}: a vector file is a non-empty JSON array")
-    entries = [_scalar(v, warnings, f"{path}[{i}]") for i, v in enumerate(doc)]
-    return Vec(entries), digest
+    return [_scalar(v, warnings, path, i) for i, v in enumerate(doc)], digest
+
+
+def _load_vec(path: str, warnings: list[str]) -> tuple[Vec, dict[str, str]]:
+    pairs, digest = load_vector(path, warnings)
+    return Vec(starmap(Fraction, pairs)), digest
 
 
 def load_matrix(path: str, warnings: list[str]) -> tuple[Mat, dict[str, str]]:
@@ -94,16 +133,24 @@ def load_matrix(path: str, warnings: list[str]) -> tuple[Mat, dict[str, str]]:
     if (not isinstance(doc, list) or not doc
             or not all(isinstance(r, list) and r for r in doc)):
         raise CliError(f"{path}: a matrix file is a non-empty JSON array of rows")
-    rows = [
-        [_scalar(v, warnings, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(doc)
-    ]
+    rows = [[_scalar(v, warnings, path, i, j) for j, v in enumerate(row)]
+            for i, row in enumerate(doc)]
     if any(len(r) != len(rows[0]) for r in rows):
         raise CliError(f"{path}: matrix rows have unequal lengths")
-    return Mat(rows), digest
+    return Mat(starmap(Fraction, row) for row in rows), digest
+
+
+def _ratio_str(v: int, scale: int) -> str:
+    """``str(Fraction(v, scale))`` for ``scale > 0``, building no Fraction."""
+    g = gcd(v, scale)
+    if g == scale:
+        return str(v // g)
+    return f"{v // g}/{scale // g}"
 
 
 def _ser(value: Any) -> Any:
+    if isinstance(value, str):  # most leaves: skip the ABC check below
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Vec):
@@ -144,17 +191,21 @@ _Result = tuple[Any, bool, Any, Any]  # (inputs, verdict, witness, counts)
 def cmd_check(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
-    scale, px, py = _int_profiles(x, y)
-    violation = _unscaled(_profile_violation(px, py), scale)
-    witness = None if violation is None else asdict(violation)
-    counts = {"x_sorted_prefix_sums": [Fraction(v, scale) for v in px],
-              "y_sorted_prefix_sums": [Fraction(v, scale) for v in py]}
+    scale = lcm(*[q for _, q in x], *[q for _, q in y])
+    px, py = (desc_prefix_sums([p * (scale // q) for p, q in v]) for v in (x, y))
+    violation = _profile_violation(px, py)
+    witness = None if violation is None else {
+        "kind": violation.kind, "index": violation.index,
+        "lhs": _ratio_str(violation.lhs, scale),
+        "rhs": _ratio_str(violation.rhs, scale)}
+    counts = {"x_sorted_prefix_sums": [_ratio_str(v, scale) for v in px],
+              "y_sorted_prefix_sums": [_ratio_str(v, scale) for v in py]}
     return {"x": x_in, "y": y_in}, violation is None, witness, counts
 
 
 def cmd_witness(args: argparse.Namespace, warnings: list[str]) -> _Result:
-    x, x_in = load_vector(args.x, warnings)
-    y, y_in = load_vector(args.y, warnings)
+    x, x_in = _load_vec(args.x, warnings)
+    y, y_in = _load_vec(args.y, warnings)
     inputs = {"x": x_in, "y": y_in}
     try:
         witness = witness_ds(x, y)
@@ -166,8 +217,8 @@ def cmd_witness(args: argparse.Namespace, warnings: list[str]) -> _Result:
 
 
 def cmd_extremizers(args: argparse.Namespace, warnings: list[str]) -> _Result:
-    x, x_in = load_vector(args.x, warnings)
-    y, y_in = load_vector(args.y, warnings)
+    x, x_in = _load_vec(args.x, warnings)
+    y, y_in = _load_vec(args.y, warnings)
     rep = extremizer_sets(x, y, guard=args.guard_n)
     k = rep.distinct_count
     counts = {
@@ -211,7 +262,7 @@ def cmd_isotone(args: argparse.Namespace, warnings: list[str]) -> _Result:
         form = isotone.classify_global(a)
         return inputs, form is not None, None, {"classification": _form_json(form)}
 
-    alpha, inputs["alpha"] = load_vector(args.at, warnings)
+    alpha, inputs["alpha"] = _load_vec(args.at, warnings)
     anchor = isotone.AnchorPoint(alpha)
     if args.predicate == "all":
         if not anchor.strictly_decreasing:
@@ -245,7 +296,7 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     if args.trials > _MAX_TRIALS:
         raise CliError(f"--trials {args.trials} exceeds {_MAX_TRIALS}")
     if args.alpha is not None:
-        alpha, digest = load_vector(args.alpha, warnings)
+        alpha, digest = _load_vec(args.alpha, warnings)
         inputs: dict[str, Any] = {"alpha": digest, "n": len(alpha)}
     elif args.n > args.guard_n:  # fail before building the anchor
         raise GuardExceeded(args.n, args.guard_n)

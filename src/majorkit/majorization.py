@@ -6,9 +6,10 @@ sum for ``y`` and the totals agree.  Because the boundary cases are
 equalities of sums, all decisions are exact.  They run on integers: ``x``
 and ``y`` are scaled together by the least common multiple ``L`` of
 their denominators, which keeps every order and every tie, so the
-profiles are sorted and summed as Python ints.  Only reported sums
-become ``Fraction``s again, as ``Fraction(v, L)``: a violation's two
-sums, and the two profiles that ``majorkit check`` prints.
+profiles are sorted and summed as Python ints.  Only a violation's two
+sums become ``Fraction``s again, as ``Fraction(v, L)``.  ``majorkit
+check`` decides with the same integer profiles and prints every sum it
+reports from ``v`` and ``L``, building no ``Fraction``.
 """
 
 from __future__ import annotations

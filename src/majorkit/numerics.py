@@ -33,7 +33,7 @@ DEFAULT_GUARD = 8
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 # A signed ratio of ASCII digit strings: the one string form that
-# ``as_rational`` parses itself, as ``Fraction(int(p), int(q))``.
+# ``as_rational`` and the CLI parse themselves, through ``_plain_ratio``.
 _PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
@@ -70,8 +70,8 @@ def as_rational(value: RationalLike) -> Rational:
         return value
     if kind is int:
         return Fraction(value)
-    if kind is str and (ratio := _PLAIN_RATIO.fullmatch(value)):
-        return Fraction(int(ratio[1]), int(ratio[2]))
+    if kind is str and (ratio := _plain_ratio(value)):
+        return Fraction(*ratio)
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational scalar")
     if isinstance(value, Fraction):
@@ -86,6 +86,14 @@ def as_rational(value: RationalLike) -> Rational:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
+
+
+def _plain_ratio(text: str) -> tuple[int, int] | None:
+    """``(int(p), int(q))``, unreduced, when ``text`` is a signed ratio of
+    ASCII digit strings "p/q", else None.  A part over CPython's
+    int-string digit limit raises its ``ValueError``; ``q`` may be 0."""
+    ratio = _PLAIN_RATIO.fullmatch(text)
+    return None if ratio is None else (int(ratio[1]), int(ratio[2]))
 
 
 def _clear_denominators(rows) -> tuple[int, list[list[int]]]:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from operator import add
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from majorkit import (
     DEFAULT_GUARD,
@@ -23,9 +28,21 @@ from majorkit import (
     Vec,
     distinct_count,
     enumerate_perms,
+    first_violation,
     random_ds,
     sort_desc,
 )
+
+
+# Signed, zero-padded digit strings "p/q", zero denominators and parts
+# either side of CPython's 4300-digit int-string limit included.
+_digits = st.one_of(
+    st.builds(lambda pad, n: "0" * pad + str(n),
+              st.integers(0, 3), st.integers(0, 10**40)),
+    st.integers(4298, 4302).map(lambda k: "7" * k),
+)
+plain_ratios = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
+                         st.sampled_from(["", "+", "-"]), _digits, _digits)
 
 
 def rand_fraction(rng: random.Random, lo: int = -10, hi: int = 10,
@@ -147,6 +164,37 @@ def oracle_prefix_sums(x) -> tuple[Rational, ...]:
         acc += v
         out.append(acc)
     return tuple(out)
+
+
+def oracle_check_report(x_path: str, y_path: str, elapsed_ms: int
+                        ) -> tuple[int, str]:
+    """The exit code and JSON report of ``majorkit check x_path y_path``,
+    built from Fractions: every entry read by ``Fraction``, the verdict
+    and witness from ``first_violation`` on ``Vec``s, and the profiles
+    printed from :func:`oracle_prefix_sums`."""
+    inputs, vecs, warnings = {}, [], []
+    for tag, path in (("x", x_path), ("y", y_path)):
+        data = Path(path).read_bytes()
+        inputs[tag] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        doc = json.loads(data)
+        vecs.append(Vec(Fraction(v) for v in doc))
+        warnings += [f"{path}[{i}]: float {v!r} converted to the exact binary64 "
+                     f"rational {Fraction(v)}"
+                     for i, v in enumerate(doc) if isinstance(v, float)]
+    violation = first_violation(*vecs)
+    witness = None if violation is None else {
+        "kind": violation.kind, "index": violation.index,
+        "lhs": str(violation.lhs), "rhs": str(violation.rhs)}
+    report = {
+        "command": "check", "inputs": inputs, "seed": 0, "trials": 50,
+        "verdict": violation is None, "witness": witness,
+        "counts": {f"{tag}_sorted_prefix_sums":
+                   [str(v) for v in oracle_prefix_sums(vec)]
+                   for tag, vec in zip("xy", vecs)},
+        "warnings": warnings, "elapsed_ms": elapsed_ms,
+    }
+    code = 0 if violation is None else 1
+    return code, json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _maj(pa, pb) -> bool:

@@ -1,8 +1,11 @@
 """CLI contract: report grammar, golden files, exit codes, witnesses."""
 
+import contextlib
+import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -10,14 +13,127 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from majorkit import Mat, Perm, Vec, equivalent, first_violation, majorizes
 from majorkit import cli, isotone
 from majorkit.cli import main
-from helpers import oracle_first_violation, oracle_prefix_sums, rand_perm, rand_vec
+from helpers import (
+    oracle_check_report,
+    oracle_first_violation,
+    oracle_prefix_sums,
+    plain_ratios,
+    rand_perm,
+    rand_vec,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+
+_DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion"
+                "; use sys.set_int_max_str_digits() to increase the limit")
+# Hostile vector files: id -> (text, the error line's message, with
+# "{bad}" for the file's path).  The messages were taken from the CLI
+# before its scalars were read as integer pairs; the zero denominator's
+# is CPython's own ``Fraction(1, 0)``.
+HOSTILE = {
+    "infinity": ("[Infinity, 1]",
+                 "{bad}[0]: non-finite float inf is not a rational scalar"),
+    "nan": ("[NaN, 1]", "{bad}[0]: non-finite float nan is not a rational scalar"),
+    "huge-exponent": ('["1e5000", 1]', "{bad}[0]: decimal exponent exceeds 4300"),
+    "tiny-exponent": ('["1e-5000", 1]', "{bad}[0]: decimal exponent exceeds 4300"),
+    "deep-nesting": ("[" * 100_000, "{bad} is nested too deeply to parse"),
+    "unprintable-numerator": ('["1e4300", 1]', "{bad}[0]: " + _DIGIT_LIMIT),
+    "unprintable-denominator": ('["3e-4300", 1]', "{bad}[0]: " + _DIGIT_LIMIT),
+    "unprintable-mantissa": ('["123e4298", 1]', "{bad}[0]: " + _DIGIT_LIMIT),
+    "huge-integer-literal": (
+        "[" + "1" * 5000 + ", 1]",
+        "{bad}: Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+        "the limit"),
+    "zero-denominator": ('["1/0", 1]', "{bad}[0]: Fraction(1, 0)"),
+    "huge-ratio-numerator": (
+        '["' + "1" * 4301 + '/1", 1]',
+        "{bad}[0]: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 4301 digits; use sys.set_int_max_str_digits() "
+        "to increase the limit"),
+    "empty-vector": ("[]", "{bad}: a vector file is a non-empty JSON array"),
+}
+# Every command argument that names a vector file, as argv builders.
+VECTOR_ARGS = {
+    "check-x": lambda bad: ["check", bad, str(DATA / "y_21.json")],
+    "check-y": lambda bad: ["check", str(DATA / "y_21.json"), bad],
+    "extremizers-x": lambda bad: ["extremizers", bad, str(DATA / "y_21.json")],
+    "isotone-at": lambda bad: ["isotone", str(DATA / "mat_diag12.json"), "--at", bad],
+    "verify-alpha": lambda bad: ["verify", "--alpha", bad],
+}
+
+
+def _decimal(m: int, places: int) -> str:
+    digits = str(abs(m)).rjust(places + 1, "0")
+    body = f"{digits[:-places]}.{digits[-places:]}" if places else digits
+    return ("-" if m < 0 else "") + body
+
+
+_decimals = st.builds(_decimal, st.integers(-10**6, 10**6), st.integers(0, 6))
+# Every accepted JSON scalar form: ints; plain "p/q" strings, signed,
+# zero-padded, unreduced and "0/q"; decimals; exponents; floats (which
+# warn); and forms only the Fraction grammar reads, such as padded
+# ratios and integer strings.
+scalar_forms = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(lambda sign, pad, p, q, k: f"{sign}{'0' * pad}{p * k}/{'0' * pad}{q * k}",
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+              st.integers(0, 10**4), st.integers(1, 60), st.integers(1, 4)),
+    _decimals,
+    st.builds(lambda base, mark, e: f"{base}{mark}{e}", _decimals,
+              st.sampled_from(["e", "E", "e+", "e-", "E-"]), st.integers(0, 12)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.builds(lambda p, q: f" {p}/{q}\n", st.integers(-99, 99), st.integers(1, 99)),
+    st.integers(-999, 999).map(str),
+)
+
+
+def _ratio_forms(value: Fraction):
+    """JSON scalars that read as ``value``: unreduced, padded "p/q" strings,
+    or the int itself."""
+    sign = "-" if value < 0 else ""
+    forms = st.builds(
+        lambda plus, pad, k: f"{sign or plus}{'0' * pad}{abs(value.numerator) * k}"
+                             f"/{value.denominator * k}",
+        st.sampled_from(["", "+"]), st.integers(0, 2), st.integers(1, 5))
+    if value.denominator == 1:
+        forms = st.one_of(st.just(value.numerator), forms)
+    return forms
+
+
+@st.composite
+def check_inputs(draw):
+    """Two equal-length lists of JSON scalars: drawn apart, or the second a
+    rearrangement of the first's values (then equal, or one pair of
+    entries spread or squeezed), in either order."""
+    x = draw(st.lists(scalar_forms, min_size=1, max_size=8))
+    how = draw(st.sampled_from(["apart", "rearranged", "moved"]))
+    if how == "apart":
+        y = draw(st.lists(scalar_forms, min_size=len(x), max_size=len(x)))
+    else:
+        values = draw(st.permutations([Fraction(v) for v in x]))
+        if how == "moved" and len(values) > 1:
+            i, j = draw(st.lists(st.integers(0, len(values) - 1),
+                                 min_size=2, max_size=2, unique=True))
+            d = draw(st.fractions(-20, 20, max_denominator=12))
+            values[i] += d
+            values[j] -= d
+        y = [draw(_ratio_forms(v)) for v in values]
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -139,15 +255,8 @@ class TestCheck:
         assert err.startswith("error: ") and str(bad) in err
 
 
-    @pytest.mark.parametrize("text", [
-        "[Infinity, 1]", "[NaN, 1]", '["1e5000", 1]', '["1e-5000", 1]',
-        "[" * 100_000, '["1e4300", 1]', '["3e-4300", 1]', '["123e4298", 1]',
-        "[" + "1" * 5000 + ", 1]", '["1/0", 1]', '["' + "1" * 4301 + '/1", 1]',
-        "[]",
-    ], ids=["infinity", "nan", "huge-exponent", "tiny-exponent", "deep-nesting",
-            "unprintable-numerator", "unprintable-denominator",
-            "unprintable-mantissa", "huge-integer-literal", "zero-denominator",
-            "huge-ratio-numerator", "empty-vector"])
+    @pytest.mark.parametrize("text", [text for text, _ in HOSTILE.values()],
+                             ids=list(HOSTILE))
     def test_hostile_input_is_operational_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -161,6 +270,71 @@ class TestCheck:
             # Scalar rejections name the entry, so they happen at load time.
             assert "bad.json[0]: " in err
 
+
+    @pytest.mark.parametrize("where", list(VECTOR_ARGS))
+    @pytest.mark.parametrize("case", list(HOSTILE))
+    def test_hostile_input_error_line(self, tmp_path, case, where):
+        text, message = HOSTILE[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = _run(VECTOR_ARGS[where](str(bad)))
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.replace("{bad}", str(bad)) + "\n"
+
+    def test_every_scalar_form_golden(self, sandbox):
+        # Ints, signed, unreduced and zero-padded ratios, "0/7", decimals,
+        # exponents, a padded ratio and a float (one warning per file).
+        code, report = sandbox("check", "x_forms.json", "y_forms.json")
+        assert code == 1
+        assert_matches_golden(report, "check_forms.json")
+
+    @given(pair=check_inputs())
+    @example(pair=(["0/7", "-3/9"], ["+2/6", "-007/021"]))
+    @example(pair=([0.5, "1e2", "-2.50"], ["100", 0, "+1/2"]))
+    def test_report_equals_the_fraction_oracle(self, tmp_path_factory, pair):
+        work = tmp_path_factory.getbasetemp() / "check_oracle"
+        work.mkdir(exist_ok=True)
+        paths = [str(work / name) for name in ("x.json", "y.json")]
+        for path, doc in zip(paths, pair):
+            Path(path).write_text(json.dumps(doc))
+        code, out, err = _run(["check", *paths])
+        elapsed = json.loads(out)["elapsed_ms"]
+        assert (code, out, err) == (*oracle_check_report(*paths, elapsed), "")
+
+    @given(v=st.integers(-10**40, 10**40), scale=st.integers(1, 10**20),
+           multiple=st.booleans())
+    @example(v=0, scale=1, multiple=False)
+    @example(v=0, scale=12, multiple=False)
+    @example(v=-7, scale=1, multiple=False)
+    @example(v=-3, scale=12, multiple=True)
+    @example(v=-6, scale=4, multiple=False)
+    @example(v=10**4300, scale=3, multiple=False)  # 4301 digits: unprintable
+    @example(v=-10**4300, scale=10, multiple=True)
+    @example(v=10**4301, scale=10**10, multiple=False)  # reduces to printable
+    def test_report_sums_print_as_fraction_does(self, v, scale, multiple):
+        v *= scale if multiple else 1
+        try:
+            expected = str(Fraction(v, scale))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cli._ratio_str(v, scale)
+            assert str(raised.value) == str(exc)
+        else:
+            assert cli._ratio_str(v, scale) == expected
+
+    @given(text=plain_ratios)
+    @example(text="-0/0")
+    @example(text="+007/0010")
+    def test_plain_ratio_scalars_read_as_fraction_does(self, text):
+        try:
+            exact = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(cli.CliError) as raised:
+                cli._scalar(text, [], "v.json", 3)
+            assert str(raised.value) == f"v.json[3]: {exc}"
+        else:
+            assert cli._scalar(text, [], "v.json", 3) == (exact.numerator,
+                                                          exact.denominator)
 
     def test_unprintable_report_is_operational_error(self, tmp_path, capsys):
         # Each entry prints, but their 4301-digit sum does not: the report
@@ -204,6 +378,50 @@ class TestCheck:
         assert swapped and swapped[0].read_bytes() == b"[3, 0, 0]\n"
         assert code == 0
         assert_matches_golden(report, "check_holds.json")
+
+
+class TestNoFraction:
+    """``check`` reads int and plain "p/q" entries as integer pairs, decides
+    on ints and prints every sum from its integer and ``L``, so it runs
+    unchanged with Fraction's constructor raising."""
+
+    def test_check_builds_no_fraction(self, tmp_path, monkeypatch):
+        rng = random.Random(20)
+        for n in (1, 5, 64):
+            for tag in ("x", "y"):
+                entries = []
+                for _ in range(n):
+                    p, q = rng.randint(-99, 99), rng.randint(1, 12)
+                    k = rng.randint(1, 3)
+                    entries.append(rng.choice([
+                        p, f"{p * k}/{q * k}", f"+{abs(p)}/{q}", f"-00{abs(p)}/0{q}",
+                        f"0/{q}"]))
+                (tmp_path / f"{tag}{n}.json").write_text(json.dumps(entries))
+            # A rearrangement of x in other forms holds.
+            (tmp_path / f"r{n}.json").write_text(json.dumps(
+                [f"{2 * Fraction(v).numerator}/{2 * Fraction(v).denominator}"
+                 for v in reversed(json.loads((tmp_path / f"x{n}.json").read_text()))]))
+        argvs = [["check", str(DATA / a), str(DATA / b)] for a, b in (
+            ("x_mean3.json", "y_desc3.json"), ("x_peak.json", "y_210.json"),
+            ("x_halves.json", "y_21.json"), ("y_21.json", "x_halves.json"),
+            ("x_ties.json", "y_desc3.json"), ("y_21.json", "y_desc3.json"))]
+        argvs += [["check", str(tmp_path / f"{a}{n}.json"), str(tmp_path / f"{b}{n}.json")]
+                  for n in (1, 5, 64) for a, b in (("x", "y"), ("y", "x"), ("x", "r"))]
+        argvs += [[*argv, "--text"] for argv in argvs[:3]]
+        expected = [_run(argv) for argv in argvs]
+        assert {code for code, _, _ in expected} == {0, 1, 2}
+
+        def unbuilt(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", unbuilt)
+        with pytest.raises(AssertionError):
+            Fraction(1)
+        got = [_run(argv) for argv in argvs]
+        monkeypatch.undo()
+        elapsed = re.compile(r'"elapsed_ms": \d+')
+        assert [(code, elapsed.sub("", out), err) for code, out, err in got] == \
+            [(code, elapsed.sub("", out), err) for code, out, err in expected]
 
 
 class TestWitness:

@@ -18,7 +18,9 @@ from majorkit import (
     enumerate_perms,
 )
 from majorkit.numerics import _PLAIN_RATIO, _clear_denominators
-from helpers import mat_mul, naive_mat_vec, rand_perm, rand_vec, transpose
+from helpers import (
+    mat_mul, naive_mat_vec, plain_ratios, rand_perm, rand_vec, transpose,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 # Large primes: entries over them have pairwise coprime denominators.
@@ -29,16 +31,6 @@ frame_entries = st.one_of(
     st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(_PRIMES)),
 )
 
-
-# Signed, zero-padded digit strings "p/q", zero denominators and parts
-# either side of CPython's 4300-digit int-string limit included.
-_digits = st.one_of(
-    st.builds(lambda pad, n: "0" * pad + str(n),
-              st.integers(0, 3), st.integers(0, 10**40)),
-    st.integers(4298, 4302).map(lambda k: "7" * k),
-)
-plain_ratios = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
-                         st.sampled_from(["", "+", "-"]), _digits, _digits)
 
 
 def _assert_reads_as_fraction(text):
