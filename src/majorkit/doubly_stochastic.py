@@ -13,7 +13,8 @@ The check, the witness's precheck and T-chain, the peel and the
 decomposition's weight check all run in an integer frame: the
 entries are scaled once by the least common multiple ``L`` of their
 denominators, every comparison, sum and update is on Python ints, and
-only the results become ``Fraction``s again.
+only the results become ``Fraction``s again.  A :class:`DoublyStochastic`
+keeps the frame its check computed, and :func:`birkhoff` peels a copy of it.
 """
 
 from __future__ import annotations
@@ -49,21 +50,24 @@ class NotMajorized(ValueError):
 
 @dataclass(frozen=True)
 class DoublyStochastic:
-    """A matrix checked exactly against the doubly stochastic invariants."""
+    """A matrix checked exactly against the doubly stochastic invariants; the
+    check's frame ``(L, L * matrix)`` is kept as ``_frame``, not a field."""
 
     matrix: Mat
 
     def __post_init__(self):
-        if not check_ds(self.matrix):
+        frame = _ds_frame(self.matrix)
+        if frame is None:
             raise ValueError("matrix is not doubly stochastic")
+        object.__setattr__(self, "_frame", frame)
 
     @property
     def n(self) -> int:
         return self.matrix.n_rows
 
 
-def check_ds(a: Mat) -> bool:
-    """Exactly decide whether ``a`` is doubly stochastic.
+def _ds_frame(a: Mat) -> tuple[int, list[list[int]]] | None:
+    """``(L, L * a)`` if ``a`` is doubly stochastic, else ``None``.
 
     Decides on integer numerators over ``L``, the least common multiple
     of the entries' denominators: every row must be nonnegative and sum
@@ -74,8 +78,14 @@ def check_ds(a: Mat) -> bool:
     if not a.is_square:
         raise DimensionMismatch("doubly stochastic matrices are square")
     scale, rows = _clear_denominators(a.rows)
-    return (all(min(row) >= 0 and sum(row) == scale for row in rows)
-            and all(sum(col) == scale for col in zip(*rows)))
+    holds = (all(min(row) >= 0 and sum(row) == scale for row in rows)
+             and all(sum(col) == scale for col in zip(*rows)))
+    return (scale, rows) if holds else None
+
+
+def check_ds(a: Mat) -> bool:
+    """Exactly decide whether ``a`` is doubly stochastic (see :func:`_ds_frame`)."""
+    return _ds_frame(a) is not None
 
 
 @dataclass(frozen=True)
@@ -254,9 +264,9 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     The polytope has dimension ``(n-1)**2``, so the peel stops within
     ``(n-1)**2 + 1`` terms.
 
-    Denominators are cleared once: with ``L`` the least common multiple
-    of the entries' denominators, the peel runs on the integer matrix
-    ``L * d`` and each weight is emitted as ``Fraction(w, L)``.
+    Denominators are cleared once, by the check: with ``L`` the least common
+    multiple of the entries' denominators, the peel runs on a copy of the kept
+    integer matrix ``L * d`` and emits each weight as ``Fraction(w, L)``.
 
     The matching is repaired, not rebuilt: a peel unmatches only the rows
     whose matched cell it emptied, and the next peel rematches them in
@@ -267,7 +277,8 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
     n = d.n
-    scale, work = _clear_denominators(d.matrix.rows)
+    scale, rows = d._frame
+    work = [row[:] for row in rows]
     adjacent = [list(compress(range(n), row)) for row in work]
     remaining = sum(map(len, adjacent))
     match_col = [-1] * n  # column -> row

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, gt, mul, sub
 from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _orbit, _profile_violation, desc_prefix_sums
@@ -68,15 +68,18 @@ class AnchorPoint:
 
     The local-to-global equivalence holds for strictly decreasing
     anchors; the type admits any vector so the degenerate regime can be
-    probed through the individual predicates.
+    probed through the individual predicates.  ``alpha`` is cleared once:
+    its frame ``(L, L * alpha)``, kept as ``_frame`` and not a field,
+    decides the strict decrease and is what every orbit scan reads.
     """
 
     alpha: Vec
     strictly_decreasing: bool = field(init=False)
 
     def __post_init__(self):
-        dec = all(a > b for a, b in zip(self.alpha, self.alpha.entries[1:]))
-        object.__setattr__(self, "strictly_decreasing", dec)
+        den, (nums,) = _clear_denominators((self.alpha,))
+        object.__setattr__(self, "_frame", (den, tuple(nums)))
+        object.__setattr__(self, "strictly_decreasing", all(map(gt, nums, nums[1:])))
 
     @property
     def n(self) -> int:
@@ -184,7 +187,7 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
     if anchor.n != len(rows):
         raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
                                 f"to a vector of length {anchor.n}")
-    den, (nums,) = _clear_denominators((anchor.alpha,))
+    den, nums = anchor._frame
     images = _images(rows, nums, guard)
     first = next(images)
     base = first[2]

@@ -32,8 +32,8 @@ DEFAULT_GUARD = 8
 # ``Fraction("1e999999999")`` builds a 10**999999999 integer up front.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-# A signed ratio of ASCII digit strings: the one string form that
-# ``as_rational`` and the CLI parse themselves, through ``_plain_ratio``.
+# A signed ratio of ASCII digit strings: the one string form that the
+# CLI's scalar reader parses itself, through ``_plain_ratio``.
 _PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
@@ -60,18 +60,12 @@ def as_rational(value: RationalLike) -> Rational:
     exactly as written, except that decimal exponents beyond 4300 in
     magnitude are rejected.  Finite floats convert to the exact binary64
     value they hold.  Booleans are rejected to catch accidental truth values.
-    An ``int`` and a ``str`` of ASCII digits "p/q" with an optional sign
-    (exact types, not subclasses) go straight to ``Fraction(p, q)``,
-    without the grammar's regex, and give the same value, or raise the
-    same error, as ``Fraction(value)``.
     """
     kind = type(value)  # isinstance against the Fraction ABC is slow
     if kind is Fraction:
         return value
     if kind is int:
         return Fraction(value)
-    if kind is str and (ratio := _plain_ratio(value)):
-        return Fraction(*ratio)
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational scalar")
     if isinstance(value, Fraction):

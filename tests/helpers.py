@@ -32,6 +32,7 @@ from majorkit import (
     random_ds,
     sort_desc,
 )
+from majorkit import doubly_stochastic, isotone, majorization, numerics
 
 
 # Signed, zero-padded digit strings "p/q", zero denominators and parts
@@ -43,6 +44,20 @@ _digits = st.one_of(
 )
 plain_ratios = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
                          st.sampled_from(["", "+", "-"]), _digits, _digits)
+
+
+def count_clears(monkeypatch) -> list[int]:
+    """Count every ``_clear_denominators`` call the package makes from now
+    on, in the one entry of the returned list."""
+    calls = [0]
+
+    def counted(rows):
+        calls[0] += 1
+        return numerics._clear_denominators(rows)
+
+    for module in (majorization, isotone, doubly_stochastic):
+        monkeypatch.setattr(module, "_clear_denominators", counted)
+    return calls
 
 
 def rand_fraction(rng: random.Random, lo: int = -10, hi: int = 10,

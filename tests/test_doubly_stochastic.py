@@ -1,5 +1,6 @@
 """Recognition, witnesses, decomposition, and seeded generation."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,8 +25,9 @@ from majorkit import (
     witness_ds,
 )
 from majorkit import doubly_stochastic
-from majorkit.doubly_stochastic import _augment
+from majorkit.doubly_stochastic import _augment, _ds_frame
 from helpers import (
+    count_clears,
     majorizing_pair,
     oracle_birkhoff,
     oracle_check_ds,
@@ -471,6 +473,41 @@ class TestNoFractionOrder:
         got = [self._run(x, y) for x, y in pairs]
         monkeypatch.undo()
         assert got == expected
+
+
+class TestKeptFrame:
+    """A :class:`DoublyStochastic` keeps its check's integer frame, which
+    :func:`birkhoff` peels a copy of instead of clearing the matrix again."""
+
+    def test_a_construct_item_clears_four_times(self, monkeypatch):
+        x, y = majorizing_pair(random.Random(7), 20)
+        calls = count_clears(monkeypatch)
+        assert majorizes(x, y)
+        birkhoff(witness_ds(x, y).matrix)
+        # majorizes, witness_ds's pair, the witness's check, the weights
+        assert calls == [4]
+
+    def test_birkhoff_of_a_mat_clears_twice(self, monkeypatch):
+        m = random_ds(6, seed=5).matrix
+        calls = count_clears(monkeypatch)
+        birkhoff(m)
+        assert calls == [2]  # the check and the weights
+
+    def test_birkhoff_leaves_the_kept_frame_as_it_was(self):
+        rng = random.Random(17)
+        for n in (1, 3, 8):
+            d = witness_ds(*majorizing_pair(rng, n)).matrix
+            first = birkhoff(d)
+            assert birkhoff(d) == first
+            assert d._frame == _ds_frame(d.matrix)
+            assert first.recompose() == d.matrix
+
+    def test_the_frame_is_no_field(self):
+        m = random_ds(4, seed=2).matrix
+        d = DoublyStochastic(m)
+        assert [f.name for f in dataclasses.fields(d)] == ["matrix"]
+        assert repr(d) == f"DoublyStochastic(matrix={m!r})"
+        assert d == DoublyStochastic(m) and hash(d) == hash(DoublyStochastic(m))
 
 
 class TestRandomDs:

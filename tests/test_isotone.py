@@ -1,5 +1,6 @@
 """Point-wise predicates, global classification, and the joint verifier."""
 
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -58,6 +59,7 @@ from majorkit.isotone import (
     random_trace_map,
 )
 from helpers import (
+    count_clears,
     oracle_classify_global,
     oracle_equiv,
     oracle_global,
@@ -1000,6 +1002,78 @@ class TestSamplerStreams:
         a = Mat([[int(i == j == 0) for j in range(50)] for i in range(50)])
         with pytest.raises(ValueError, match="Sample larger than population"):
             is_global_isotone_sampled(a, trials=1, guard=50)
+
+
+_tie_pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                             Fraction(1, 2), Fraction(-7, 3)])
+_coprime = st.builds(Fraction, st.integers(-10**30, 10**30),
+                     st.sampled_from([2**61 - 1, 10**9 + 7, 3**40, 998244353]))
+
+
+@st.composite
+def _anchor_values(draw):
+    values = draw(st.lists(st.one_of(_tie_pool, _coprime), min_size=1, max_size=8))
+    return sorted(values, reverse=True) if draw(st.booleans()) else values
+
+
+class TestAnchorFrame:
+    """An :class:`AnchorPoint` clears ``alpha`` once; its strictness and
+    every orbit scan read that integer frame."""
+
+    @given(values=_anchor_values())
+    @example(values=[Fraction(5, 3)])
+    @example(values=[Fraction(2), Fraction(1), Fraction(1), Fraction(0)])
+    @example(values=[Fraction(1, 2**61 - 1), Fraction(1, 10**9 + 7)])
+    def test_strictly_decreasing_matches_the_fraction_oracle(self, values):
+        anchor = AnchorPoint(Vec(values))
+        assert anchor.strictly_decreasing == all(
+            a > b for a, b in zip(values, values[1:]))
+        den, nums = anchor._frame
+        assert [Fraction(v, den) for v in nums] == values
+
+    def test_the_frame_is_no_field(self):
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1]))
+        assert [f.name for f in dataclasses.fields(anchor)] == [
+            "alpha", "strictly_decreasing"]
+        assert repr(anchor) == ("AnchorPoint(alpha=Vec(7/2, 4/3, 1), "
+                                "strictly_decreasing=True)")
+        twin = AnchorPoint(Vec(["7/2", "4/3", 1]))
+        assert anchor == twin and hash(anchor) == hash(twin)
+
+    def test_a_holding_verify_clears_twice(self, monkeypatch):
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        calls = count_clears(monkeypatch)
+        assert verify_statements(a, anchor, trials=5, seed=1).all_hold
+        assert calls == [2]  # A's rows, once here and once in the sampler
+
+    @staticmethod
+    def _run(values, tied):
+        anchor = AnchorPoint(Vec(values))
+        out = []
+        for i, (_, a) in enumerate(campaign_matrices(4, 40, 3)):
+            out += [verify_statements(a, anchor, trials=5, seed=i),
+                    is_equiv_preserving_at(a, anchor),
+                    is_left_isotone_at(a, anchor),
+                    is_right_isotone_at(a, anchor, trials=5, seed=i),
+                    is_isotone_at(a, anchor, trials=5, seed=i),
+                    is_global_isotone_sampled(a, trials=5, seed=i),
+                    classify_global(a)]
+        return out, isotone_point_campaign(AnchorPoint(Vec(tied)), matrices=40, seed=3)
+
+    def test_no_fraction_is_compared_by_order(self, monkeypatch):
+        values, tied = ["7/2", "4/3", 1, "-5/6"], [2, 1, 1, 0]
+        expected = self._run(values, tied)
+        assert {c.all_hold for c in expected[0][::7]} == {True, False}
+
+        def unordered(self, other):
+            raise AssertionError("two Fractions compared by order")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, unordered)
+        got = self._run(values, tied)
+        monkeypatch.undo()
+        assert got == expected
 
 
 class TestCampaign:

@@ -85,7 +85,7 @@ class TestRationalScalar:
     @example(text="1/" + "0" * 4301)
     @example(text="-" + "9" * 4300 + "/" + "3" * 4300)
     def test_plain_ratios_read_as_fraction_does(self, text):
-        assert _PLAIN_RATIO.fullmatch(text)  # the direct path
+        assert _PLAIN_RATIO.fullmatch(text)  # the CLI's direct path
         _assert_reads_as_fraction(text)
 
     @pytest.mark.parametrize("text", [
