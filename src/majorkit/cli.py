@@ -27,6 +27,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -45,13 +46,14 @@ from .numerics import (
     Mat,
     Perm,
     Vec,
-    _plain_ratio,
     as_rational,
 )
 from .rearrangement import extremizer_bound, extremizer_sets
 
 _MAX_MATRICES = 100_000  # bounds verify's report: one per_matrix row per cell
 _MAX_TRIALS = 100_000  # bounds the samplers' time: each trial draws and checks a vector
+# The one string form that ``_scalar`` parses itself: a signed ratio of ASCII digits.
+_PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
 class CliError(Exception):
@@ -71,8 +73,8 @@ def _scalar(value: Any, warnings: list[str], path: str,
     if type(value) is int:
         return value, 1
     try:
-        if type(value) is str and (ratio := _plain_ratio(value)):
-            p, q = ratio
+        if type(value) is str and (ratio := _PLAIN_RATIO.fullmatch(value)):
+            p, q = int(ratio[1]), int(ratio[2])
             if not q:
                 Fraction(p, q)  # raises CPython's own ZeroDivisionError
             g = gcd(p, q)

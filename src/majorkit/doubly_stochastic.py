@@ -192,6 +192,8 @@ class BirkhoffDecomposition:
         if not self.terms:
             raise ValueError("decomposition needs at least one term")
         n = len(self.terms[0][1])
+        if any(len(p) != n for _, p in self.terms):
+            raise DimensionMismatch("every term's permutation needs the same size")
         scale, (weights,) = _clear_denominators([[w for w, _ in self.terms]])
         if min(weights) <= 0:
             raise ValueError("weights must be positive")

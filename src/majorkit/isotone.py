@@ -31,9 +31,10 @@ quantifier: it stops at the image that decides a failure and reads every
 image of a holding orbit.  The samplers run it first (the orbit lies above
 the anchor too), so when equivalence fails they fail too, even at 0 trials.
 
-Every image is evaluated by one integer kernel: the matrix and each
-vector are scaled to integers once, images, sorts and prefix profiles are
-Python ints, and only witnesses are turned back into exact rationals.
+Every image is evaluated by one integer kernel: A is cleared once per
+predicate call (twice in :func:`verify_statements`) and each vector once;
+images, sorts and prefix profiles are Python ints, and only witnesses are
+turned back into exact rationals.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-# The image kernel.  _clear_denominators scales A once by the LCM of its
+# The image kernel.  _clear_denominators scales A by the LCM of its
 # denominators and each vector by the LCM of its own, so images, their
 # decreasing sorts and prefix profiles are Python ints, built and compared
 # by majorization's desc_prefix_sums and _profile_violation.  Two profiles
@@ -168,15 +169,12 @@ def _first_below(images, base):
                  if _profile_violation(row[2], base) is not None), None)
 
 
-_Scan = tuple[list[int], int, tuple[int, ...]]
-
-
 def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
                 trials: int | None, guard: int
-                ) -> tuple[_Scan, dict[str, IsotoneVerdict] | None]:
-    """The anchor as ``(numerators, denominator, profile of A alpha)`` and,
-    unless every orbit image is equivalent to ``A alpha``, the failing
-    orbit-half verdicts keyed by their :class:`StatementCheck` field.
+                ) -> tuple[tuple[int, ...], dict[str, IsotoneVerdict] | None]:
+    """The profile of ``A alpha`` and, unless every orbit image is
+    equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
+    their :class:`StatementCheck` field.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
     found in one forward pass: ``moved``, the first image with another
@@ -191,14 +189,13 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
     images = _images(rows, nums, guard)
     first = next(images)
     base = first[2]
-    scan = nums, den, base
     moved = next((row for row in images if row[2] != base), None)
     if moved is None:
-        return scan, None
+        return base, None
     below = _first_below(chain((moved,), images), base)
     (ps, _, _), (pt, y, _) = (below, first) if below else (first, moved)
     ps, pt, y = Perm(ps), Perm(pt), _vec(y, den)
-    return scan, {
+    return base, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
         "point": IsotoneVerdict(False, {"perm": ps}) if below
@@ -283,16 +280,17 @@ def _sample_above(nums: Sequence[int], den: int,
     return tuple(vals)
 
 
-def _upward_verdict(rows: list[list[int]], scan: _Scan, trials: int,
-                    seed: int | str, side: str) -> IsotoneVerdict:
-    """Check ``A alpha`` against ``trials`` draws above the anchor; ``scan``
-    comes from :func:`_orbit_scan` on the same ``rows``.
+def _upward_verdict(rows: list[list[int]], anchor: AnchorPoint,
+                    base: tuple[int, ...], trials: int, seed: int | str,
+                    side: str) -> IsotoneVerdict:
+    """Check ``A alpha``, whose profile over ``rows`` is ``base``, against
+    ``trials`` draws above the anchor.
 
     ``side``, ``"right"`` or ``"point"``, names the generator stream and
     the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
     """
     rng = random.Random(f"{seed}:{side}")
-    nums, den, base = scan
+    den, nums = anchor._frame
     base = tuple(v * _STEP_SCALE for v in base)  # the draws' scale
     for _ in range(trials):
         y = _sample_above(nums, den, rng)
@@ -302,6 +300,16 @@ def _upward_verdict(rows: list[list[int]], scan: _Scan, trials: int,
                        if side == "right" else {"y": y})
             return IsotoneVerdict(False, witness, trials=trials)
     return IsotoneVerdict(True, trials=trials)
+
+
+def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
+                guard: int, side: str) -> IsotoneVerdict:
+    """The orbit scan's ``side`` verdict, else :func:`_upward_verdict`'s."""
+    rows = _int_rows(a)
+    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    if failed:
+        return failed[side]
+    return _upward_verdict(rows, anchor, base, trials, seed, side)
 
 
 def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -314,11 +322,7 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     ``A alpha`` against each.  A failure witness ``(perm, y)``
     re-verifies exactly; a pass means no violation found.
     """
-    rows = _int_rows(a)
-    scan, failed = _orbit_scan(rows, anchor, trials, guard)
-    if failed:
-        return failed["right"]
-    return _upward_verdict(rows, scan, trials, seed, "right")
+    return _sampled_at(a, anchor, trials, seed, guard, "right")
 
 
 def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -330,11 +334,7 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     but against the single target ``A alpha``; its witness is ``perm``.
     The upward half samples as in :func:`is_right_isotone_at`; witness ``y``.
     """
-    rows = _int_rows(a)
-    scan, failed = _orbit_scan(rows, anchor, trials, guard)
-    if failed:
-        return failed["point"]
-    return _upward_verdict(rows, scan, trials, seed, "point")
+    return _sampled_at(a, anchor, trials, seed, guard, "point")
 
 
 def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
@@ -562,15 +562,15 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     rows = _int_rows(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    scan, failed = _orbit_scan(rows, anchor, trials, guard)
+    base, failed = _orbit_scan(rows, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = (
             failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
-        right = _upward_verdict(rows, scan, trials, seed, "right")
-        point = _upward_verdict(rows, scan, trials, seed, "point")
+        right = _upward_verdict(rows, anchor, base, trials, seed, "right")
+        point = _upward_verdict(rows, anchor, base, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

@@ -32,9 +32,6 @@ DEFAULT_GUARD = 8
 # ``Fraction("1e999999999")`` builds a 10**999999999 integer up front.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-# A signed ratio of ASCII digit strings: the one string form that the
-# CLI's scalar reader parses itself, through ``_plain_ratio``.
-_PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
 class DimensionMismatch(ValueError):
@@ -80,14 +77,6 @@ def as_rational(value: RationalLike) -> Rational:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
-
-
-def _plain_ratio(text: str) -> tuple[int, int] | None:
-    """``(int(p), int(q))``, unreduced, when ``text`` is a signed ratio of
-    ASCII digit strings "p/q", else None.  A part over CPython's
-    int-string digit limit raises its ``ValueError``; ``q`` may be 0."""
-    ratio = _PLAIN_RATIO.fullmatch(text)
-    return None if ratio is None else (int(ratio[1]), int(ratio[2]))
 
 
 def _clear_denominators(rows) -> tuple[int, list[list[int]]]:

@@ -93,7 +93,7 @@ def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerRep
     return ExtremizerReport(best, worst,
                             _block_rearrangements(classes, desc, block),
                             _block_rearrangements(classes, desc[::-1], block),
-                            distinct_count(x))
+                            len(ids))
 
 
 def _block_rearrangements(classes: list[int], want: list[int],

@@ -294,6 +294,13 @@ class TestBirkhoff:
             BirkhoffDecomposition(((Fraction(0), Perm([0, 1])),
                                    (Fraction(1), Perm([1, 0]))))
 
+    def test_terms_of_different_sizes_raise_in_either_order(self):
+        half, pair, single = Fraction(1, 2), Perm([0, 1]), Perm([0])
+        for terms in (((half, pair), (half, single)),
+                      ((half, single), (half, pair))):
+            with pytest.raises(DimensionMismatch, match="same size"):
+                BirkhoffDecomposition(terms)
+
     def test_empty_and_overlong_term_lists_raise(self):
         with pytest.raises(ValueError, match="at least one term"):
             BirkhoffDecomposition(())

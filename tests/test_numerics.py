@@ -17,7 +17,8 @@ from majorkit import (
     as_rational,
     enumerate_perms,
 )
-from majorkit.numerics import _PLAIN_RATIO, _clear_denominators
+from majorkit.cli import _PLAIN_RATIO
+from majorkit.numerics import _clear_denominators
 from helpers import (
     mat_mul, naive_mat_vec, plain_ratios, rand_perm, rand_vec, transpose,
 )
