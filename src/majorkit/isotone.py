@@ -241,7 +241,10 @@ _STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
 
 def _below(bits, n: int) -> int:
     """``Random._randbelow(n)`` for ``n >= 1``, word for word from ``bits``,
-    an ``rng.getrandbits``; every draw of the samplers goes through it."""
+    an ``rng.getrandbits``: draw ``n.bit_length()`` bits, redraw while
+    ``>= n``.  The samplers' hot loops decode their draws inline by this
+    rule; it stays the reference the tests pin and draws the pool path
+    of :func:`_random_distinct_vec`."""
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -260,22 +263,39 @@ def _sample_above(nums: Sequence[int], den: int,
     draws are those of ``randint``, ``sample(range(n), 2)`` (the pool path,
     taken for ``n <= 21``; the n! orbit read first bounds n) and ``shuffle``,
     word for word from ``getrandbits``, as ``tests/test_isotone.py`` pins.
+    Each is decoded inline by :func:`_below`'s rule, with the bit widths
+    taken once per call; ``_below`` stays the reference.
     """
     n = len(nums)
     vals = [v * _STEP_SCALE for v in nums]
     if n == 1:
         return tuple(vals)
-    bits = rng.getrandbits
-    for _ in range(1 + _below(bits, 3 * n)):
+    bits, last, top = rng.getrandbits, n - 1, 3 * n
+    k_top, k_n, k_last = top.bit_length(), n.bit_length(), last.bit_length()
+    k_num, k_den = (12).bit_length(), _STEP_DEN.bit_length()
+    while (steps := bits(k_top)) >= top:
+        pass
+    for _ in range(1 + steps):
         order = sorted(range(n), key=vals.__getitem__, reverse=True)
-        i, j = _below(bits, n), _below(bits, n - 1)
-        si, sj = sorted((i, n - 1 if j == i else j))
-        num, step_den = 1 + _below(bits, 12), 1 + _below(bits, _STEP_DEN)
-        t = num * den * (_STEP_SCALE // step_den)
-        vals[order[si]] += t
-        vals[order[sj]] -= t
-    for i in range(n - 1, 0, -1):
-        j = _below(bits, i + 1)
+        while (i := bits(k_n)) >= n:
+            pass
+        while (j := bits(k_last)) >= last:
+            pass
+        while (num := bits(k_num)) >= 12:
+            pass
+        while (step_den := bits(k_den)) >= _STEP_DEN:
+            pass
+        t = (1 + num) * den * (_STEP_SCALE // (1 + step_den))
+        if j == i:  # sample's pool path: a repeat takes the last entry
+            j = last
+        if i > j:
+            i, j = j, i
+        vals[order[i]] += t
+        vals[order[j]] -= t
+    for i in range(last, 0, -1):
+        k = (i + 1).bit_length()
+        while (j := bits(k)) > i:
+            pass
         vals[i], vals[j] = vals[j], vals[i]
     return tuple(vals)
 
@@ -340,12 +360,16 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
 def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
     """Distinct numerators in ``[-24, 24]`` and one common denominator, the
     draws of ``rng.sample(range(-24, 25), n), rng.randint(1, 6)`` word for
-    word from ``getrandbits``, as ``tests/test_isotone.py`` pins."""
+    word from ``getrandbits``, as ``tests/test_isotone.py`` pins.  The set
+    path and the denominator decode their draws inline by :func:`_below`'s
+    rule; the pool path calls ``_below``."""
     bits, nums = rng.getrandbits, []
     if n <= 5:  # sample's set path: redraw a repeat
         while len(nums) < n:
-            if (v := _below(bits, 49) - 24) not in nums:
-                nums.append(v)
+            while (v := bits(6)) >= 49:  # 6 == (49).bit_length()
+                pass
+            if v - 24 not in nums:
+                nums.append(v - 24)
     elif n > 49:
         raise ValueError("Sample larger than population or is negative")
     else:  # its pool path: the last unpicked entry fills the gap
@@ -354,7 +378,9 @@ def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], i
             j = _below(bits, i)
             nums.append(pool[j])
             pool[j] = pool[i - 1]
-    return tuple(nums), 1 + _below(bits, 6)
+    while (den := bits(3)) >= 6:  # 3 == (6).bit_length()
+        pass
+    return tuple(nums), 1 + den
 
 
 _Table = list[dict[tuple[int, ...], None]]

@@ -918,6 +918,37 @@ class TestIntegerKernelMatchesFractionOracles:
                 oracle_random_distinct_vec(n, theirs)
             assert ours.getstate() == theirs.getstate()
 
+    @pytest.mark.parametrize("n", range(9, 22))
+    def test_sample_above_equals_the_oracle_up_to_the_pool_bound(self, n):
+        # random.sample(range(n), 2) takes its pool path up to n = 21.
+        for seed in range(12):
+            alpha = rand_vec(random.Random(seed), n, -4, 4, max_den=7)
+            den, (nums,) = _clear_denominators((alpha,))
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                y = _vec(_sample_above(nums, den, ours), den * _STEP_SCALE)
+                assert y == oracle_sample_above(alpha, theirs)
+                assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", range(6, 51))
+    def test_random_distinct_vec_equals_the_oracle_on_the_pool_path(self, n):
+        # n = 50 is more entries than [-24, 24] holds: both raise the same
+        # error before any draw.
+        for seed in range(12):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            if n > 49:
+                with pytest.raises(ValueError) as got:
+                    _random_distinct_vec(n, ours)
+                with pytest.raises(ValueError) as want:
+                    oracle_random_distinct_vec(n, theirs)
+                assert str(got.value) == str(want.value)
+                assert ours.getstate() == random.Random(seed).getstate()
+            else:
+                for _ in range(3):
+                    assert _vec(*_random_distinct_vec(n, ours)) == \
+                        oracle_random_distinct_vec(n, theirs)
+            assert ours.getstate() == theirs.getstate()
+
     @settings(max_examples=400)
     @given(case=_kernel_cases())
     def test_verdicts_equal_the_pairwise_fraction_oracles(self, case):
@@ -974,6 +1005,25 @@ class TestSamplerStreams:
                 draws.append([_random_distinct_vec(n, distinct) for _ in range(20)])
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == SAMPLER_STREAMS_SHA256
+
+    def test_a_holding_cell_draws_the_pinned_word_counts(self, monkeypatch):
+        # Every draw here is at most 6 bits, one getrandbits word each.  The
+        # counts were taken while each draw still called _below.
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        words = [0]
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                words[0] += 1
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(isotone.random, "Random", Counting)
+        assert verify_statements(a, anchor, trials=50, seed=1).all_hold
+        assert words == [5515]  # right, point and global streams
+        words[0] = 0
+        assert is_right_isotone_at(a, anchor, trials=50, seed=1).holds
+        assert words == [2673]
 
     def test_samplers_call_no_random_method(self, monkeypatch):
         rng = random.Random(211)
