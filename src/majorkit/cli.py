@@ -19,6 +19,10 @@ multiple ``L`` of their denominators, decides on the integer profiles,
 and prints each reported sum ``v`` as ``str(Fraction(v, L))`` without
 building a ``Fraction``.  The other commands build their ``Vec`` and
 ``Mat`` from the pairs.
+
+Every JSON report and witness file is written by ``_json``, byte-equal
+to ``json.dumps(value, indent=2, sort_keys=True)`` without the cost of
+CPython's pure-Python indented encoder.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import starmap
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from pathlib import Path
 from typing import Any
@@ -153,14 +158,14 @@ def _ratio_str(v: int, scale: int) -> str:
 def _ser(value: Any) -> Any:
     if isinstance(value, str):  # most leaves: skip the ABC check below
         return value
+    if isinstance(value, Perm):  # the many leaves of an extremizer report
+        return list(value.image)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Vec):
         return [str(v) for v in value]
     if isinstance(value, Mat):
         return [[str(v) for v in row] for row in value.rows]
-    if isinstance(value, Perm):
-        return list(value.image)
     if isinstance(value, dict):
         return {k: _ser(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -168,15 +173,54 @@ def _ser(value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=64)
+def _int_list(length: int, pad: str) -> str:
+    """The ``%`` format of an indented list of ``length`` ints at ``pad``."""
+    inner = ",\n  " + pad
+    return f"[\n  {pad}{inner.join(['%d'] * length)}\n{pad}]"
+
+
+def _json(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of str-keyed dicts, lists, tuples and scalars, whose lines after
+    the first start with ``pad``.
+
+    CPython runs its C encoder only when ``indent`` is None, so this
+    writer builds each container with one ``join``, and an all-``int``
+    list with one cached ``%d`` format; ``bool`` is not ``int`` here,
+    since ``"%d" % True`` is ``"1"``.  Other scalars print as the C
+    encoder prints them.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            return _int_list(len(value), pad) % tuple(value)
+        inner = pad + "  "
+        items = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (",\n" + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+             for k, v in sorted(value.items())])
+        return f"{{\n{inner}{items}\n{pad}}}"
+    return json.dumps(value)
+
+
 def write_matrix(path: str, a: Mat) -> None:
-    Path(path).write_text(json.dumps(_ser(a), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_json(_ser(a)) + "\n", encoding="utf-8")
 
 
 def _emit(report: dict[str, Any], as_json: bool) -> int:
     """Print the report; the exit code is 0 when its verdict holds, else 1."""
     code = 0 if report["verdict"] is True else 1
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
         return code
     for warning in report.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)

@@ -104,36 +104,42 @@ def _block_rearrangements(classes: list[int], want: list[int],
     Over the positions ``j`` of one block, the ``classes[p(j)]`` are a
     rearrangement of the ``want[j]``.  Backtracks over positions:
     position ``j`` takes the smallest unused index whose class its block
-    still owes.  Every partial assignment extends to a full one, so there
-    are no dead ends.
+    still owes, found by a plain ``while`` scan of ``owes[j]``, the
+    counters of ``j``'s block.  Every partial assignment extends to a
+    full one, so there are no dead ends.  The backtrack is a loop, not a
+    recursion, because the guard bounds n and the recursion limit does
+    not.
     """
     n = len(classes)
     owed = [[0] * n for _ in range(block[-1] + 1)]
     for b, c in zip(block, want):
         owed[b][c] += 1
+    owes = [owed[b] for b in block]
     used = [False] * n
     image: list[int] = []
     found: list[Perm] = []
-    start = 0  # the smallest index still to try at position len(image)
+    j = i = 0  # position j tries the indices from i on
     while True:
-        if len(image) == n:
+        if j == n:
             found.append(Perm(image))
         else:
-            owe = owed[block[len(image)]]
-            i = next((i for i in range(start, n)
-                      if not used[i] and owe[classes[i]]), n)
+            owe = owes[j]
+            while i < n and (used[i] or not owe[classes[i]]):
+                i += 1
             if i < n:
                 image.append(i)
                 used[i] = True
                 owe[classes[i]] -= 1
-                start = 0
+                j += 1
+                i = 0
                 continue
-        if not image:
+        if not j:
             return tuple(found)
+        j -= 1
         i = image.pop()
         used[i] = False
-        owed[block[len(image)]][classes[i]] += 1
-        start = i + 1
+        owes[j][classes[i]] += 1
+        i += 1
 
 
 def distinct_count(x: Vec) -> int:

@@ -380,6 +380,99 @@ class TestCheck:
         assert_matches_golden(report, "check_holds.json")
 
 
+# Each golden command, then an extremizers scan on a 6 + 1 split at n = 7
+# (720 permutations a side) and a 40-matrix campaign at n = 3.
+GOLDEN_ARGVS = {
+    "check_holds": ["check", "x_mean3.json", "y_desc3.json"],
+    "check_fails": ["check", "x_peak.json", "y_210.json"],
+    "check_forms": ["check", "x_forms.json", "y_forms.json"],
+    "witness_holds": ["witness", "x_halves.json", "y_21.json", "witness_out.json"],
+    "witness_fails": ["witness", "x_peak.json", "y_210.json", "d.json"],
+    "extremizers_ties": ["extremizers", "x_ties.json", "y_desc3.json"],
+    "isotone_global": ["isotone", "mat_sym31.json", "--global"],
+    "isotone_equiv_fails": ["isotone", "mat_diag12.json", "--at", "alpha_21.json",
+                            "--predicate", "equiv"],
+    "isotone_all_holds": ["isotone", "mat_sym31.json", "--at", "alpha_21.json",
+                          "--predicate", "all", "--trials", "10", "--seed", "3"],
+    "isotone_right_holds": ["isotone", "mat_sym31.json", "--at", "alpha_21.json",
+                            "--predicate", "right", "--trials", "10", "--seed", "3"],
+    "verify_n2": ["verify", "--n", "2", "--matrices", "6", "--seed", "7",
+                  "--trials", "8"],
+    "verify_alpha21": ["verify", "--alpha", "alpha_21.json", "--matrices", "6",
+                       "--seed", "7", "--trials", "8"],
+}
+BYTES_ARGVS = {
+    **GOLDEN_ARGVS,
+    "extremizers_split_6_1": ["extremizers", "x_split61.json", "y_distinct7.json"],
+    "verify_n3_40": ["verify", "--n", "3", "--matrices", "40", "--seed", "3"],
+}
+
+
+# JSON trees for the report writer: str keys that sort by case and
+# punctuation; lists, tuples and empty containers at every depth; ints of
+# either sign past the 4300-digit limit; bools, None and floats; lists of
+# ints and bools, mixed or not; and strings with quotes, backslashes,
+# control characters and non-ASCII text.
+_BIG = 10 ** 4301
+_json_keys = st.text(alphabet="aAbBzZ09_-. ~\"\\\x00\x1f\xe9\u2603", max_size=4)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-_BIG, _BIG),
+    st.floats(), st.text(),
+    st.lists(st.integers()), st.lists(st.booleans()),
+    st.lists(st.one_of(st.booleans(), st.integers())).map(tuple))
+json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_json_keys, kids, max_size=4)),
+    max_leaves=24)
+
+
+class TestReportBytes:
+    """The report goldens compare parsed JSON; these pin the printed bytes."""
+
+    @given(tree=json_trees)
+    @example(tree=[True, 1, False, 0])
+    @example(tree=[[True, False], (), {}, [[]], {"": ()}])
+    @example(tree={"b": 1, "B": 2, "_": 3, "a-b": 4, "a.b": 5, "a b": [-0, -7]})
+    @example(tree=[10 ** 4299, -(10 ** 4300 - 1)])  # 4300 digits: printable
+    @example(tree={"x": [1, 10 ** 4300]})  # 4301 digits: not printable
+    @example(tree='"q" \\ \x00\x1f\x7f \xe9 \u2603 \U0001f600')
+    def test_writer_equals_the_indented_sorted_dump(self, tree):
+        try:
+            expected = json.dumps(tree, indent=2, sort_keys=True)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._json(tree)
+        else:
+            assert cli._json(tree) == expected
+
+    def test_every_golden_command_is_pinned(self):
+        assert {f"{name}.json" for name in GOLDEN_ARGVS} == \
+            {path.name for path in GOLDEN.iterdir()}
+
+    @pytest.mark.parametrize("name", list(BYTES_ARGVS))
+    def test_stdout_is_the_indented_sorted_dump(self, sandbox, name):
+        Path("x_split61.json").write_text('["1/2", -3, "1/2", "1/2", "1/2", "1/2", "1/2"]')
+        Path("y_distinct7.json").write_text('[9, "7/2", 3, 1, 0, "-1/3", -8]')
+        code, out, err = _run(BYTES_ARGVS[name])
+        assert code in (0, 1) and err == ""
+        if name == "extremizers_split_6_1":
+            assert json.loads(out)["counts"]["n_maximizers"] == 720
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_witness_file_is_the_indented_dump(self, sandbox):
+        assert _run(["witness", "x_mean3.json", "y_desc3.json", "d.json"])[0] == 0
+        text = Path("d.json").read_text()
+        assert text == json.dumps(cli._ser(Mat(json.loads(text))), indent=2) + "\n"
+        rng = random.Random(24)
+        for n in (1, 2, 5):
+            a = Mat([rand_vec(rng, n, lo=-99, hi=99, max_den=12) for _ in range(n)])
+            cli.write_matrix("a.json", a)
+            assert Path("a.json").read_bytes() == \
+                (json.dumps(cli._ser(a), indent=2) + "\n").encode()
+
+
 class TestNoFraction:
     """``check`` reads int and plain "p/q" entries as integer pairs, decides
     on ints and prints every sum from its integer and ``L``, so it runs

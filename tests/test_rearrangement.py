@@ -49,17 +49,35 @@ def _seeded_tied_vec(rng, n):
 
 _PERM_BUDGET = 50
 
+# The tie-heaviest extremizer shape of the cli_queries benchmark: x splits
+# n - 1 + 1, against a distinct y and against a y with one tied pair where
+# x's lone value lands on the maximizing side, which doubles that side.
+# Each case names its number of extremizers, both sides together.
+_X7 = Vec([Fraction(1, 2)] * 3 + [Fraction(-3)] + [Fraction(1, 2)] * 3)
+_X8 = Vec([Fraction(-5, 3)] * 5 + [Fraction(2)] + [Fraction(-5, 3)] * 2)
+_SPLITS = {
+    "6+1-distinct": (_X7, Vec([9, Fraction(7, 2), 3, 1, 0, Fraction(-1, 3), -8]),
+                     720 + 720),
+    "6+1-tied": (_X7, Vec([9, Fraction(7, 2), 3, 1, 0, -8, -8]), 2 * 720 + 720),
+    "7+1-distinct": (_X8, Vec([6, 5, Fraction(9, 2), 1, 0, Fraction(-1, 2), -3, -7]),
+                     5040 + 5040),
+    "7+1-tied": (_X8, Vec([6, 6, Fraction(9, 2), 1, 0, Fraction(-1, 2), -3, -7]),
+                 2 * 5040 + 5040),
+}
+
 
 @pytest.fixture
-def perm_builds(monkeypatch):
-    """Count ``Perm`` constructions; fail at once past a budget far below n!."""
+def perm_builds(request, monkeypatch):
+    """Count ``Perm`` constructions; fail at once past a budget, far below
+    n! unless a test passes its own through indirect parametrization."""
+    budget = getattr(request, "param", _PERM_BUDGET)
     built = []
     init = Perm.__init__
 
     def counting_init(self, image):
         built.append(1)
-        if len(built) > _PERM_BUDGET:
-            raise AssertionError(f"more than {_PERM_BUDGET} Perm constructions")
+        if len(built) > budget:
+            raise AssertionError(f"more than {budget} Perm constructions")
         init(self, image)
 
     monkeypatch.setattr(Perm, "__init__", counting_init)
@@ -213,6 +231,21 @@ class TestExtremizerSets:
         rng = random.Random(f"tied:{n}:{seed}")
         x, y = _seeded_tied_vec(rng, n), _seeded_tied_vec(rng, n)
         assert extremizer_sets(x, y) == oracle_extremizer_sets(x, y)
+
+    @pytest.mark.parametrize("split", list(_SPLITS))
+    def test_matches_the_oracle_on_the_heaviest_split(self, split):
+        x, y, total = _SPLITS[split]
+        report = extremizer_sets(x, y)
+        assert report == oracle_extremizer_sets(x, y)
+        assert len(report.maximizers) + len(report.minimizers) == total
+
+    @pytest.mark.parametrize("split, perm_builds",
+                             [(name, total) for name, (_, _, total) in _SPLITS.items()],
+                             ids=list(_SPLITS), indirect=["perm_builds"])
+    def test_builds_one_perm_per_extremizer(self, split, perm_builds):
+        x, y, _ = _SPLITS[split]
+        report = extremizer_sets(x, y)
+        assert len(perm_builds) == len(report.maximizers) + len(report.minimizers)
 
     def test_all_tied_x_returns_every_perm_in_order(self):
         x = Vec([Fraction(1, 3)] * 7)
