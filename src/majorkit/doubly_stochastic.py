@@ -14,7 +14,8 @@ decomposition's weight check all run in an integer frame: the
 entries are scaled once by the least common multiple ``L`` of their
 denominators, every comparison, sum and update is on Python ints, and
 only the results become ``Fraction``s again.  A :class:`DoublyStochastic`
-keeps the frame its check computed, and :func:`birkhoff` peels a copy of it.
+keeps the frame its check computed, :func:`witness_ds` checks its matrix on
+the T-chain's own frame, and :func:`birkhoff` peels a copy of the frame.
 """
 
 from __future__ import annotations
@@ -56,7 +57,20 @@ class DoublyStochastic:
     matrix: Mat
 
     def __post_init__(self):
-        frame = _ds_frame(self.matrix)
+        self._keep(_ds_frame(self.matrix))
+
+    @classmethod
+    def _framed(cls, matrix: Mat, scale: int,
+                rows: list[list[int]]) -> DoublyStochastic:
+        """``cls(matrix)`` for a square ``matrix`` whose cleared frame
+        ``_clear_denominators(matrix.rows)`` is ``(scale, rows)``: the same
+        check, run on that frame instead of clearing ``matrix`` again."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "matrix", matrix)
+        ds._keep((scale, rows) if _ds_holds(scale, rows) else None)
+        return ds
+
+    def _keep(self, frame: tuple[int, list[list[int]]] | None):
         if frame is None:
             raise ValueError("matrix is not doubly stochastic")
         object.__setattr__(self, "_frame", frame)
@@ -66,21 +80,26 @@ class DoublyStochastic:
         return self.matrix.n_rows
 
 
+def _ds_holds(scale: int, rows: list[list[int]]) -> bool:
+    """Whether ``rows / scale`` is doubly stochastic: every row of the
+    square int matrix ``rows`` is nonnegative and sums to ``scale``, and
+    every column sums to ``scale``."""
+    return (all(min(row) >= 0 and sum(row) == scale for row in rows)
+            and all(sum(col) == scale for col in zip(*rows)))
+
+
 def _ds_frame(a: Mat) -> tuple[int, list[list[int]]] | None:
     """``(L, L * a)`` if ``a`` is doubly stochastic, else ``None``.
 
-    Decides on integer numerators over ``L``, the least common multiple
-    of the entries' denominators: every row must be nonnegative and sum
-    to ``L``, and every column must sum to ``L``.  Raises
+    Decides by :func:`_ds_holds` on integer numerators over ``L``, the
+    least common multiple of the entries' denominators.  Raises
     :class:`DimensionMismatch` for non-square input; a rectangular
     matrix cannot satisfy the definition at all.
     """
     if not a.is_square:
         raise DimensionMismatch("doubly stochastic matrices are square")
     scale, rows = _clear_denominators(a.rows)
-    holds = (all(min(row) >= 0 and sum(row) == scale for row in rows)
-             and all(sum(col) == scale for col in zip(*rows)))
-    return (scale, rows) if holds else None
+    return (scale, rows) if _ds_holds(scale, rows) else None
 
 
 def check_ds(a: Mat) -> bool:
@@ -132,6 +151,13 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     by one ``gcd`` per row.  The sorting permutations are applied by
     re-indexing rows and columns, and the entries become ``Fraction``s
     once, at the end.  No matrix product is formed.
+
+    The witness's doubly stochastic check reads the chain's own frame
+    instead of clearing the ``Fraction`` matrix again.  Each chain row
+    is in lowest terms (its numerators and denominator share no factor),
+    so its entries' denominators have ``dens[r]`` as their least common
+    multiple, and ``L = lcm(dens)`` with the rows ``nums[r] * (L //
+    dens[r])`` is exactly the frame the check would clear.
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
@@ -175,11 +201,15 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     # chain's row unsort^-1(i), read at columns presort(c).
     unsort = Perm(order_x)
     presort = Perm(order_y).inverse()
+    cols = presort.image
+    chain = [(nums[r], dens[r]) for r in unsort.inverse().image]
     zero = Fraction(0)
-    d = Mat([Fraction(nums[r][c], dens[r]) if nums[r][c] else zero
-             for c in presort.image] for r in unsort.inverse().image)
-    return MajorizationWitness(DoublyStochastic(d), tuple(transforms),
-                               presort, unsort)
+    d = Mat([Fraction(row[c], den) if row[c] else zero for c in cols]
+            for row, den in chain)
+    scale = math.lcm(*dens)
+    frame = [[row[c] * (scale // den) for c in cols] for row, den in chain]
+    return MajorizationWitness(DoublyStochastic._framed(d, scale, frame),
+                               tuple(transforms), presort, unsort)
 
 
 @dataclass(frozen=True)
@@ -219,15 +249,19 @@ def _weighted_perm_sum(n: int, terms: Iterable[tuple[Rational, Perm]]) -> Mat:
     return Mat(rows)
 
 
-def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool:
-    """Match ``root`` by one augmenting path, or return ``False``.
+def _augment(adjacent: list[list[int]], match_col: list[int],
+             root: int) -> list[int] | None:
+    """Match ``root`` by one augmenting path and return the path's
+    columns, or return ``None``.
 
     ``match_col`` maps each column to its row (``-1`` if free) and is
     updated in place.  Depth-first search from ``root``, trying each
     row's columns in ascending index; the first augmenting path found is
-    flipped.  It keeps its path on an explicit stack, so a path through
-    every row of a large support cannot exhaust the interpreter's
-    recursion limit.
+    flipped.  The returned columns ``via`` are in path order: ``via[0]``
+    is now ``root``'s, the last one was free, and each other ``via[d]``
+    moved from the row that now holds ``via[d + 1]``.  It keeps its path
+    on an explicit stack, so a path through every row of a large support
+    cannot exhaust the interpreter's recursion limit.
     """
     seen = [False] * len(match_col)
     path = [root]  # rows on the search path
@@ -249,10 +283,10 @@ def _augment(adjacent: list[list[int]], match_col: list[int], root: int) -> bool
         if row < 0:  # free column: flip the whole path
             for r, col in zip(path, via):
                 match_col[col] = r
-            return True
+            return via
         path.append(row)
         untried.append(iter(adjacent[row]))
-    return False
+    return None
 
 
 def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
@@ -275,31 +309,49 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     ascending order, one augmenting path each.  The residual is a scaled
     doubly stochastic matrix, so it holds a perfect matching, and an
     augmenting path starts at every unmatched row (Berge, 1957).
+
+    A peel subtracts lazily.  Matched column ``c`` keeps a key, and its
+    cell ``(match_col[c], c)`` holds ``key[c] - offset``; a peel's weight
+    is ``min(key) - offset``, after which ``offset`` is ``min(key)`` and
+    the emptied cells are the columns whose key equals it.  So a peel
+    touches only the cells it empties and the columns an augmenting path
+    moves: a moved column writes its old cell back into ``work`` and
+    takes its key from its new one.
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
     n = d.n
     scale, rows = d._frame
-    work = [row[:] for row in rows]
+    work = [row[:] for row in rows]  # exact off the matching; stale on it
     adjacent = [list(compress(range(n), row)) for row in work]
     remaining = sum(map(len, adjacent))
     match_col = [-1] * n  # column -> row
+    key = [0] * n  # matched column -> its cell's value plus offset
+    offset = 0
     unmatched = list(range(n))  # rows to match before the next peel
     terms: list[tuple[Rational, Perm]] = []
     while remaining:
         for root in sorted(unmatched):
-            if not _augment(adjacent, match_col, root):
+            via = _augment(adjacent, match_col, root)
+            if not via:
                 raise RuntimeError("no permutation inside the support; input invalid")
-        weight = min(work[r][c] for c, r in enumerate(match_col))
-        terms.append((Fraction(weight, scale), Perm(match_col)))
+            for c, nxt in zip(via, via[1:]):  # moved from row match_col[nxt]
+                work[match_col[nxt]][c] = key[c] - offset
+            for c in via:
+                key[c] = work[match_col[c]][c] + offset
+        low = min(key)
+        terms.append((Fraction(low - offset, scale), Perm._of(tuple(match_col))))
+        offset = low
         unmatched = []
-        for c, r in enumerate(match_col):
-            work[r][c] -= weight
-            if not work[r][c]:
-                adjacent[r].remove(c)
-                remaining -= 1
-                match_col[c] = -1
-                unmatched.append(r)
+        c = -1
+        for _ in range(key.count(low)):
+            c = key.index(low, c + 1)
+            r = match_col[c]
+            work[r][c] = 0
+            adjacent[r].remove(c)
+            match_col[c] = -1
+            unmatched.append(r)
+        remaining -= len(unmatched)
     return BirkhoffDecomposition(tuple(terms))
 
 

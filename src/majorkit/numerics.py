@@ -247,6 +247,14 @@ class Perm:
         self._image = img
 
     @classmethod
+    def _of(cls, image: tuple[int, ...]) -> "Perm":
+        """A ``Perm`` of an int tuple that is a permutation by construction,
+        which is not checked again."""
+        p = cls.__new__(cls)
+        p._image = image
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls(range(n))
 
@@ -284,9 +292,8 @@ class Perm:
         return Perm(self._image[j] for j in other._image)
 
     def inverse(self) -> "Perm":
-        inv = Perm.__new__(Perm)  # a valid image's inverse needs no re-check
-        inv._image = tuple(sorted(range(len(self._image)), key=self._image.__getitem__))
-        return inv
+        return Perm._of(tuple(sorted(range(len(self._image)),
+                                     key=self._image.__getitem__)))
 
     def matrix(self) -> Mat:
         """0/1 matrix with a 1 at ``(p(j), j)``; ``matrix() @ x == apply(x)``."""

@@ -121,7 +121,7 @@ def _block_rearrangements(classes: list[int], want: list[int],
     j = i = 0  # position j tries the indices from i on
     while True:
         if j == n:
-            found.append(Perm(image))
+            found.append(Perm._of(tuple(image)))
         else:
             owe = owes[j]
             while i < n and (used[i] or not owe[classes[i]]):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from majorkit import (
     BirkhoffDecomposition,
@@ -26,6 +26,7 @@ from majorkit import (
 )
 from majorkit import doubly_stochastic
 from majorkit.doubly_stochastic import _augment, _ds_frame
+from majorkit.numerics import _clear_denominators
 from helpers import (
     count_clears,
     majorizing_pair,
@@ -377,6 +378,49 @@ class TestBirkhoff:
             d = witness_ds(x, y).matrix
             assert birkhoff(d).terms == oracle_birkhoff(d).terms
 
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_long_peels_match_the_oracle(self, n):
+        # A pile of (n-1)^2 + 1 permutations: matched cells survive many
+        # peels, so their lazily subtracted offsets pile up.
+        d = random_ds(n, seed=n, steps=(n - 1) ** 2 + 1)
+        dec = birkhoff(d)
+        assert len(dec.terms) > 10 * n
+        assert dec.terms == oracle_birkhoff(d).terms
+
+    def test_prime_denominator_witness_matches_the_oracle(self):
+        # Twelve distinct primes near 10**6 in y: the witness's frame
+        # scale, and with it every key and offset of the peel, runs to
+        # thousands of bits.
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                  1000117, 1000121, 1000133, 1000151, 1000159, 1000171]
+        rng = random.Random(73)
+        y = Vec(Fraction(rng.randint(-10**6, 10**6), p) for p in primes)
+        x = random_ds(12, seed=rng.getrandbits(32), steps=12).matrix @ y
+        d = witness_ds(x, y).matrix
+        assert d._frame[0] > 2**1000
+        assert birkhoff(d).terms == oracle_birkhoff(d).terms
+
+    @settings(max_examples=60)
+    @given(n=st.integers(6, 8), data=st.data())
+    def test_rematch_paths_through_matched_columns_match_the_oracle(self, n, data):
+        # Every draw of this space (all 24,000 were run) rematches some row
+        # by a path that moves two or more matched columns, so each moved
+        # column's cell is written back and its key taken from the new one.
+        d = random_ds(n, seed=data.draw(st.integers(0, 999)),
+                      steps=data.draw(st.integers(n, 2 * n)))
+        paths = []
+
+        def recording(adjacent, match_col, root):
+            via = _augment(adjacent, match_col, root)
+            paths.append(len(via))
+            return via
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doubly_stochastic, "_augment", recording)
+            dec = birkhoff(d)
+        assert max(paths[n:]) >= 3  # the first n match the first peel
+        assert dec.terms == oracle_birkhoff(d).terms
+
     @pytest.fixture
     def roots(self, monkeypatch):
         """The root of every ``_augment`` call, in order."""
@@ -484,15 +528,29 @@ class TestNoFractionOrder:
 
 class TestKeptFrame:
     """A :class:`DoublyStochastic` keeps its check's integer frame, which
-    :func:`birkhoff` peels a copy of instead of clearing the matrix again."""
+    :func:`birkhoff` peels a copy of instead of clearing the matrix again;
+    a witness's check reads the T-chain's frame."""
 
-    def test_a_construct_item_clears_four_times(self, monkeypatch):
+    def test_a_construct_item_clears_three_times(self, monkeypatch):
         x, y = majorizing_pair(random.Random(7), 20)
         calls = count_clears(monkeypatch)
         assert majorizes(x, y)
         birkhoff(witness_ds(x, y).matrix)
-        # majorizes, witness_ds's pair, the witness's check, the weights
-        assert calls == [4]
+        # majorizes, witness_ds's pair, the weights
+        assert calls == [3]
+
+    @given(pair=majorized_pairs())
+    def test_the_witness_keeps_the_frame_its_matrix_clears_to(self, pair):
+        d = witness_ds(*pair).matrix
+        assert d._frame == _ds_frame(d.matrix)
+
+    def test_a_given_frame_is_checked(self):
+        m = Mat([["1/2", "1/2"], ["1/2", "1/3"]])
+        with pytest.raises(ValueError, match="not doubly stochastic"):
+            DoublyStochastic._framed(m, *_clear_denominators(m.rows))
+        m = random_ds(5, seed=3).matrix
+        assert DoublyStochastic._framed(m, *_clear_denominators(m.rows)) == \
+            DoublyStochastic(m)
 
     def test_birkhoff_of_a_mat_clears_twice(self, monkeypatch):
         m = random_ds(6, seed=5).matrix

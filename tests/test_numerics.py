@@ -15,7 +15,11 @@ from majorkit import (
     Perm,
     Vec,
     as_rational,
+    birkhoff,
     enumerate_perms,
+    extremizer_sets,
+    random_ds,
+    witness_ds,
 )
 from majorkit.cli import _PLAIN_RATIO
 from majorkit.numerics import _clear_denominators
@@ -239,6 +243,38 @@ class TestPerm:
             p = rand_perm(rng, rng.randint(1, 6))
             assert p.compose(p.inverse()) == Perm.identity(len(p))
             assert p.inverse().matrix() == transpose(p.matrix())
+
+    def test_trusted_images_pass_the_check(self, monkeypatch):
+        # Perm._of skips the bijection check for images that are
+        # permutations by construction: inverses, birkhoff's matchings and
+        # the extremizer backtrack's images.  With the check put back, on
+        # construct-shaped witnesses and tie-heavy x, every such image
+        # passes and every output is the same.
+        rng = random.Random(24)
+        pairs = []
+        for _ in range(3):
+            y = rand_vec(rng, 20, lo=-20, hi=20)
+            x = random_ds(20, seed=rng.getrandbits(32), steps=4).matrix @ y
+            pairs.append((x, y))
+        half = Fraction(1, 2)
+        ties = [(Vec([half] * 3 + [-3] + [half] * 3),
+                 Vec([9, Fraction(7, 2), 3, 1, 0, -8, -8])),
+                (Vec([1, 2, 1, 2, 1, 2]), Vec([3, 3, 1, 0, 0, -2]))]
+
+        def run():
+            return ([birkhoff(witness_ds(x, y).matrix) for x, y in pairs],
+                    [extremizer_sets(x, y) for x, y in ties])
+
+        trusted = run()
+        checked = []
+
+        def checking(cls, image):
+            checked.append(image)
+            return cls(image)
+
+        monkeypatch.setattr(Perm, "_of", classmethod(checking))
+        assert run() == trusted
+        assert len(checked) > 2 * 720
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matrix_is_group_homomorphism_exhaustive(self, n):

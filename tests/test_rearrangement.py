@@ -68,19 +68,28 @@ _SPLITS = {
 
 @pytest.fixture
 def perm_builds(request, monkeypatch):
-    """Count ``Perm`` constructions; fail at once past a budget, far below
-    n! unless a test passes its own through indirect parametrization."""
+    """Count ``Perm`` constructions, checked or trusted (``Perm._of``); fail
+    at once past a budget, far below n! unless a test passes its own
+    through indirect parametrization."""
     budget = getattr(request, "param", _PERM_BUDGET)
     built = []
-    init = Perm.__init__
+    init, trusted = Perm.__init__, Perm._of
 
-    def counting_init(self, image):
+    def count():
         built.append(1)
         if len(built) > budget:
             raise AssertionError(f"more than {budget} Perm constructions")
+
+    def counting_init(self, image):
+        count()
         init(self, image)
 
+    def counting_of(cls, image):
+        count()
+        return trusted(image)
+
     monkeypatch.setattr(Perm, "__init__", counting_init)
+    monkeypatch.setattr(Perm, "_of", classmethod(counting_of))
     return built
 
 
