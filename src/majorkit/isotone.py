@@ -43,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import add, gt, mul, sub
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -232,9 +232,10 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     return failed["left"] if failed else IsotoneVerdict(True)
 
 
-# Every spreading step of _sample_above moves t = i/j with j drawn from
+# Every spreading step of _draws_above moves t = i/j with j drawn from
 # 1.._STEP_DEN, so its draws are integral at _STEP_SCALE times the anchor's
-# own scale.
+# own scale, and the eight moves den * (_STEP_SCALE // j) are set up once
+# per stream.
 _STEP_DEN = 8
 _STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
 
@@ -252,68 +253,97 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _sample_above(nums: Sequence[int], den: int,
-                  rng: random.Random) -> tuple[int, ...]:
-    """Draw a vector that majorizes ``nums / den``, as numerators over
-    ``den * _STEP_SCALE``.
+def _draws_above(nums: Sequence[int], den: int,
+                 rng: random.Random) -> Iterator[tuple[int, ...]]:
+    """Endless draws of vectors that majorize ``nums / den``, each as
+    numerators over ``den * _STEP_SCALE``.
 
-    Applies a short chain of spreading steps, each moving positive mass
-    from a smaller entry to a larger one (which preserves the total and
-    pushes the vector up the order), then shuffles the coordinates.  Its
-    draws are those of ``randint``, ``sample(range(n), 2)`` (the pool path,
-    taken for ``n <= 21``; the n! orbit read first bounds n) and ``shuffle``,
-    word for word from ``getrandbits``, as ``tests/test_isotone.py`` pins.
-    Each is decoded inline by :func:`_below`'s rule, with the bit widths
-    taken once per call; ``_below`` stays the reference.
+    A draw applies a short chain of spreading steps to the anchor, each
+    moving positive mass from a smaller entry to a larger one (which
+    preserves the total and pushes the vector up the order), then
+    shuffles the coordinates.  Its draws are those of ``randint``,
+    ``sample(range(n), 2)`` (the pool path, taken for ``n <= 21``; the n!
+    orbit read first bounds n) and ``shuffle``, word for word from
+    ``getrandbits``, as ``tests/test_isotone.py`` pins, each decoded inline
+    by :func:`_below`'s rule.  The scaled anchor, its rank order, the
+    step moves and the bit widths are set up once per stream; no word is
+    read before a draw is asked for.
+
+    A step picks the entries of ranks ``i < j`` in ``order``, the stable
+    reverse sort of the current values (``sorted(range(n),
+    key=vals.__getitem__, reverse=True)``): by value descending, ties by
+    lower index first.  That key, ``(-value, index)``, is a strict total
+    order, so the sorted order is the only one that satisfies it.  The
+    step raises ``order[i]`` and lowers ``order[j]`` and leaves every
+    other value, hence every other pair's comparison, as it was: the raised
+    entry can only overtake entries ahead of it and the lowered one only
+    fall behind entries after it, and the positions in between never
+    move.  Sliding the raised entry forward past each entry whose key it
+    now beats, then the lowered one backward likewise, therefore restores
+    exactly the stable reverse sort, and each step picks the entries
+    ``sorted`` would.
     """
     n = len(nums)
-    vals = [v * _STEP_SCALE for v in nums]
+    start = [v * _STEP_SCALE for v in nums]
     if n == 1:
-        return tuple(vals)
+        while True:
+            yield tuple(start)
     bits, last, top = rng.getrandbits, n - 1, 3 * n
     k_top, k_n, k_last = top.bit_length(), n.bit_length(), last.bit_length()
     k_num, k_den = (12).bit_length(), _STEP_DEN.bit_length()
-    while (steps := bits(k_top)) >= top:
-        pass
-    for _ in range(1 + steps):
-        order = sorted(range(n), key=vals.__getitem__, reverse=True)
-        while (i := bits(k_n)) >= n:
+    moves = [den * (_STEP_SCALE // d) for d in range(1, _STEP_DEN + 1)]
+    swaps = [(i, (i + 1).bit_length()) for i in range(last, 0, -1)]
+    ranked = sorted(range(n), key=start.__getitem__, reverse=True)
+    while True:
+        vals, order = start[:], ranked[:]
+        while (steps := bits(k_top)) >= top:
             pass
-        while (j := bits(k_last)) >= last:
-            pass
-        while (num := bits(k_num)) >= 12:
-            pass
-        while (step_den := bits(k_den)) >= _STEP_DEN:
-            pass
-        t = (1 + num) * den * (_STEP_SCALE // (1 + step_den))
-        if j == i:  # sample's pool path: a repeat takes the last entry
-            j = last
-        if i > j:
-            i, j = j, i
-        vals[order[i]] += t
-        vals[order[j]] -= t
-    for i in range(last, 0, -1):
-        k = (i + 1).bit_length()
-        while (j := bits(k)) > i:
-            pass
-        vals[i], vals[j] = vals[j], vals[i]
-    return tuple(vals)
+        for _ in range(1 + steps):
+            while (i := bits(k_n)) >= n:
+                pass
+            while (j := bits(k_last)) >= last:
+                pass
+            while (num := bits(k_num)) >= 12:
+                pass
+            while (step_den := bits(k_den)) >= _STEP_DEN:
+                pass
+            t = (1 + num) * moves[step_den]
+            if j == i:  # sample's pool path: a repeat takes the last entry
+                j = last
+            if i > j:
+                i, j = j, i
+            up, down = order[i], order[j]
+            v = vals[up] = vals[up] + t
+            while i and ((w := vals[p := order[i - 1]]) < v or w == v and p > up):
+                order[i] = p
+                i -= 1
+            order[i] = up
+            v = vals[down] = vals[down] - t
+            while j < last and ((w := vals[s := order[j + 1]]) > v
+                                or w == v and s < down):
+                order[j] = s
+                j += 1
+            order[j] = down
+        for i, k in swaps:
+            while (j := bits(k)) > i:
+                pass
+            vals[i], vals[j] = vals[j], vals[i]
+        yield tuple(vals)
 
 
 def _upward_verdict(rows: list[list[int]], anchor: AnchorPoint,
                     base: tuple[int, ...], trials: int, seed: int | str,
                     side: str) -> IsotoneVerdict:
     """Check ``A alpha``, whose profile over ``rows`` is ``base``, against
-    ``trials`` draws above the anchor.
+    ``trials`` draws above the anchor (none when ``trials <= 0``).
 
     ``side``, ``"right"`` or ``"point"``, names the generator stream and
     the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
     """
-    rng = random.Random(f"{seed}:{side}")
     den, nums = anchor._frame
     base = tuple(v * _STEP_SCALE for v in base)  # the draws' scale
-    for _ in range(trials):
-        y = _sample_above(nums, den, rng)
+    draws = _draws_above(nums, den, random.Random(f"{seed}:{side}"))
+    for y in islice(draws, max(trials, 0)):
         if _profile_violation(base, _profile(rows, y)) is not None:
             y = _vec(y, den * _STEP_SCALE)
             witness = ({"perm": Perm.identity(len(nums)), "y": y}

@@ -44,12 +44,12 @@ from majorkit.isotone import (
     _STEP_SCALE,
     _all_below,
     _below,
+    _draws_above,
     _first_below,
     _images,
     _int_rows,
     _profile,
     _random_distinct_vec,
-    _sample_above,
     _subset_table,
     _vec,
     campaign_matrices,
@@ -911,8 +911,9 @@ class TestIntegerKernelMatchesFractionOracles:
             alpha = rand_vec(rng, n, -4, 4, max_den=7)  # ties and mixed dens
             ours, theirs = random.Random(seed), random.Random(seed)
             den, (nums,) = _clear_denominators((alpha,))
+            draws = _draws_above(nums, den, ours)
             for _ in range(2):
-                y = _vec(_sample_above(nums, den, ours), den * _STEP_SCALE)
+                y = _vec(next(draws), den * _STEP_SCALE)
                 assert y == oracle_sample_above(alpha, theirs)
             assert _vec(*_random_distinct_vec(n, ours)) == \
                 oracle_random_distinct_vec(n, theirs)
@@ -925,8 +926,9 @@ class TestIntegerKernelMatchesFractionOracles:
             alpha = rand_vec(random.Random(seed), n, -4, 4, max_den=7)
             den, (nums,) = _clear_denominators((alpha,))
             ours, theirs = random.Random(seed), random.Random(seed)
+            draws = _draws_above(nums, den, ours)
             for _ in range(2):
-                y = _vec(_sample_above(nums, den, ours), den * _STEP_SCALE)
+                y = _vec(next(draws), den * _STEP_SCALE)
                 assert y == oracle_sample_above(alpha, theirs)
                 assert ours.getstate() == theirs.getstate()
 
@@ -983,6 +985,44 @@ def _raise_on_call(*args, **kwargs):
     raise AssertionError("a sampler drew through a random.Random method")
 
 
+@pytest.fixture
+def words(monkeypatch):
+    """The number of getrandbits words drawn through isotone's generators."""
+    count = [0]
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            count[0] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(isotone.random, "Random", Counting)
+    return count
+
+
+def _tied_anchors():
+    """``(nums, den)`` at n = 1..8 whose rank order rests on ties: all
+    equal, two-valued in both orders, and seeded draws from three values."""
+    for n in range(1, 9):
+        yield [3] * n, 1 + n % 4
+        for split in range(1, n):
+            yield [5] * split + [-2] * (n - split), 2
+            yield [-2] * split + [5] * (n - split), 3
+        rng = random.Random(n)
+        for _ in range(20):
+            yield [rng.choice((-1, 0, 4)) for _ in range(n)], rng.randint(1, 7)
+
+
+def _assert_draws_match_the_oracle(nums, den, seed, count):
+    """``count`` draws of one ``_draws_above`` stream equal the Fraction
+    oracle's, with the generator states equal after every draw."""
+    alpha = Vec(Fraction(v, den) for v in nums)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    draws = _draws_above(nums, den, ours)
+    for _ in range(count):
+        assert _vec(next(draws), den * _STEP_SCALE) == oracle_sample_above(alpha, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
 class TestSamplerStreams:
     @pytest.mark.parametrize("n", [*range(1, 131), 2**31, 2**32, 2**32 + 1, 2**64])
     def test_below_draws_the_words_randrange_draws(self, n):
@@ -1001,29 +1041,48 @@ class TestSamplerStreams:
                 above = random.Random(f"{seed}:right")
                 distinct = random.Random(f"{seed}:global")
                 nums, den = tuple(range(n, 0, -1)), 1 + seed % 5
-                draws.append([_sample_above(nums, den, above) for _ in range(20)])
+                above_draws = _draws_above(nums, den, above)
+                draws.append([next(above_draws) for _ in range(20)])
                 draws.append([_random_distinct_vec(n, distinct) for _ in range(20)])
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == SAMPLER_STREAMS_SHA256
 
-    def test_a_holding_cell_draws_the_pinned_word_counts(self, monkeypatch):
+    def test_a_holding_cell_draws_the_pinned_word_counts(self, words):
         # Every draw here is at most 6 bits, one getrandbits word each.  The
         # counts were taken while each draw still called _below.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
-        words = [0]
-
-        class Counting(random.Random):
-            def getrandbits(self, k):
-                words[0] += 1
-                return super().getrandbits(k)
-
-        monkeypatch.setattr(isotone.random, "Random", Counting)
         assert verify_statements(a, anchor, trials=50, seed=1).all_hold
         assert words == [5515]  # right, point and global streams
         words[0] = 0
         assert is_right_isotone_at(a, anchor, trials=50, seed=1).holds
         assert words == [2673]
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_hold_and_draw_no_word(self, words, trials):
+        # A non-positive count reads no draw from the stream: the verdicts
+        # hold, echo trials, and no getrandbits word is drawn.
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        held = IsotoneVerdict(True, trials=trials)
+        assert is_right_isotone_at(a, anchor, trials=trials, seed=1) == held
+        assert is_isotone_at(a, anchor, trials=trials, seed=1) == held
+        check = verify_statements(a, anchor, trials=trials, seed=1)
+        assert check.all_hold
+        assert check.right == check.point == check.global_sampled == held
+        assert words == [0]
+
+    def test_draws_above_equal_the_oracle_at_tied_anchors(self):
+        # Ties are where re-ranking by insertion could pick other entries
+        # than a stable reverse sort.
+        for index, (nums, den) in enumerate(_tied_anchors()):
+            for seed in range(4):
+                _assert_draws_match_the_oracle(nums, den, 31 * index + seed, 8)
+
+    @given(nums=st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+           den=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_draws_above_equal_the_oracle(self, nums, den, seed):
+        _assert_draws_match_the_oracle(nums, den, seed, 6)
 
     def test_samplers_call_no_random_method(self, monkeypatch):
         rng = random.Random(211)

@@ -1,0 +1,288 @@
+"""Per-layer timings of majorkit swept over n, next to deterministic work counters.
+
+Usage, from the root of a checkout::
+
+    python tools/sweep.py            # every point, 9 runs each: BENCH_<sha>.json
+    python tools/sweep.py --quick    # each layer's smallest n, 1 run: JSON to stdout
+
+Each point times one layer on fixed seeded inputs: the median of its
+runs in ms, with the host scale of ``bench/hostspeed.py`` (its reference
+kernel runs once after every timed run, and ``scaled_median_ms`` reads as
+the time on a host where the kernel takes ``hostspeed.REF_MS``).  The
+counters come from one more, untimed run under ``bench/tracer.py``: the
+kernel calls and result counters it records (prefix sums, mat-vecs,
+transforms, terms, extremizers, ...), plus what it does not see, the
+orbit images read and the ``getrandbits`` words drawn, and what the
+point's result reports (draws, reported-sum characters, verify counts),
+so a reader can tell less work from faster work.  The sweep runs in
+this process, importing majorkit from this checkout's ``src/``, and is
+not one of the benchmark's gated workloads.  Every point is cheap
+enough to time in seconds: ``check``'s prime denominators come from a
+pool of eight, so its LCM stays near 56 bits.
+
+The full sweep writes ``BENCH_<short sha>.json`` at the repo root,
+``BENCH_<short sha>-dirty.json`` when ``src/`` differs from that commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter_ns
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import hostspeed  # noqa: E402
+import majorkit as mk  # noqa: E402
+from majorkit import cli, isotone  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
+RUNS = 9  # timed runs per point; one under --quick
+
+
+def _expect(holds: bool, what: str) -> None:
+    if not holds:
+        raise RuntimeError(f"sweep input broken: expected {what}")
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    """``majorkit.cli.main(argv)``'s exit code and report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _counted(run) -> tuple[object, dict]:
+    """``run()`` once under the tracer: its kernel calls and counters, summed
+    over every span, with the orbit images and ``getrandbits`` words."""
+    extra = {"images": 0, "words": 0}
+    orbit, rng_class = isotone._orbit, random.Random
+
+    def counted_orbit(*args):
+        for image in orbit(*args):
+            extra["images"] += 1
+            yield image
+
+    class Counting(rng_class):
+        def getrandbits(self, k):
+            extra["words"] += 1
+            return super().getrandbits(k)
+
+    tracer = Tracer()
+    isotone._orbit, random.Random = counted_orbit, Counting
+    tracer.install(mk)
+    try:
+        result = run()
+    finally:
+        tracer.uninstall()
+        isotone._orbit, random.Random = orbit, rng_class
+    counters = {}
+    for row in tracer.summary().values():
+        for name, (calls, _) in row["kernels"].items():
+            counters[f"{name}.calls"] = counters.get(f"{name}.calls", 0) + calls
+        for name, k in row["counters"].items():
+            counters[name] = counters.get(name, 0) + k
+    return result, {**counters, **{k: v for k, v in extra.items() if v}}
+
+
+def _planted(n: int):
+    """A seeded scaled permutation plus constant and a strict anchor."""
+    rng = random.Random(f"sweep:planted:{n}")
+    image = list(range(n))
+    rng.shuffle(image)
+    form = mk.PermScaled(Fraction(rng.randint(1, 5)),
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 4)), mk.Perm(image))
+    den = rng.randint(1, 4)
+    alpha = sorted(rng.sample(range(-20, 21), n), reverse=True)
+    return form.as_matrix(), mk.AnchorPoint(mk.Vec(Fraction(v, den) for v in alpha))
+
+
+def right_isotone(n: int):
+    a, anchor = _planted(n)
+
+    def run():
+        return mk.is_right_isotone_at(a, anchor, trials=50, seed=1)
+
+    def read(verdict):
+        _expect(verdict.holds, f"the planted form at n = {n} holds")
+        return {"draws": verdict.trials}  # a holding verdict read every draw
+    return run, read
+
+
+def global_sampled(n: int):
+    a, _ = _planted(n)
+
+    def run():
+        return mk.is_global_isotone_sampled(a, trials=10, seed=1)
+
+    def read(verdict):
+        _expect(verdict.holds, f"the planted form at n = {n} holds")
+        return {}
+    return run, read
+
+
+def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
+    """``x`` majorized by ``y``: ``y`` seeded, ``x`` averages disjoint pairs of it."""
+    rng = random.Random(f"sweep:check:{n}:{primes}")
+    y = [Fraction(rng.randint(-50, 50),
+                  rng.choice(PRIMES) if primes else rng.randint(1, 6)) for _ in range(n)]
+    x = list(y)
+    order = list(range(n))
+    rng.shuffle(order)
+    for i, j in zip(order[0::4], order[1::4]):
+        x[i] = x[j] = (y[i] + y[j]) / 2
+    return x, y
+
+
+def _check(primes: bool):
+    def make(n: int):
+        x, y = _pair(n, primes)
+        work = tempfile.TemporaryDirectory(prefix="majorkit-sweep-")
+        paths = [str(Path(work.name) / name) for name in ("x.json", "y.json")]
+        for path, v in zip(paths, (x, y)):
+            Path(path).write_text(json.dumps([str(e) for e in v]), encoding="utf-8")
+
+        def run():
+            return _cli(["check", *paths])
+        run.work = work  # the files live as long as the run
+
+        def read(out):
+            code, text = out
+            _expect(code == 0, f"check at n = {n} exits 0")
+            sums = json.loads(text)["counts"].values()
+            scale = math.lcm(*(v.denominator for v in x + y))
+            return {"sum_chars": sum(len(v) for vs in sums for v in vs),
+                    "scale_bits": scale.bit_length()}
+        return run, read
+    return make
+
+
+def _construct_pair(n: int):
+    rng = random.Random(f"sweep:construct:{n}")
+    y = mk.Vec(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n))
+    return mk.random_ds(n, n, steps=4).matrix @ y, y
+
+
+def _no_reads(result) -> dict:
+    return {}
+
+
+def witness(n: int):
+    x, y = _construct_pair(n)
+    return (lambda: mk.witness_ds(x, y)), _no_reads
+
+
+def birkhoff(n: int):
+    x, y = _construct_pair(n)
+    d = mk.witness_ds(x, y).matrix
+    return (lambda: mk.birkhoff(d)), _no_reads
+
+
+def extremizers(n: int):
+    """Each value of ``x`` twice (the last once at odd n); ``y`` distinct."""
+    rng = random.Random(f"sweep:extremizers:{n}")
+    values = rng.sample(range(-12, 13), (n + 1) // 2)
+    x = mk.Vec([v for v in values for _ in range(2)][:n])
+    y = mk.Vec(rng.sample(range(-40, 41), n))
+    return (lambda: mk.extremizer_sets(x, y, guard=n)), _no_reads
+
+
+def verify(n: int):
+    argv = ["verify", "--n", str(n), "--matrices", "16", "--trials", "20", "--seed", "3"]
+
+    def run():
+        return _cli(argv)
+
+    def read(out):
+        code, text = out
+        _expect(code == 0, f"verify at n = {n} exits 0")
+        counts = json.loads(text)["counts"]
+        return {k: counts[k] for k in ("matrices", "all_true", "all_false")}
+    return run, read
+
+
+# (layer, sizes, builder): the builder sets a point up and returns its
+# timed run and what to read off the run's result as counters.
+LAYERS = (
+    ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
+    ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
+    ("cli.check.small_den", (256, 1024, 4096), _check(primes=False)),
+    ("cli.check.prime_den", (256, 1024, 4096), _check(primes=True)),
+    ("doubly_stochastic.witness_ds", (20, 40, 80), witness),
+    ("doubly_stochastic.birkhoff", (20, 40, 80), birkhoff),
+    ("rearrangement.extremizer_sets", (8, 10, 12), extremizers),
+    ("cli.verify", (6, 7, 8), verify),
+)
+
+
+def points(quick: bool) -> list[tuple[str, int]]:
+    """The ``(layer, n)`` points a sweep reports; quick takes each layer's smallest n."""
+    return [(layer, n) for layer, sizes, _ in LAYERS
+            for n in (sizes[:1] if quick else sizes)]
+
+
+def measure(builder, n: int, runs: int) -> dict:
+    run, read = builder(n)
+    run()  # warm-up: imports, caches and first-call set-up stay out of the runs
+    times, kernel = [], []
+    for _ in range(runs):
+        t0 = perf_counter_ns()
+        run()
+        times.append(perf_counter_ns() - t0)
+        kernel.append(hostspeed.sample())
+    median_ms = statistics.median(times) / 1e6
+    scale = hostspeed.scale(kernel)
+    result, counters = _counted(run)
+    return {"median_ms": round(median_ms, 4), "host_scale": round(scale, 4),
+            "scaled_median_ms": round(median_ms * scale, 4), "runs": runs,
+            "counters": {**counters, **read(result)}}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="the smallest n of every layer, one run, JSON to stdout")
+    args = parser.parse_args(argv)
+    runs = 1 if args.quick else RUNS
+    builders = {layer: builder for layer, _, builder in LAYERS}
+    report = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "quick": args.quick,
+        "points": [{"layer": layer, "n": n, **measure(builders[layer], n, runs)}
+                   for layer, n in points(args.quick)],
+    }
+    if args.quick:
+        print(json.dumps(report, indent=1, sort_keys=True))
+        return 0
+    sha = _git("rev-parse", "--short", "HEAD")
+    name = sha + ("-dirty" if _git("status", "--porcelain", "--", "src") else "")
+    report["sha"] = name
+    out = ROOT / f"BENCH_{name}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
