@@ -10,19 +10,27 @@ while running a command or while building or printing its report.
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the same process.
 
-Every input scalar is read by ``_scalar`` into a coprime integer pair
-``(p, q)``.  A JSON int and a plain "p/q" string print because each of
-their parts did; every other form is printed once on load, so an input
-that could not be reported fails before the work.  ``check`` runs on
-those pairs from end to end: it scales both vectors by the least common
-multiple ``L`` of their denominators, decides on the integer profiles,
-and prints each reported sum ``v`` as ``str(Fraction(v, L))`` without
-building a ``Fraction``.  The other commands build their ``Vec`` and
+Every input scalar is read into a coprime integer pair ``(p, q)``, a
+vector or a matrix row at a time, by ``_scalars``: one comprehension
+takes the JSON ints and the plain "p/q" strings, which print because
+each of their parts did.  Every other entry, and every entry of a row
+with a part over the int-string digit limit, takes the slow path
+``_scalar`` in index order, which prints it once on load, so an input
+that could not be reported fails before the work, labelled with its
+place in the file.  ``check`` runs on those pairs from end to end: it
+scales both vectors by the least common multiple ``L`` of their
+distinct denominators, decides on the integer profiles, and prints each
+profile with ``_ratio_strs``, ``str(Fraction(v, L))`` for each sum
+``v`` without building a ``Fraction``; a violation's two sums are read
+from the printed profiles.  The other commands build their ``Vec`` and
 ``Mat`` from the pairs.
 
-Every JSON report and witness file is written by ``_json``, byte-equal
-to ``json.dumps(value, indent=2, sort_keys=True)`` without the cost of
-CPython's pure-Python indented encoder.
+Every JSON report and witness file is written in one walk by ``_json``,
+byte-equal to ``json.dumps(value, indent=2, sort_keys=True)`` without
+the cost of CPython's pure-Python indented encoder.  Reports need not be
+copied first: the writer reads a ``Perm``, ``Fraction``, ``Vec`` or
+``Mat`` leaf by the one rule of ``_leaf``, which ``--text`` passes to
+``json.dumps`` as its ``default``.
 """
 
 from __future__ import annotations
@@ -65,25 +73,44 @@ class CliError(Exception):
     """Operational failure that should exit with code 2."""
 
 
+def _scalars(values: list, warnings: list[str], path: str,
+             *index: int) -> list[tuple[int, int]]:
+    """Each JSON scalar of ``values`` as a coprime ``(p, q)`` with ``q > 0``.
+
+    The one plain rule reads a JSON int as ``(value, 1)`` and a plain
+    "p/q" string with ``q > 0`` as its two ints reduced by one ``gcd``,
+    in one pass over ``values``.  Every entry it does not take goes, in
+    index order, to :func:`_scalar`; so does every entry when a part is
+    over CPython's int-string digit limit, since ``_scalar`` names the
+    first entry that fails.  ``index`` is the position of ``values`` in
+    the file, a matrix row's ``i``.
+    """
+    match = _PLAIN_RATIO.fullmatch
+    try:
+        pairs = [(v, 1) if type(v) is int
+                 else (p // g, q // g)
+                 if type(v) is str and (m := match(v)) and (q := int(m[2]))
+                 and (g := gcd(p := int(m[1]), q))
+                 else None
+                 for v in values]
+    except ValueError:  # a part over the digit limit
+        pairs = [None] * len(values)
+    if not all(pairs):
+        for j, pair in enumerate(pairs):
+            if pair is None:
+                pairs[j] = _scalar(values[j], warnings, path, *index, j)
+    return pairs
+
+
 def _scalar(value: Any, warnings: list[str], path: str,
             *index: int) -> tuple[int, int]:
-    """A JSON scalar as a coprime ``(p, q)`` with ``q > 0``.
+    """One JSON scalar read by :func:`as_rational`, as a coprime ``(p, q)``.
 
-    A JSON int is ``(value, 1)``, and a plain "p/q" string is its two
-    ints reduced by one ``gcd``.  Every other form goes through
-    :func:`as_rational` and is printed once, so that an unprintable
-    input fails here, not after the work.  ``path`` and ``index`` name
-    the entry only in an error or a float warning.
+    The value is printed once, so that an unprintable input fails here,
+    not after the work, and a float is converted with a warning.
+    ``path`` and ``index`` name the entry only in an error or a warning.
     """
-    if type(value) is int:
-        return value, 1
     try:
-        if type(value) is str and (ratio := _PLAIN_RATIO.fullmatch(value)):
-            p, q = int(ratio[1]), int(ratio[2])
-            if not q:
-                Fraction(p, q)  # raises CPython's own ZeroDivisionError
-            g = gcd(p, q)
-            return p // g, q // g
         exact = as_rational(value)
         str(exact)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -123,11 +150,11 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
 
 def load_vector(path: str, warnings: list[str]
                 ) -> tuple[list[tuple[int, int]], dict[str, str]]:
-    """A vector file's entries as ``_scalar`` pairs, and its digest."""
+    """A vector file's entries as ``_scalars`` pairs, and its digest."""
     doc, digest = _load_json(path)
     if not isinstance(doc, list) or not doc:
         raise CliError(f"{path}: a vector file is a non-empty JSON array")
-    return [_scalar(v, warnings, path, i) for i, v in enumerate(doc)], digest
+    return _scalars(doc, warnings, path), digest
 
 
 def _load_vec(path: str, warnings: list[str]) -> tuple[Vec, dict[str, str]]:
@@ -140,56 +167,54 @@ def load_matrix(path: str, warnings: list[str]) -> tuple[Mat, dict[str, str]]:
     if (not isinstance(doc, list) or not doc
             or not all(isinstance(r, list) and r for r in doc)):
         raise CliError(f"{path}: a matrix file is a non-empty JSON array of rows")
-    rows = [[_scalar(v, warnings, path, i, j) for j, v in enumerate(row)]
-            for i, row in enumerate(doc)]
+    rows = [_scalars(row, warnings, path, i) for i, row in enumerate(doc)]
     if any(len(r) != len(rows[0]) for r in rows):
         raise CliError(f"{path}: matrix rows have unequal lengths")
     return Mat(starmap(Fraction, row) for row in rows), digest
 
 
-def _ratio_str(v: int, scale: int) -> str:
-    """``str(Fraction(v, scale))`` for ``scale > 0``, building no Fraction."""
-    g = gcd(v, scale)
-    if g == scale:
-        return str(v // g)
-    return f"{v // g}/{scale // g}"
+def _ratio_strs(values: list[int], scale: int) -> list[str]:
+    """``[str(Fraction(v, scale)) for v in values]`` for ``scale > 0``,
+    building no Fraction."""
+    return [str(v // g) if (g := gcd(v, scale)) == scale
+            else f"{v // g}/{scale // g}" for v in values]
 
 
-def _ser(value: Any) -> Any:
-    if isinstance(value, str):  # most leaves: skip the ABC check below
-        return value
-    if isinstance(value, Perm):  # the many leaves of an extremizer report
-        return list(value.image)
+def _leaf(value: Any) -> Any:
+    """The JSON form of a library value: a ``Perm`` is its image, and a
+    ``Fraction``, ``Vec`` or ``Mat`` its entries' ``str``; ``json.dumps``'s
+    ``default``, so any other object is not serializable."""
+    if isinstance(value, Perm):
+        return value.image
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Vec):
         return [str(v) for v in value]
     if isinstance(value, Mat):
         return [[str(v) for v in row] for row in value.rows]
-    if isinstance(value, dict):
-        return {k: _ser(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_ser(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @functools.lru_cache(maxsize=64)
 def _int_list(length: int, pad: str) -> str:
     """The ``%`` format of an indented list of ``length`` ints at ``pad``."""
+    if not length:
+        return "[]"
     inner = ",\n  " + pad
     return f"[\n  {pad}{inner.join(['%d'] * length)}\n{pad}]"
 
 
 def _json(value: Any, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
-    tree of str-keyed dicts, lists, tuples and scalars, whose lines after
-    the first start with ``pad``.
+    """``json.dumps(value, indent=2, sort_keys=True, default=_leaf)``, byte
+    for byte, for a tree of str-keyed dicts, lists, tuples, scalars and
+    :func:`_leaf` values, whose lines after the first start with ``pad``.
 
     CPython runs its C encoder only when ``indent`` is None, so this
     writer builds each container with one ``join``, and an all-``int``
-    list with one cached ``%d`` format; ``bool`` is not ``int`` here,
-    since ``"%d" % True`` is ``"1"``.  Other scalars print as the C
-    encoder prints them.
+    list, or each ``Perm`` of a list of equal-length ``Perm``s, with one
+    cached ``%d`` format; ``bool`` is not ``int`` here, since
+    ``"%d" % True`` is ``"1"``.  A ``str`` item is encoded in place.
+    Other scalars print as the C encoder prints them.
     """
     if type(value) is str:
         return encode_basestring_ascii(value)
@@ -199,7 +224,13 @@ def _json(value: Any, pad: str = "") -> str:
         if all(type(v) is int for v in value):
             return _int_list(len(value), pad) % tuple(value)
         inner = pad + "  "
-        items = (",\n" + inner).join([_json(v, inner) for v in value])
+        sep = ",\n" + inner
+        images = [v.image for v in value] if all(type(v) is Perm for v in value) else ()
+        if len(set(map(len, images))) == 1:  # Perms of one length: one format
+            items = sep.join(map(_int_list(len(images[0]), inner).__mod__, images))
+        else:
+            items = sep.join([encode_basestring_ascii(v) if type(v) is str
+                              else _json(v, inner) for v in value])
         return f"[\n{inner}{items}\n{pad}]"
     if isinstance(value, dict):
         if not value:
@@ -209,25 +240,31 @@ def _json(value: Any, pad: str = "") -> str:
             [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
              for k, v in sorted(value.items())])
         return f"{{\n{inner}{items}\n{pad}}}"
+    if isinstance(value, (Perm, Fraction, Vec, Mat)):
+        return _json(_leaf(value), pad)
     return json.dumps(value)
 
 
 def write_matrix(path: str, a: Mat) -> None:
-    Path(path).write_text(_json(_ser(a)) + "\n", encoding="utf-8")
+    Path(path).write_text(_json(a) + "\n", encoding="utf-8")
 
 
 def _emit(report: dict[str, Any], as_json: bool) -> int:
-    """Print the report; the exit code is 0 when its verdict holds, else 1."""
+    """Print the report; the exit code is 0 when its verdict holds, else 1.
+
+    Every line is built before the first is printed, so a report that
+    cannot be printed prints nothing.
+    """
     code = 0 if report["verdict"] is True else 1
     if as_json:
         print(_json(report))
         return code
+    lines = [f"{report['command']}: verdict = {report['verdict']}"]
+    lines += [f"  {key}: {json.dumps(report[key], sort_keys=True, default=_leaf)}"
+              for key in ("witness", "counts") if report.get(key) is not None]
     for warning in report.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"{report['command']}: verdict = {report['verdict']}")
-    for key in ("witness", "counts"):
-        if report.get(key) is not None:
-            print(f"  {key}: {json.dumps(report[key], sort_keys=True)}")
+    print("\n".join(lines))
     return code
 
 
@@ -237,15 +274,14 @@ _Result = tuple[Any, bool, Any, Any]  # (inputs, verdict, witness, counts)
 def cmd_check(args: argparse.Namespace, warnings: list[str]) -> _Result:
     x, x_in = load_vector(args.x, warnings)
     y, y_in = load_vector(args.y, warnings)
-    scale = lcm(*[q for _, q in x], *[q for _, q in y])
+    scale = lcm(*{q for _, q in x}, *{q for _, q in y})
     px, py = (desc_prefix_sums([p * (scale // q) for p, q in v]) for v in (x, y))
     violation = _profile_violation(px, py)
+    xs, ys = _ratio_strs(px, scale), _ratio_strs(py, scale)
     witness = None if violation is None else {
         "kind": violation.kind, "index": violation.index,
-        "lhs": _ratio_str(violation.lhs, scale),
-        "rhs": _ratio_str(violation.rhs, scale)}
-    counts = {"x_sorted_prefix_sums": [_ratio_str(v, scale) for v in px],
-              "y_sorted_prefix_sums": [_ratio_str(v, scale) for v in py]}
+        "lhs": xs[violation.index - 1], "rhs": ys[violation.index - 1]}
+    counts = {"x_sorted_prefix_sums": xs, "y_sorted_prefix_sums": ys}
     return {"x": x_in, "y": y_in}, violation is None, witness, counts
 
 
@@ -274,8 +310,8 @@ def cmd_extremizers(args: argparse.Namespace, warnings: list[str]) -> _Result:
         "n_minimizers": len(rep.minimizers),
         "distinct_count": k,
         "bound": extremizer_bound(len(x), k),
-        "maximizers": list(rep.maximizers),
-        "minimizers": list(rep.minimizers),
+        "maximizers": rep.maximizers,
+        "minimizers": rep.minimizers,
     }
     return {"x": x_in, "y": y_in}, True, None, counts
 
@@ -293,7 +329,7 @@ def _form_json(form: isotone.GlobalForm | None) -> dict[str, Any]:
     if form is None:
         return {"kind": "not_isotone"}
     if isinstance(form, isotone.TraceMap):
-        return {"kind": "trace_map", "a": _ser(form.a)}
+        return {"kind": "trace_map", "a": form.a}
     return {"kind": "perm_scaled", "alpha": str(form.alpha),
             "beta": str(form.beta), "perm": list(form.perm.image)}
 
@@ -348,7 +384,7 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
         raise GuardExceeded(args.n, args.guard_n)
     else:
         alpha = Vec(range(args.n, 0, -1))
-        inputs = {"alpha": _ser(alpha), "n": args.n}
+        inputs = {"alpha": alpha, "n": args.n}
     anchor = isotone.AnchorPoint(alpha)
     if not anchor.strictly_decreasing:
         raise CliError("verify requires a strictly decreasing anchor")
@@ -366,9 +402,9 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
         row = {"label": label, **_statement_counts(check)}
         per_matrix.append(row)
         if not check.consistent or check.advisory_disagreement:
-            inconsistent.append({"matrix": _ser(a), **row})
+            inconsistent.append({"matrix": a, **row})
         if check.equiv.holds and check.global_form is None:
-            unclassified_preservers.append({"matrix": _ser(a), **row})
+            unclassified_preservers.append({"matrix": a, **row})
     ok = not inconsistent and not unclassified_preservers
     counts = {
         "matrices": len(per_matrix),
@@ -477,8 +513,8 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "trials": args.trials,
             "verdict": verdict,
-            "witness": _ser(witness),
-            "counts": _ser(counts),
+            "witness": witness,
+            "counts": counts,
             "warnings": warnings,
             "elapsed_ms": int((time.monotonic() - start) * 1000),
         }

@@ -212,6 +212,26 @@ def oracle_check_report(x_path: str, y_path: str, elapsed_ms: int
     return code, json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def oracle_ser(value):
+    """A report tree copied into plain JSON values, one recursive call per
+    node: the CLI's path before its writer read library leaves itself."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Perm):
+        return list(value.image)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Vec):
+        return [str(v) for v in value]
+    if isinstance(value, Mat):
+        return [[str(v) for v in row] for row in value.rows]
+    if isinstance(value, dict):
+        return {k: oracle_ser(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_ser(v) for v in value]
+    return value
+
+
 def _maj(pa, pb) -> bool:
     return pa[-1] == pb[-1] and all(a <= b for a, b in zip(pa, pb))
 

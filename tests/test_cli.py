@@ -22,6 +22,7 @@ from helpers import (
     oracle_check_report,
     oracle_first_violation,
     oracle_prefix_sums,
+    oracle_ser,
     plain_ratios,
     rand_perm,
     rand_vec,
@@ -59,6 +60,24 @@ HOSTILE = {
         "to increase the limit"),
     "empty-vector": ("[]", "{bad}: a vector file is a non-empty JSON array"),
 }
+_TENTH = "3602879701896397/36028797018963968"
+# Entries that the plain-ratio rule does not take, put inside vectors and
+# matrices of entries that it does: id -> (entry, the error line's
+# message or None, the float warning's text after the label or None, the
+# exit code of ``isotone --global`` on an all-"1/2" 3 x 3 matrix holding
+# the entry).  Taken from the CLI before it read a vector at a time.
+SLOW_ENTRIES = {
+    "float": (0.1, None, f"float 0.1 converted to the exact binary64 rational {_TENTH}", 1),
+    "exponent": ("1e2", None, None, 1),
+    "decimal": ("0.5", None, None, 0),
+    "zero-denominator": ("3/0", "Fraction(3, 0)", None, 2),
+    "padded-ratio": (" 1/2", None, None, 0),
+    "huge-ratio-numerator": (
+        "1" * 4301 + "/1",
+        "Exceeds the limit (4300 digits) for integer string conversion: value has "
+        "4301 digits; use sys.set_int_max_str_digits() to increase the limit", None, 2),
+}
+PLAIN_9 = [1, "2/3", -4, "+5/6", 7, "-8/9", 0, "010/11", 3]
 # Every command argument that names a vector file, as argv builders.
 VECTOR_ARGS = {
     "check-x": lambda bad: ["check", bad, str(DATA / "y_21.json")],
@@ -281,6 +300,72 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == "error: " + message.replace("{bad}", str(bad)) + "\n"
 
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    @pytest.mark.parametrize("case", list(SLOW_ENTRIES))
+    def test_slow_entry_inside_a_vector(self, tmp_path, case, where):
+        # x = y, so an entry that reads is reflexive and warns once a side.
+        value, error, warning, _ = SLOW_ENTRIES[case]
+        entries = list(PLAIN_9)
+        entries[where] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(entries))
+        code, out, err = _run(["check", str(bad), str(bad)])
+        label = f"{bad}[{where}]: "
+        if error is not None:
+            assert (code, out, err) == (2, "", f"error: {label}{error}\n")
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["warnings"] == ([label + warning] * 2 if warning else [])
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("case", list(SLOW_ENTRIES))
+    def test_slow_entry_inside_a_matrix(self, tmp_path, case, where):
+        value, error, warning, code = SLOW_ENTRIES[case]
+        rows = [["1/2"] * 3 for _ in range(3)]
+        rows[where[0]][where[1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rows))
+        got, out, err = _run(["isotone", str(bad), "--global"])
+        label = f"{bad}[{where[0]}][{where[1]}]: "
+        if error is not None:
+            assert (got, out, err) == (2, "", f"error: {label}{error}\n")
+        else:
+            assert (got, err) == (code, "")
+            assert json.loads(out)["warnings"] == ([label + warning] if warning else [])
+
+    @pytest.mark.parametrize("text, where", [
+        ('[0.5, 1, "1e2", 0.25, "3/0", " 1/2", 0.1, "' + "1" * 4301 + '/1", 0.75]',
+         "[4]: Fraction(3, 0)"),
+        ('[0.5, "' + "1" * 4301 + '/1", "3/0"]',
+         "[1]: " + SLOW_ENTRIES["huge-ratio-numerator"][1]),
+        ('[[0.5, 1, 0.25], [1, 0.75, "+1/0"], ["3/0", 1, 0.1]]', "[1][2]: Fraction(1, 0)"),
+    ], ids=["vector", "vector-huge-first", "matrix"])
+    def test_first_bad_entry_in_reading_order_is_named(self, tmp_path, text, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = (["isotone", str(bad), "--global"] if text.startswith("[[")
+                else ["check", str(bad), str(bad)])
+        assert _run(argv) == (2, "", f"error: {bad}{where}\n")
+
+    @pytest.mark.parametrize("text, code, floats", [
+        ('[0.5, 1, "1e2", 0.25, " 1/2", 0.1, "2/4", 0.75, 3]', 0,
+         [("[0]", "0.5", "1/2"), ("[3]", "0.25", "1/4"), ("[5]", "0.1", _TENTH),
+          ("[7]", "0.75", "3/4")] * 2),
+        ('[[0.5, 1, 0.25], [1, 0.75, "2/2"], [" 1", 1, 0.125]]', 1,
+         [("[0][0]", "0.5", "1/2"), ("[0][2]", "0.25", "1/4"), ("[1][1]", "0.75", "3/4"),
+          ("[2][2]", "0.125", "1/8")]),
+    ], ids=["vector", "matrix"])
+    def test_float_warnings_keep_reading_order(self, tmp_path, text, code, floats):
+        # The vector is checked against itself: x's warnings, then y's.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = (["isotone", str(bad), "--global"] if text.startswith("[[")
+                else ["check", str(bad), str(bad)])
+        got, _, err = _run([*argv, "--text"])
+        assert (got, err) == (code, "".join(
+            f"warning: {bad}{where}: float {v} converted to the exact binary64 "
+            f"rational {exact}\n" for where, v, exact in floats))
+
     def test_every_scalar_form_golden(self, sandbox):
         # Ints, signed, unreduced and zero-padded ratios, "0/7", decimals,
         # exponents, a padded ratio and a float (one warning per file).
@@ -317,24 +402,25 @@ class TestCheck:
             expected = str(Fraction(v, scale))
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                cli._ratio_str(v, scale)
+                cli._ratio_strs([0, v], scale)
             assert str(raised.value) == str(exc)
         else:
-            assert cli._ratio_str(v, scale) == expected
+            assert cli._ratio_strs([0, v, scale], scale) == ["0", expected, "1"]
 
     @given(text=plain_ratios)
     @example(text="-0/0")
     @example(text="+007/0010")
     def test_plain_ratio_scalars_read_as_fraction_does(self, text):
+        # The entry sits inside row 3 of a matrix, between two plain ones.
         try:
             exact = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             with pytest.raises(cli.CliError) as raised:
-                cli._scalar(text, [], "v.json", 3)
-            assert str(raised.value) == f"v.json[3]: {exc}"
+                cli._scalars([7, text, "-2/4"], [], "v.json", 3)
+            assert str(raised.value) == f"v.json[3][1]: {exc}"
         else:
-            assert cli._scalar(text, [], "v.json", 3) == (exact.numerator,
-                                                          exact.denominator)
+            assert cli._scalars([7, text, "-2/4"], [], "v.json", 3) == [
+                (7, 1), (exact.numerator, exact.denominator), (-1, 2)]
 
     def test_unprintable_report_is_operational_error(self, tmp_path, capsys):
         # Each entry prints, but their 4301-digit sum does not: the report
@@ -426,6 +512,25 @@ json_trees = st.recursive(
                            st.lists(kids, max_size=4).map(tuple),
                            st.dictionaries(_json_keys, kids, max_size=4)),
     max_leaves=24)
+# Report trees as the commands return them: library leaves (Perms of
+# n = 0..8, alone and in lists of one length or of mixed lengths;
+# Fractions, Vecs and Mats) among strings, ints, bools and None.
+_fractions = st.fractions(max_denominator=10**12)
+_perms = st.integers(0, 8).flatmap(lambda n: st.permutations(range(n))).map(Perm)
+_report_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.lists(st.text()),
+    _perms, st.lists(_perms, max_size=5), st.lists(_perms, max_size=5).map(tuple),
+    st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(Perm), min_size=1, max_size=5)),
+    _fractions, st.lists(_fractions, min_size=1, max_size=5).map(Vec),
+    st.integers(1, 3).flatmap(lambda c: st.lists(
+        st.lists(_fractions, min_size=c, max_size=c), min_size=1, max_size=3)).map(Mat))
+report_trees = st.recursive(
+    _report_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_json_keys, kids, max_size=4)),
+    max_leaves=16)
 
 
 class TestReportBytes:
@@ -447,6 +552,17 @@ class TestReportBytes:
         else:
             assert cli._json(tree) == expected
 
+    @given(tree=report_trees)
+    @example(tree={"maximizers": [Perm([1, 0, 2]), Perm([0, 1])], "v": Fraction(-3, 4)})
+    @example(tree=[Perm([0]), "a", Vec([1, "1/2"]), Mat([[0, 1], [1, 0]])])
+    @example(tree=[Perm([]), Perm([])])
+    def test_writer_equals_the_two_walk_path(self, tree):
+        # The older path: copy the tree into plain JSON values, then dump.
+        plain = oracle_ser(tree)
+        assert cli._json(tree) == json.dumps(plain, indent=2, sort_keys=True)
+        assert json.dumps(tree, sort_keys=True, default=cli._leaf) == \
+            json.dumps(plain, sort_keys=True)
+
     def test_every_golden_command_is_pinned(self):
         assert {f"{name}.json" for name in GOLDEN_ARGVS} == \
             {path.name for path in GOLDEN.iterdir()}
@@ -461,16 +577,39 @@ class TestReportBytes:
             assert json.loads(out)["counts"]["n_maximizers"] == 720
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("name", list(BYTES_ARGVS))
+    def test_text_equals_the_two_walk_path(self, sandbox, monkeypatch, name):
+        # Each --text line, built from the report's copy into plain values.
+        Path("x_split61.json").write_text('["1/2", -3, "1/2", "1/2", "1/2", "1/2", "1/2"]')
+        Path("y_distinct7.json").write_text('[9, "7/2", 3, 1, 0, "-1/3", -8]')
+        reports = []
+        emit = cli._emit
+
+        def capture(report, as_json):
+            reports.append(report)
+            return emit(report, as_json)
+
+        monkeypatch.setattr(cli, "_emit", capture)
+        argv = BYTES_ARGVS[name]
+        code, out, err = _run([*argv, "--text"])
+        report, = reports
+        assert code in (0, 1)
+        assert out == "".join(
+            [f"{argv[0]}: verdict = {report['verdict']}\n"]
+            + [f"  {key}: {json.dumps(oracle_ser(report[key]), sort_keys=True)}\n"
+               for key in ("witness", "counts") if report[key] is not None])
+        assert err == "".join(f"warning: {w}\n" for w in report["warnings"])
+
     def test_witness_file_is_the_indented_dump(self, sandbox):
         assert _run(["witness", "x_mean3.json", "y_desc3.json", "d.json"])[0] == 0
         text = Path("d.json").read_text()
-        assert text == json.dumps(cli._ser(Mat(json.loads(text))), indent=2) + "\n"
+        assert text == json.dumps(oracle_ser(Mat(json.loads(text))), indent=2) + "\n"
         rng = random.Random(24)
         for n in (1, 2, 5):
             a = Mat([rand_vec(rng, n, lo=-99, hi=99, max_den=12) for _ in range(n)])
             cli.write_matrix("a.json", a)
             assert Path("a.json").read_bytes() == \
-                (json.dumps(cli._ser(a), indent=2) + "\n").encode()
+                (json.dumps(oracle_ser(a), indent=2) + "\n").encode()
 
 
 class TestNoFraction:
@@ -516,6 +655,31 @@ class TestNoFraction:
         assert [(code, elapsed.sub("", out), err) for code, out, err in got] == \
             [(code, elapsed.sub("", out), err) for code, out, err in expected]
 
+    @pytest.mark.parametrize("holds", [True, False], ids=["holds", "fails"])
+    def test_check_reads_plain_entries_in_one_batch(self, tmp_path, monkeypatch, holds):
+        # Ints and plain "p/q" strings never reach the one-entry slow path,
+        # so reading a vector costs no Python call per entry.
+        rng = random.Random(4096)
+        y = rand_vec(rng, 256, lo=-50, hi=50, max_den=12)
+        x = rand_perm(rng, 256).apply(y) if holds else rand_vec(rng, 256, max_den=12)
+        paths = [str(tmp_path / name) for name in ("x.json", "y.json", "float.json")]
+        for path, v in zip(paths, (x, y)):
+            Path(path).write_text(json.dumps(
+                [e.numerator if e.denominator == 1 and rng.random() < 0.5
+                 else f"{e.numerator * 3}/{e.denominator * 3}" for e in v]))
+        Path(paths[2]).write_text("[1, 0.5]")
+
+        def slow(*args):
+            raise AssertionError("an entry took the slow path")
+
+        monkeypatch.setattr(cli, "_scalar", slow)
+        with pytest.raises(AssertionError):
+            _run(["check", paths[2], paths[2]])
+        code, out, err = _run(["check", *paths[:2]])
+        elapsed = json.loads(out)["elapsed_ms"]
+        assert (code, out, err) == (*oracle_check_report(*paths[:2], elapsed), "")
+        assert code == (0 if holds else 1)
+
 
 class TestWitness:
     def test_writes_forced_average(self, sandbox):
@@ -557,6 +721,16 @@ class TestExtremizers:
         assert counts["n_maximizers"] == 2
         assert counts["bound"] == 2
         assert_matches_golden(report, "extremizers_ties.json")
+
+    @pytest.mark.parametrize("fmt", ["--json", "--text"])
+    def test_unprintable_extreme_prints_nothing(self, tmp_path, fmt):
+        # Every entry prints, but the 4301-digit extreme values do not: the
+        # report fails while it is written, before its first line or the
+        # float's warning.
+        big = tmp_path / "big.json"
+        big.write_text('["9e4299", 0.5, 1]')
+        code, out, err = _run(["extremizers", str(big), str(DATA / "y_desc3.json"), fmt])
+        assert (code, out, err) == (2, "", f"error: {_DIGIT_LIMIT}\n")
 
     def test_guard_flag(self, sandbox):
         code, _ = sandbox("extremizers", "x_ties.json", "y_desc3.json",

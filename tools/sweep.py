@@ -13,12 +13,13 @@ counters come from one more, untimed run under ``bench/tracer.py``: the
 kernel calls and result counters it records (prefix sums, mat-vecs,
 transforms, terms, extremizers, ...), plus what it does not see, the
 orbit images read and the ``getrandbits`` words drawn, and what the
-point's result reports (draws, reported-sum characters, verify counts),
-so a reader can tell less work from faster work.  The sweep runs in
-this process, importing majorkit from this checkout's ``src/``, and is
-not one of the benchmark's gated workloads.  Every point is cheap
-enough to time in seconds: ``check``'s prime denominators come from a
-pool of eight, so its LCM stays near 56 bits.
+point's result reports (draws, reported-sum characters, report bytes,
+extremizer and verify counts), so a reader can tell less work from
+faster work.  The sweep runs in this process, importing majorkit from
+this checkout's ``src/``, and is not one of the benchmark's gated
+workloads.  Every point is cheap enough to time in seconds: ``check``'s
+prime denominators come from a pool of eight, so its LCM stays near 56
+bits.
 
 The full sweep writes ``BENCH_<short sha>.json`` at the repo root,
 ``BENCH_<short sha>-dirty.json`` when ``src/`` differs from that commit.
@@ -149,13 +150,19 @@ def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
     return x, y
 
 
+def _vector_files(x, y) -> tuple[tempfile.TemporaryDirectory, list[str]]:
+    """A scratch directory holding ``x.json`` and ``y.json``, and their paths."""
+    work = tempfile.TemporaryDirectory(prefix="majorkit-sweep-")
+    paths = [str(Path(work.name) / name) for name in ("x.json", "y.json")]
+    for path, v in zip(paths, (x, y)):
+        Path(path).write_text(json.dumps([str(e) for e in v]), encoding="utf-8")
+    return work, paths
+
+
 def _check(primes: bool):
     def make(n: int):
         x, y = _pair(n, primes)
-        work = tempfile.TemporaryDirectory(prefix="majorkit-sweep-")
-        paths = [str(Path(work.name) / name) for name in ("x.json", "y.json")]
-        for path, v in zip(paths, (x, y)):
-            Path(path).write_text(json.dumps([str(e) for e in v]), encoding="utf-8")
+        work, paths = _vector_files(x, y)
 
         def run():
             return _cli(["check", *paths])
@@ -202,6 +209,29 @@ def extremizers(n: int):
     return (lambda: mk.extremizer_sets(x, y, guard=n)), _no_reads
 
 
+def cli_extremizers(n: int):
+    """``extremizers`` on an (n-1)+1 split of ``x`` against a distinct ``y``:
+    (n-1)! extremizers a side, the report writer's worst case at n."""
+    rng = random.Random(f"sweep:cli.extremizers:{n}")
+    a, b = rng.sample(range(-12, 13), 2)
+    x = [a] * (n - 1) + [b]
+    rng.shuffle(x)
+    work, paths = _vector_files(x, rng.sample(range(-40, 41), n))
+
+    def run():
+        return _cli(["extremizers", *paths])
+    run.work = work
+
+    def read(out):
+        code, text = out
+        counts = json.loads(text)["counts"]
+        _expect(code == 0 and counts["n_maximizers"] == math.factorial(n - 1),
+                f"extremizers at n = {n} exits 0 with (n-1)! maximizers")
+        return {"report_bytes": len(text),
+                **{k: counts[k] for k in ("n_maximizers", "n_minimizers")}}
+    return run, read
+
+
 def verify(n: int):
     argv = ["verify", "--n", str(n), "--matrices", "16", "--trials", "20", "--seed", "3"]
 
@@ -226,6 +256,7 @@ LAYERS = (
     ("doubly_stochastic.witness_ds", (20, 40, 80), witness),
     ("doubly_stochastic.birkhoff", (20, 40, 80), birkhoff),
     ("rearrangement.extremizer_sets", (8, 10, 12), extremizers),
+    ("cli.extremizers", (7, 8), cli_extremizers),
     ("cli.verify", (6, 7, 8), verify),
 )
 
