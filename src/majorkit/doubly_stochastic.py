@@ -13,9 +13,9 @@ The check, the witness's precheck and T-chain, the peel and the
 decomposition's weight check all run in an integer frame: the
 entries are scaled once by the least common multiple ``L`` of their
 denominators, every comparison, sum and update is on Python ints, and
-only the results become ``Fraction``s again.  A :class:`DoublyStochastic`
-keeps the frame its check computed, :func:`witness_ds` checks its matrix on
-the T-chain's own frame, and :func:`birkhoff` peels a copy of the frame.
+only the results become ``Fraction``s again.  A matrix's frame is its cached
+``Mat._frame``: :func:`witness_ds` hands its matrix the T-chain's own, and
+the check and :func:`birkhoff`'s peel (on a copy) read it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .numerics import (
     Rational,
     Vec,
     _clear_denominators,
+    _joint_frame,
 )
 
 
@@ -51,60 +52,35 @@ class NotMajorized(ValueError):
 
 @dataclass(frozen=True)
 class DoublyStochastic:
-    """A matrix checked exactly against the doubly stochastic invariants; the
-    check's frame ``(L, L * matrix)`` is kept as ``_frame``, not a field."""
+    """A matrix checked exactly against the doubly stochastic invariants, on
+    the matrix's cached integer frame ``matrix._frame``."""
 
     matrix: Mat
 
     def __post_init__(self):
-        self._keep(_ds_frame(self.matrix))
-
-    @classmethod
-    def _framed(cls, matrix: Mat, scale: int,
-                rows: list[list[int]]) -> DoublyStochastic:
-        """``cls(matrix)`` for a square ``matrix`` whose cleared frame
-        ``_clear_denominators(matrix.rows)`` is ``(scale, rows)``: the same
-        check, run on that frame instead of clearing ``matrix`` again."""
-        ds = object.__new__(cls)
-        object.__setattr__(ds, "matrix", matrix)
-        ds._keep((scale, rows) if _ds_holds(scale, rows) else None)
-        return ds
-
-    def _keep(self, frame: tuple[int, list[list[int]]] | None):
-        if frame is None:
+        if not _ds_holds(self.matrix):
             raise ValueError("matrix is not doubly stochastic")
-        object.__setattr__(self, "_frame", frame)
 
     @property
     def n(self) -> int:
         return self.matrix.n_rows
 
 
-def _ds_holds(scale: int, rows: list[list[int]]) -> bool:
-    """Whether ``rows / scale`` is doubly stochastic: every row of the
-    square int matrix ``rows`` is nonnegative and sums to ``scale``, and
-    every column sums to ``scale``."""
+def _ds_holds(a: Mat) -> bool:
+    """Whether ``a`` is doubly stochastic, decided on its frame ``(L, L * a)``:
+    every row of the int matrix is nonnegative and sums to ``L``, and every
+    column sums to ``L``.  Raises :class:`DimensionMismatch` for non-square
+    input; a rectangular matrix cannot satisfy the definition at all."""
+    if not a.is_square:
+        raise DimensionMismatch("doubly stochastic matrices are square")
+    scale, rows = a._frame
     return (all(min(row) >= 0 and sum(row) == scale for row in rows)
             and all(sum(col) == scale for col in zip(*rows)))
 
 
-def _ds_frame(a: Mat) -> tuple[int, list[list[int]]] | None:
-    """``(L, L * a)`` if ``a`` is doubly stochastic, else ``None``.
-
-    Decides by :func:`_ds_holds` on integer numerators over ``L``, the
-    least common multiple of the entries' denominators.  Raises
-    :class:`DimensionMismatch` for non-square input; a rectangular
-    matrix cannot satisfy the definition at all.
-    """
-    if not a.is_square:
-        raise DimensionMismatch("doubly stochastic matrices are square")
-    scale, rows = _clear_denominators(a.rows)
-    return (scale, rows) if _ds_holds(scale, rows) else None
-
-
 def check_ds(a: Mat) -> bool:
-    """Exactly decide whether ``a`` is doubly stochastic (see :func:`_ds_frame`)."""
-    return _ds_frame(a) is not None
+    """Exactly decide whether ``a`` is doubly stochastic (see :func:`_ds_holds`)."""
+    return _ds_holds(a)
 
 
 @dataclass(frozen=True)
@@ -152,17 +128,17 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     re-indexing rows and columns, and the entries become ``Fraction``s
     once, at the end.  No matrix product is formed.
 
-    The witness's doubly stochastic check reads the chain's own frame
-    instead of clearing the ``Fraction`` matrix again.  Each chain row
-    is in lowest terms (its numerators and denominator share no factor),
-    so its entries' denominators have ``dens[r]`` as their least common
+    The witness's matrix is built by ``Mat._of`` with the chain's own
+    frame, which its doubly stochastic check reads.  Each chain row is in
+    lowest terms (its numerators and denominator share no factor), so its
+    entries' denominators have ``dens[r]`` as their least common
     multiple, and ``L = lcm(dens)`` with the rows ``nums[r] * (L //
-    dens[r])`` is exactly the frame the check would clear.
+    dens[r])`` is exactly the frame the matrix would clear.
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
     n = len(x)
-    scale, (xn, yn) = _clear_denominators((x, y))
+    scale, xn, yn = _joint_frame(x, y)
     order_x, order_y = (sorted(range(n), key=v.__getitem__, reverse=True)
                         for v in (xn, yn))
     xs, vs = [xn[i] for i in order_x], [yn[i] for i in order_y]
@@ -204,11 +180,11 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     cols = presort.image
     chain = [(nums[r], dens[r]) for r in unsort.inverse().image]
     zero = Fraction(0)
-    d = Mat([Fraction(row[c], den) if row[c] else zero for c in cols]
-            for row, den in chain)
+    grid = tuple(tuple([Fraction(row[c], den) if row[c] else zero for c in cols])
+                 for row, den in chain)
     scale = math.lcm(*dens)
-    frame = [[row[c] * (scale // den) for c in cols] for row, den in chain]
-    return MajorizationWitness(DoublyStochastic._framed(d, scale, frame),
+    frame = tuple(tuple([row[c] * (scale // den) for c in cols]) for row, den in chain)
+    return MajorizationWitness(DoublyStochastic(Mat._of(grid, (scale, frame))),
                                tuple(transforms), presort, unsort)
 
 
@@ -300,9 +276,9 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     The polytope has dimension ``(n-1)**2``, so the peel stops within
     ``(n-1)**2 + 1`` terms.
 
-    Denominators are cleared once, by the check: with ``L`` the least common
-    multiple of the entries' denominators, the peel runs on a copy of the kept
-    integer matrix ``L * d`` and emits each weight as ``Fraction(w, L)``.
+    With ``L`` the least common multiple of the entries' denominators, the
+    peel runs on a copy of the matrix's cached frame ``L * d`` and emits each
+    weight as ``Fraction(w, L)``.
 
     The matching is repaired, not rebuilt: a peel unmatches only the rows
     whose matched cell it emptied, and the next peel rematches them in
@@ -321,8 +297,8 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
     n = d.n
-    scale, rows = d._frame
-    work = [row[:] for row in rows]  # exact off the matching; stale on it
+    scale, rows = d.matrix._frame
+    work = [list(row) for row in rows]  # exact off the matching; stale on it
     adjacent = [list(compress(range(n), row)) for row in work]
     remaining = sum(map(len, adjacent))
     match_col = [-1] * n  # column -> row

@@ -31,10 +31,10 @@ quantifier: it stops at the image that decides a failure and reads every
 image of a holding orbit.  The samplers run it first (the orbit lies above
 the anchor too), so when equivalence fails they fail too, even at 0 trials.
 
-Every image is evaluated by one integer kernel: A is cleared once per
-predicate call (twice in :func:`verify_statements`) and each vector once;
-images, sorts and prefix profiles are Python ints, and only witnesses are
-turned back into exact rationals.
+Every image is evaluated by one integer kernel on the frames that ``Mat``
+and ``Vec`` cache, so A and the anchor are cleared at most once, whatever
+reads them; images, sorts and prefix profiles are Python ints, and only
+witnesses are turned back into exact rationals.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .numerics import (
     Perm,
     Rational,
     Vec,
-    _clear_denominators,
     _perm_images,
 )
 
@@ -69,17 +68,16 @@ class AnchorPoint:
 
     The local-to-global equivalence holds for strictly decreasing
     anchors; the type admits any vector so the degenerate regime can be
-    probed through the individual predicates.  ``alpha`` is cleared once:
-    its frame ``(L, L * alpha)``, kept as ``_frame`` and not a field,
-    decides the strict decrease and is what every orbit scan reads.
+    probed through the individual predicates.  The cached frame
+    ``alpha._frame``, ``(L, L * alpha)``, decides the strict decrease and
+    is what every orbit scan reads.
     """
 
     alpha: Vec
     strictly_decreasing: bool = field(init=False)
 
     def __post_init__(self):
-        den, (nums,) = _clear_denominators((self.alpha,))
-        object.__setattr__(self, "_frame", (den, tuple(nums)))
+        nums = self.alpha._frame[1]
         object.__setattr__(self, "strictly_decreasing", all(map(gt, nums, nums[1:])))
 
     @property
@@ -134,25 +132,19 @@ def _require_square(a: Mat) -> int:
     return a.n_rows
 
 
-# The image kernel.  _clear_denominators scales A by the LCM of its
-# denominators and each vector by the LCM of its own, so images, their
+# The image kernel.  A's frame scales it by the LCM of its denominators
+# and each vector's frame by the LCM of its own, so images, their
 # decreasing sorts and prefix profiles are Python ints, built and compared
 # by majorization's desc_prefix_sums and _profile_violation.  Two profiles
 # are compared only when their vectors share a scale: an orbit shares its
 # anchor's, and the samplers put the draws and A alpha on one.  Fractions
 # are built for witnesses only.
 
-def _int_rows(a: Mat) -> list[list[int]]:
-    """The rows of square ``a`` times the LCM of all its denominators."""
-    _require_square(a)
-    return _clear_denominators(a.rows)[1]
-
-
 def _vec(nums: Sequence[int], den: int) -> Vec:
     return Vec(Fraction(v, den) for v in nums)
 
 
-def _profile(rows: list[list[int]], v: tuple[int, ...]) -> tuple[int, ...]:
+def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ...]:
     """Prefix sums of the decreasing rearrangement of the integer image ``rows v``."""
     return desc_prefix_sums([sum(map(mul, row, v)) for row in rows])
 
@@ -169,11 +161,10 @@ def _first_below(images, base):
                  if _profile_violation(row[2], base) is not None), None)
 
 
-def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
-                trials: int | None, guard: int
+def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
                 ) -> tuple[tuple[int, ...], dict[str, IsotoneVerdict] | None]:
-    """The profile of ``A alpha`` and, unless every orbit image is
-    equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
+    """The profile of ``A alpha`` on A's frame and, unless every orbit image
+    is equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
     their :class:`StatementCheck` field.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
@@ -182,11 +173,12 @@ def _orbit_scan(rows: list[list[int]], anchor: AnchorPoint,
     image before ``moved`` has its profile).  A pairwise (target, source)
     scan first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
     """
-    if anchor.n != len(rows):
-        raise DimensionMismatch(f"cannot apply {len(rows)}x{len(rows)} matrix "
+    n = _require_square(a)
+    if anchor.n != n:
+        raise DimensionMismatch(f"cannot apply {n}x{n} matrix "
                                 f"to a vector of length {anchor.n}")
-    den, nums = anchor._frame
-    images = _images(rows, nums, guard)
+    den, nums = anchor.alpha._frame
+    images = _images(a._frame[1], nums, guard)
     first = next(images)
     base = first[2]
     moved = next((row for row in images if row[2] != base), None)
@@ -213,7 +205,7 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     Holds iff ``A (P alpha)`` is equivalent to ``A alpha`` for every
     permutation ``P``; the witness on failure is the offending ``P``.
     """
-    _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
+    _, failed = _orbit_scan(a, anchor, None, guard)
     return failed["equiv"] if failed else IsotoneVerdict(True)
 
 
@@ -228,7 +220,7 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     permutations ``(source, target)`` with ``A (source alpha)`` not
     majorized by ``A (target alpha)``.
     """
-    _, failed = _orbit_scan(_int_rows(a), anchor, None, guard)
+    _, failed = _orbit_scan(a, anchor, None, guard)
     return failed["left"] if failed else IsotoneVerdict(True)
 
 
@@ -331,18 +323,18 @@ def _draws_above(nums: Sequence[int], den: int,
         yield tuple(vals)
 
 
-def _upward_verdict(rows: list[list[int]], anchor: AnchorPoint,
-                    base: tuple[int, ...], trials: int, seed: int | str,
-                    side: str) -> IsotoneVerdict:
-    """Check ``A alpha``, whose profile over ``rows`` is ``base``, against
+def _upward_verdict(a: Mat, anchor: AnchorPoint, base: tuple[int, ...],
+                    trials: int, seed: int | str, side: str) -> IsotoneVerdict:
+    """Check ``A alpha``, whose profile over A's frame is ``base``, against
     ``trials`` draws above the anchor (none when ``trials <= 0``).
 
     ``side``, ``"right"`` or ``"point"``, names the generator stream and
     the failure witness: ``(perm, y)`` with the identity ``perm``, or ``y``.
     """
-    den, nums = anchor._frame
+    den, nums = anchor.alpha._frame
     base = tuple(v * _STEP_SCALE for v in base)  # the draws' scale
     draws = _draws_above(nums, den, random.Random(f"{seed}:{side}"))
+    rows = a._frame[1]
     for y in islice(draws, max(trials, 0)):
         if _profile_violation(base, _profile(rows, y)) is not None:
             y = _vec(y, den * _STEP_SCALE)
@@ -355,11 +347,10 @@ def _upward_verdict(rows: list[list[int]], anchor: AnchorPoint,
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
     """The orbit scan's ``side`` verdict, else :func:`_upward_verdict`'s."""
-    rows = _int_rows(a)
-    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
-    return _upward_verdict(rows, anchor, base, trials, seed, side)
+    return _upward_verdict(a, anchor, base, trials, seed, side)
 
 
 def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
@@ -416,7 +407,7 @@ def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], i
 _Table = list[dict[tuple[int, ...], None]]
 
 
-def _subset_table(rows: list[list[int]]) -> _Table | None:
+def _subset_table(rows: Sequence[Sequence[int]]) -> _Table | None:
     """Entry ``k - 1`` holds the distinct decreasing sorts of the sums
     ``c_S`` of ``k`` rows of ``rows``, for ``k = 1..n-1``; ``None`` when
     the column sums differ, as traces can then move.  One running sum walks
@@ -464,11 +455,11 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     ``(y, perm)`` is the first perm in lexicographic order and re-verifies
     exactly.
     """
-    rows = _int_rows(a)
-    n = len(rows)
+    n = _require_square(a)
     if trials <= 0:  # no draws: no enumeration and no table, at any n
         return IsotoneVerdict(True, trials=trials)
     _perm_images(n, guard)  # the guard trips before the table is built
+    rows = a._frame[1]
     table = _subset_table(rows)
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
@@ -615,18 +606,18 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     come from it (the global witness is a pair of orbit points) and the
     samplers run only when it holds.
     """
-    rows = _int_rows(a)
+    _require_square(a)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    base, failed = _orbit_scan(rows, anchor, trials, guard)
+    base, failed = _orbit_scan(a, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = (
             failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
-        right = _upward_verdict(rows, anchor, base, trials, seed, "right")
-        point = _upward_verdict(rows, anchor, base, trials, seed, "point")
+        right = _upward_verdict(a, anchor, base, trials, seed, "right")
+        point = _upward_verdict(a, anchor, base, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

@@ -26,7 +26,7 @@ from .numerics import (
     Perm,
     Rational,
     Vec,
-    _clear_denominators,
+    _joint_frame,
     _perm_images,
 )
 
@@ -97,7 +97,7 @@ def _profile_violation(px: tuple, py: tuple) -> Violation | None:
 def _int_profiles(x: Vec, y: Vec) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """``(L, px, py)``: the decreasing prefix profiles of ``L x`` and ``L y``,
     with ``L`` the least common multiple of both vectors' denominators."""
-    scale, (xs, ys) = _clear_denominators((x, y))
+    scale, xs, ys = _joint_frame(x, y)
     return scale, desc_prefix_sums(xs), desc_prefix_sums(ys)
 
 

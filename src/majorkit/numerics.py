@@ -4,8 +4,8 @@ Everything in this package computes over arbitrary-precision rationals
 (`fractions.Fraction`), so every comparison, partial sum, and equality
 test downstream is decided exactly.  Decimal strings and binary64 floats
 are converted losslessly at the boundary; no operation ever rounds.
-Hot loops run in an integer frame: :func:`_clear_denominators` scales
-rows of rationals by the LCM of their denominators to Python ints.
+Hot loops run in an integer frame: a :class:`Vec` or :class:`Mat` caches
+its ``_frame``, its entries scaled by the LCM of their denominators to ints.
 """
 
 from __future__ import annotations
@@ -79,28 +79,36 @@ def as_rational(value: RationalLike) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 
 
-def _clear_denominators(rows) -> tuple[int, list[list[int]]]:
+def _clear_denominators(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(L, L * rows)``, with ``L`` the least common multiple of every
-    entry's denominator, so the scaled rows are lists of ints."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row]
-                   for row in rows]
+    entry's denominator, so the scaled rows are tuples of ints."""
+    scale = math.lcm(*[v.denominator for row in rows for v in row])
+    return scale, tuple([tuple([v.numerator * (scale // v.denominator) for v in row])
+                         for row in rows])
 
 
 class Vec:
-    """Immutable vector of exact rationals, length at least 1."""
+    """Immutable vector of exact rationals, length at least 1.  ``_frame``, the
+    canonical ``(L, L * entries)`` over the LCM ``L`` of the denominators, is cached."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_cleared")
 
     def __init__(self, entries: Iterable[RationalLike]):
         tup = tuple(as_rational(v) for v in entries)
         if not tup:
             raise ValueError("a vector needs at least one entry")
-        self._entries = tup
+        self._entries, self._cleared = tup, None
 
     @property
     def entries(self) -> tuple[Rational, ...]:
         return self._entries
+
+    @property
+    def _frame(self) -> tuple[int, tuple[int, ...]]:
+        if self._cleared is None:
+            scale, (nums,) = _clear_denominators((self._entries,))
+            self._cleared = scale, nums
+        return self._cleared
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -148,9 +156,9 @@ class Vec:
 
 
 class Mat:
-    """Immutable rectangular matrix of exact rationals."""
+    """Immutable rectangular matrix of exact rationals; ``_frame`` as :class:`Vec`'s."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_cleared")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(as_rational(v) for v in row) for row in rows)
@@ -159,7 +167,14 @@ class Mat:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("matrix rows must all have the same length")
-        self._rows = grid
+        self._rows, self._cleared = grid, None
+
+    @classmethod
+    def _of(cls, grid: tuple, frame: tuple) -> "Mat":
+        """A ``Mat`` of a ``Fraction`` grid and its ``_frame``, trusted as in ``Perm._of``."""
+        m = cls.__new__(cls)
+        m._rows, m._cleared = grid, frame
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -173,6 +188,12 @@ class Mat:
     @property
     def rows(self) -> tuple[tuple[Rational, ...], ...]:
         return self._rows
+
+    @property
+    def _frame(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        if self._cleared is None:
+            self._cleared = _clear_denominators(self._rows)
+        return self._cleared
 
     @property
     def n_rows(self) -> int:
@@ -228,6 +249,17 @@ class Mat:
                 for row in self._rows
             )
         return NotImplemented
+
+
+def _joint_frame(x: Vec, y: Vec) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(L, L * x, L * y)`` over the LCM ``L`` of both vectors' denominators,
+    rescaled from their cached frames."""
+    (lx, nx), (ly, ny) = x._frame, y._frame
+    if lx == ly:
+        return lx, nx, ny
+    scale = math.lcm(lx, ly)
+    fx, fy = scale // lx, scale // ly
+    return scale, tuple([v * fx for v in nx]), tuple([v * fy for v in ny])
 
 
 class Perm:

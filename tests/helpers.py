@@ -48,14 +48,16 @@ plain_ratios = st.builds(lambda sign, p, q: f"{sign}{p}/{q}",
 
 def count_clears(monkeypatch) -> list[int]:
     """Count every ``_clear_denominators`` call the package makes from now
-    on, in the one entry of the returned list."""
+    on, in the one entry of the returned list: the first reads of ``Vec``
+    and ``Mat`` frames, and the decomposition's weight check."""
     calls = [0]
+    clear = numerics._clear_denominators
 
     def counted(rows):
         calls[0] += 1
-        return numerics._clear_denominators(rows)
+        return clear(rows)
 
-    for module in (majorization, isotone, doubly_stochastic):
+    for module in (numerics, doubly_stochastic):
         monkeypatch.setattr(module, "_clear_denominators", counted)
     return calls
 

@@ -25,7 +25,7 @@ from majorkit import (
     witness_ds,
 )
 from majorkit import doubly_stochastic
-from majorkit.doubly_stochastic import _augment, _ds_frame
+from majorkit.doubly_stochastic import _augment
 from majorkit.numerics import _clear_denominators
 from helpers import (
     count_clears,
@@ -397,7 +397,7 @@ class TestBirkhoff:
         y = Vec(Fraction(rng.randint(-10**6, 10**6), p) for p in primes)
         x = random_ds(12, seed=rng.getrandbits(32), steps=12).matrix @ y
         d = witness_ds(x, y).matrix
-        assert d._frame[0] > 2**1000
+        assert d.matrix._frame[0] > 2**1000
         assert birkhoff(d).terms == oracle_birkhoff(d).terms
 
     @settings(max_examples=60)
@@ -527,36 +527,44 @@ class TestNoFractionOrder:
 
 
 class TestKeptFrame:
-    """A :class:`DoublyStochastic` keeps its check's integer frame, which
-    :func:`birkhoff` peels a copy of instead of clearing the matrix again;
-    a witness's check reads the T-chain's frame."""
+    """The check of a :class:`DoublyStochastic` and :func:`birkhoff`'s peel
+    read the matrix's cached integer frame, so a matrix is cleared at most
+    once; a witness's matrix is handed the T-chain's frame."""
 
     def test_a_construct_item_clears_three_times(self, monkeypatch):
         x, y = majorizing_pair(random.Random(7), 20)
         calls = count_clears(monkeypatch)
         assert majorizes(x, y)
+        assert calls == [2]  # x and y, each once
         birkhoff(witness_ds(x, y).matrix)
-        # majorizes, witness_ds's pair, the weights
-        assert calls == [3]
+        assert calls == [3]  # and the weights; witness_ds reads x's and y's
 
     @given(pair=majorized_pairs())
     def test_the_witness_keeps_the_frame_its_matrix_clears_to(self, pair):
         d = witness_ds(*pair).matrix
-        assert d._frame == _ds_frame(d.matrix)
+        assert d.matrix._frame == _clear_denominators(d.matrix.rows)
 
-    def test_a_given_frame_is_checked(self):
+    def test_a_given_frame_is_checked(self, monkeypatch):
         m = Mat([["1/2", "1/2"], ["1/2", "1/3"]])
         with pytest.raises(ValueError, match="not doubly stochastic"):
-            DoublyStochastic._framed(m, *_clear_denominators(m.rows))
+            DoublyStochastic(Mat._of(m.rows, _clear_denominators(m.rows)))
         m = random_ds(5, seed=3).matrix
-        assert DoublyStochastic._framed(m, *_clear_denominators(m.rows)) == \
-            DoublyStochastic(m)
+        framed = Mat._of(m.rows, _clear_denominators(m.rows))
+        calls = count_clears(monkeypatch)
+        assert DoublyStochastic(framed) == DoublyStochastic(m)
+        assert calls == [0]
+        # The check reads the frame it is given, not the entries.
+        scale, rows = framed._frame
+        with pytest.raises(ValueError, match="not doubly stochastic"):
+            DoublyStochastic(Mat._of(m.rows, (scale + 1, rows)))
 
     def test_birkhoff_of_a_mat_clears_twice(self, monkeypatch):
         m = random_ds(6, seed=5).matrix
         calls = count_clears(monkeypatch)
-        birkhoff(m)
+        birkhoff(Mat(m.rows))
         assert calls == [2]  # the check and the weights
+        birkhoff(m)
+        assert calls == [3]  # random_ds's check cleared m: the weights only
 
     def test_birkhoff_leaves_the_kept_frame_as_it_was(self):
         rng = random.Random(17)
@@ -564,7 +572,7 @@ class TestKeptFrame:
             d = witness_ds(*majorizing_pair(rng, n)).matrix
             first = birkhoff(d)
             assert birkhoff(d) == first
-            assert d._frame == _ds_frame(d.matrix)
+            assert d.matrix._frame == _clear_denominators(d.matrix.rows)
             assert first.recompose() == d.matrix
 
     def test_the_frame_is_no_field(self):

@@ -47,7 +47,6 @@ from majorkit.isotone import (
     _draws_above,
     _first_below,
     _images,
-    _int_rows,
     _profile,
     _random_distinct_vec,
     _subset_table,
@@ -396,7 +395,7 @@ class TestSubsetGate:
                                   for _ in range(n - 1)], rng.randint(-5, 5))
             else:
                 make = random_perm_scaled if kind == "perm_scaled" else random_trace_map
-                rows = _int_rows(make(n, rng))
+                rows = make(n, rng)._frame[1]
             distinct = tuple(rng.sample(range(-24, 25), n))
             tied = tuple(rng.choice([-1, 0, 2]) for _ in range(n))
             for v in (distinct, tied, (rng.randint(-5, 5),) * n):
@@ -412,7 +411,7 @@ class TestSubsetGate:
         rng = random.Random("gate:gray")
         for n in range(1, 9):
             for make in (random_perm_scaled, random_trace_map):
-                rows = _int_rows(make(n, rng))
+                rows = make(n, rng)._frame[1]
                 levels = _subset_table(rows)
                 assert levels is not None
                 assert list(map(set, levels)) == \
@@ -1137,7 +1136,7 @@ class TestAnchorFrame:
         anchor = AnchorPoint(Vec(values))
         assert anchor.strictly_decreasing == all(
             a > b for a, b in zip(values, values[1:]))
-        den, nums = anchor._frame
+        den, nums = anchor.alpha._frame
         assert [Fraction(v, den) for v in nums] == values
 
     def test_the_frame_is_no_field(self):
@@ -1149,12 +1148,30 @@ class TestAnchorFrame:
         twin = AnchorPoint(Vec(["7/2", "4/3", 1]))
         assert anchor == twin and hash(anchor) == hash(twin)
 
-    def test_a_holding_verify_clears_twice(self, monkeypatch):
+    def test_a_holding_verify_clears_a_once(self, monkeypatch):
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         calls = count_clears(monkeypatch)
         assert verify_statements(a, anchor, trials=5, seed=1).all_hold
-        assert calls == [2]  # A's rows, once here and once in the sampler
+        # A's rows, read by the orbit scan, both upward streams and the
+        # global sampler; the anchor was cleared when it was built.
+        assert calls == [1]
+        assert verify_statements(a, anchor, trials=5, seed=2).all_hold
+        assert calls == [1]
+
+    def test_every_predicate_reads_the_cached_frames(self, monkeypatch):
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = Mat([[1, "1/2", 0, 3], [2, 0, "-1/3", 1], [0, 1, 1, 1], [5, 0, 0, "1/4"]])
+        calls = count_clears(monkeypatch)
+        is_equiv_preserving_at(a, anchor)
+        assert calls == [1]
+        for verdict in (is_left_isotone_at(a, anchor),
+                        is_right_isotone_at(a, anchor, trials=5),
+                        is_isotone_at(a, anchor, trials=5),
+                        is_global_isotone_sampled(a, trials=5),
+                        verify_statements(a, anchor, trials=5)):
+            assert verdict is not None
+        assert calls == [1]
 
     @staticmethod
     def _run(values, tied):

@@ -1,6 +1,8 @@
 """Exact scalar, vector, matrix, and permutation algebra."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import islice
@@ -24,7 +26,8 @@ from majorkit import (
 from majorkit.cli import _PLAIN_RATIO
 from majorkit.numerics import _clear_denominators
 from helpers import (
-    mat_mul, naive_mat_vec, plain_ratios, rand_perm, rand_vec, transpose,
+    count_clears, majorizing_pair, mat_mul, naive_mat_vec, plain_ratios, rand_perm,
+    rand_vec, transpose,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -136,6 +139,86 @@ class TestClearDenominators:
             for v, num in zip(row, ints):
                 assert type(num) is int
                 assert Fraction(num, scale) == v
+
+
+frame_grids = st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(frame_entries, min_size=width, max_size=width), min_size=1, max_size=4))
+# Dyadic values, so a float holds each one exactly.
+dyadics = st.builds(Fraction, st.integers(-1000, 1000),
+                    st.sampled_from([1, 2, 4, 8, 1024]))
+
+
+def _spellings(v: Fraction) -> list:
+    """One value as a ``Fraction``, its ``str``, an unreduced ``"p/q"``
+    string, an unreduced ``Fraction`` and a ``float``."""
+    p, q = v.numerator, v.denominator
+    return [v, str(v), f"{3 * p}/{3 * q}", Fraction(2 * p, 2 * q), p / q]
+
+
+def _twins(value):
+    return copy.copy(value), pickle.loads(pickle.dumps(value))
+
+
+class TestCachedFrame:
+    """``Vec`` and ``Mat`` clear their denominators on the first read of
+    ``_frame`` and keep the result; the frame is canonical, so it changes
+    neither ``==`` nor ``hash`` nor ``repr``."""
+
+    @given(rows=frame_grids)
+    @example(rows=[[Fraction(0)]])
+    @example(rows=[[Fraction(1, 2**61 - 1), Fraction(-1, 10**9 + 7)]])
+    def test_the_frame_is_the_cleared_entries(self, rows):
+        m = Mat(rows)
+        assert m._frame == _clear_denominators(rows)
+        assert type(m._frame[1]) is tuple
+        assert all(type(row) is tuple for row in m._frame[1])
+        scale, (nums,) = _clear_denominators(rows[:1])
+        assert Vec(rows[0])._frame == (scale, nums)
+        assert type(Vec(rows[0])._frame[1]) is tuple
+
+    @given(values=st.lists(dyadics, min_size=1, max_size=6))
+    @example(values=[Fraction(1, 2)])  # "1/2", Fraction(2, 4) and 0.5 among them
+    def test_equal_values_built_differently_share_everything(self, values):
+        spelt = list(zip(*map(_spellings, values)))
+        vecs = [Vec(entries) for entries in spelt]
+        mats = [Mat([entries, entries[::-1]]) for entries in spelt]
+        for same in (vecs, mats):
+            first = same[0]
+            for other in same[1:]:
+                assert other == first and hash(other) == hash(first)
+                assert repr(other) == repr(first)
+                assert other._frame == first._frame
+
+    @given(rows=frame_grids)
+    def test_a_second_read_clears_nothing(self, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_clears(patch)
+            v, m = Vec(rows[0]), Mat(rows)
+            first = v._frame, m._frame
+            assert calls == [2]
+            assert v._frame is first[0] and m._frame is first[1]
+            assert calls == [2]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_the_witness_matrix_is_its_own_rows(self, seed, n):
+        # witness_ds builds its matrix by Mat._of, with the T-chain's frame.
+        d = witness_ds(*majorizing_pair(random.Random(seed), n)).matrix.matrix
+        fresh = Mat(d.rows)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert d._frame == fresh._frame
+        assert type(d.rows) is tuple
+        assert all(type(row) is tuple and all(type(v) is Fraction for v in row)
+                   for row in d.rows)
+
+    @given(rows=frame_grids, read=st.booleans())
+    def test_copies_and_pickles_stay_equal(self, rows, read):
+        for value in (Vec(rows[0]), Mat(rows)):
+            if read:
+                value._frame
+            for twin in _twins(value):
+                assert twin == value and hash(twin) == hash(value)
+                assert repr(twin) == repr(value)
+                assert twin._frame == value._frame
 
 
 class TestVec:

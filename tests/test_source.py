@@ -80,3 +80,33 @@ def test_no_module_calls_sort_desc():
              if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "sort_desc"]
     assert calls == []
+
+
+def _call_scopes(tree: ast.AST, name: str) -> list[str]:
+    """The dotted function or class scope of every call of ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func).split(".")[-1] == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(tree, [])
+    return found
+
+
+def test_only_values_and_the_weight_check_clear_denominators():
+    # A Vec or Mat clears itself on the first read of its cached _frame,
+    # and every caller reads that; a decomposition's weights are no value
+    # and keep their own clear.
+    calls = {f"{path.stem}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")),
+                                       "_clear_denominators")}
+    outside = {call for call in calls if not call.startswith("numerics:")}
+    assert outside == {"doubly_stochastic:BirkhoffDecomposition.__post_init__"}
+    assert calls - outside == {"numerics:Vec._frame", "numerics:Mat._frame"}

@@ -8,11 +8,15 @@ Usage, from the root of a checkout::
 Each point times one layer on fixed seeded inputs: the median of its
 runs in ms, with the host scale of ``bench/hostspeed.py`` (its reference
 kernel runs once after every timed run, and ``scaled_median_ms`` reads as
-the time on a host where the kernel takes ``hostspeed.REF_MS``).  The
-counters come from one more, untimed run under ``bench/tracer.py``: the
-kernel calls and result counters it records (prefix sums, mat-vecs,
-transforms, terms, extremizers, ...), plus what it does not see, the
-orbit images read and the ``getrandbits`` words drawn, and what the
+the time on a host where the kernel takes ``hostspeed.REF_MS``).  A
+library point builds fresh ``Vec``, ``Mat`` and ``AnchorPoint`` inputs
+from plain rows before each run, outside the timed window, so no run
+reads a frame an earlier run cached: each time is what a one-shot caller
+pays.  The counters come from one more, untimed run under
+``bench/tracer.py``: the kernel calls and result counters it records
+(prefix sums, mat-vecs, transforms, terms, extremizers, ...), plus what it
+does not see, the orbit images read, the ``getrandbits`` words drawn and
+the ``clears``, calls of ``numerics._clear_denominators``, and what the
 point's result reports (draws, reported-sum characters, report bytes,
 extremizer and verify counts), so a reader can tell less work from
 faster work.  The sweep runs in this process, importing majorkit from
@@ -48,7 +52,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import hostspeed  # noqa: E402
 import majorkit as mk  # noqa: E402
-from majorkit import cli, isotone  # noqa: E402
+from majorkit import cli, isotone, numerics  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
@@ -70,9 +74,17 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
-    over every span, with the orbit images and ``getrandbits`` words."""
+    over every span, with the orbit images, ``getrandbits`` words and clears."""
     extra = {"images": 0, "words": 0}
     orbit, rng_class = isotone._orbit, random.Random
+    clear, clears = numerics._clear_denominators, [0]
+    holders = [module for name, module in sys.modules.items()
+               if name.startswith("majorkit")
+               and getattr(module, "_clear_denominators", None) is clear]
+
+    def counted_clear(rows):
+        clears[0] += 1
+        return clear(rows)
 
     def counted_orbit(*args):
         for image in orbit(*args):
@@ -86,23 +98,29 @@ def _counted(run) -> tuple[object, dict]:
 
     tracer = Tracer()
     isotone._orbit, random.Random = counted_orbit, Counting
+    for module in holders:
+        module._clear_denominators = counted_clear
     tracer.install(mk)
     try:
         result = run()
     finally:
         tracer.uninstall()
         isotone._orbit, random.Random = orbit, rng_class
+        for module in holders:
+            module._clear_denominators = clear
     counters = {}
     for row in tracer.summary().values():
         for name, (calls, _) in row["kernels"].items():
             counters[f"{name}.calls"] = counters.get(f"{name}.calls", 0) + calls
         for name, k in row["counters"].items():
             counters[name] = counters.get(name, 0) + k
-    return result, {**counters, **{k: v for k, v in extra.items() if v}}
+    return result, {**counters, **{k: v for k, v in extra.items() if v},
+                    "clears": clears[0]}
 
 
 def _planted(n: int):
-    """A seeded scaled permutation plus constant and a strict anchor."""
+    """A seeded scaled permutation plus constant and a strict anchor, as
+    plain rows of ``Fraction``s."""
     rng = random.Random(f"sweep:planted:{n}")
     image = list(range(n))
     rng.shuffle(image)
@@ -110,31 +128,33 @@ def _planted(n: int):
                          Fraction(rng.randint(-3, 3), rng.randint(1, 4)), mk.Perm(image))
     den = rng.randint(1, 4)
     alpha = sorted(rng.sample(range(-20, 21), n), reverse=True)
-    return form.as_matrix(), mk.AnchorPoint(mk.Vec(Fraction(v, den) for v in alpha))
+    return form.as_matrix().rows, [Fraction(v, den) for v in alpha]
 
 
 def right_isotone(n: int):
-    a, anchor = _planted(n)
+    rows, alpha = _planted(n)
 
-    def run():
-        return mk.is_right_isotone_at(a, anchor, trials=50, seed=1)
+    def make():
+        a, anchor = mk.Mat(rows), mk.AnchorPoint(mk.Vec(alpha))
+        return lambda: mk.is_right_isotone_at(a, anchor, trials=50, seed=1)
 
     def read(verdict):
         _expect(verdict.holds, f"the planted form at n = {n} holds")
         return {"draws": verdict.trials}  # a holding verdict read every draw
-    return run, read
+    return make, read
 
 
 def global_sampled(n: int):
-    a, _ = _planted(n)
+    rows, _ = _planted(n)
 
-    def run():
-        return mk.is_global_isotone_sampled(a, trials=10, seed=1)
+    def make():
+        a = mk.Mat(rows)
+        return lambda: mk.is_global_isotone_sampled(a, trials=10, seed=1)
 
     def read(verdict):
         _expect(verdict.holds, f"the planted form at n = {n} holds")
         return {}
-    return run, read
+    return make, read
 
 
 def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
@@ -151,11 +171,14 @@ def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def _vector_files(x, y) -> tuple[tempfile.TemporaryDirectory, list[str]]:
-    """A scratch directory holding ``x.json`` and ``y.json``, and their paths."""
+    """A scratch directory holding ``x.json`` and ``y.json``, and their paths.
+    Entries are written as the CLI's users write them: an integer as a JSON
+    int, any other value as a ``"p/q"`` string."""
     work = tempfile.TemporaryDirectory(prefix="majorkit-sweep-")
     paths = [str(Path(work.name) / name) for name in ("x.json", "y.json")]
     for path, v in zip(paths, (x, y)):
-        Path(path).write_text(json.dumps([str(e) for e in v]), encoding="utf-8")
+        entries = [e.numerator if e.denominator == 1 else str(e) for e in map(Fraction, v)]
+        Path(path).write_text(json.dumps(entries), encoding="utf-8")
     return work, paths
 
 
@@ -175,14 +198,15 @@ def _check(primes: bool):
             scale = math.lcm(*(v.denominator for v in x + y))
             return {"sum_chars": sum(len(v) for vs in sums for v in vs),
                     "scale_bits": scale.bit_length()}
-        return run, read
+        return (lambda: run), read
     return make
 
 
 def _construct_pair(n: int):
+    """``x = D y`` for a seeded doubly stochastic ``D``, as plain entries."""
     rng = random.Random(f"sweep:construct:{n}")
     y = mk.Vec(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n))
-    return mk.random_ds(n, n, steps=4).matrix @ y, y
+    return (mk.random_ds(n, n, steps=4).matrix @ y).entries, y.entries
 
 
 def _no_reads(result) -> dict:
@@ -190,23 +214,34 @@ def _no_reads(result) -> dict:
 
 
 def witness(n: int):
-    x, y = _construct_pair(n)
-    return (lambda: mk.witness_ds(x, y)), _no_reads
+    xs, ys = _construct_pair(n)
+
+    def make():
+        x, y = mk.Vec(xs), mk.Vec(ys)
+        return lambda: mk.witness_ds(x, y)
+    return make, _no_reads
 
 
 def birkhoff(n: int):
-    x, y = _construct_pair(n)
-    d = mk.witness_ds(x, y).matrix
-    return (lambda: mk.birkhoff(d)), _no_reads
+    rows = mk.witness_ds(*map(mk.Vec, _construct_pair(n))).matrix.matrix.rows
+
+    def make():  # the check clears the fresh matrix here, untimed
+        d = mk.DoublyStochastic(mk.Mat(rows))
+        return lambda: mk.birkhoff(d)
+    return make, _no_reads
 
 
 def extremizers(n: int):
     """Each value of ``x`` twice (the last once at odd n); ``y`` distinct."""
     rng = random.Random(f"sweep:extremizers:{n}")
     values = rng.sample(range(-12, 13), (n + 1) // 2)
-    x = mk.Vec([v for v in values for _ in range(2)][:n])
-    y = mk.Vec(rng.sample(range(-40, 41), n))
-    return (lambda: mk.extremizer_sets(x, y, guard=n)), _no_reads
+    xs = [v for v in values for _ in range(2)][:n]
+    ys = rng.sample(range(-40, 41), n)
+
+    def make():
+        x, y = mk.Vec(xs), mk.Vec(ys)
+        return lambda: mk.extremizer_sets(x, y, guard=n)
+    return make, _no_reads
 
 
 def cli_extremizers(n: int):
@@ -229,7 +264,7 @@ def cli_extremizers(n: int):
                 f"extremizers at n = {n} exits 0 with (n-1)! maximizers")
         return {"report_bytes": len(text),
                 **{k: counts[k] for k in ("n_maximizers", "n_minimizers")}}
-    return run, read
+    return (lambda: run), read
 
 
 def verify(n: int):
@@ -243,11 +278,12 @@ def verify(n: int):
         _expect(code == 0, f"verify at n = {n} exits 0")
         counts = json.loads(text)["counts"]
         return {k: counts[k] for k in ("matrices", "all_true", "all_false")}
-    return run, read
+    return (lambda: run), read
 
 
-# (layer, sizes, builder): the builder sets a point up and returns its
-# timed run and what to read off the run's result as counters.
+# (layer, sizes, builder): the builder sets a point up and returns what
+# makes a timed run, called untimed before each one (a library point builds
+# fresh inputs there), and what to read off the run's result as counters.
 LAYERS = (
     ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
     ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
@@ -268,17 +304,18 @@ def points(quick: bool) -> list[tuple[str, int]]:
 
 
 def measure(builder, n: int, runs: int) -> dict:
-    run, read = builder(n)
-    run()  # warm-up: imports, caches and first-call set-up stay out of the runs
+    make, read = builder(n)
+    make()()  # warm-up: imports, caches and first-call set-up stay out of the runs
     times, kernel = [], []
     for _ in range(runs):
+        run = make()
         t0 = perf_counter_ns()
         run()
         times.append(perf_counter_ns() - t0)
         kernel.append(hostspeed.sample())
     median_ms = statistics.median(times) / 1e6
     scale = hostspeed.scale(kernel)
-    result, counters = _counted(run)
+    result, counters = _counted(make())
     return {"median_ms": round(median_ms, 4), "host_scale": round(scale, 4),
             "scaled_median_ms": round(median_ms * scale, 4), "runs": runs,
             "counters": {**counters, **read(result)}}
