@@ -25,9 +25,9 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 
-from .majorization import Violation, _profile_violation, _unscaled
+from .majorization import Violation, first_violation
 from .numerics import (
     DimensionMismatch,
     Mat,
@@ -58,7 +58,7 @@ class DoublyStochastic:
     matrix: Mat
 
     def __post_init__(self):
-        if not _ds_holds(self.matrix):
+        if not check_ds(self.matrix):
             raise ValueError("matrix is not doubly stochastic")
 
     @property
@@ -66,7 +66,7 @@ class DoublyStochastic:
         return self.matrix.n_rows
 
 
-def _ds_holds(a: Mat) -> bool:
+def check_ds(a: Mat) -> bool:
     """Whether ``a`` is doubly stochastic, decided on its frame ``(L, L * a)``:
     every row of the int matrix is nonnegative and sums to ``L``, and every
     column sums to ``L``.  Raises :class:`DimensionMismatch` for non-square
@@ -76,11 +76,6 @@ def _ds_holds(a: Mat) -> bool:
     scale, rows = a._frame
     return (all(min(row) >= 0 and sum(row) == scale for row in rows)
             and all(sum(col) == scale for col in zip(*rows)))
-
-
-def check_ds(a: Mat) -> bool:
-    """Exactly decide whether ``a`` is doubly stochastic (see :func:`_ds_holds`)."""
-    return _ds_holds(a)
 
 
 @dataclass(frozen=True)
@@ -117,11 +112,11 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
 
-    The precheck and the chain run on integers: ``x`` and ``y`` are scaled
-    by one common denominator and sorted as ints, keeping every tie, so the
-    prefix sums, the entries, the mass moved and the gaps are ints, only
-    a violation's sums become ``Fraction``s, and each step's ``t`` is one
-    ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
+    The precheck and the chain run on integers.  The precheck is
+    :func:`~majorkit.majorization.first_violation`; the chain sorts ``x`` and
+    ``y``, scaled by one common denominator, as ints, keeping every tie, so
+    the entries, the mass moved and the gaps are ints, and each step's ``t``
+    is one ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
     over one denominator of its own; a T-transform changes only the two
     rows it mixes, so it is applied as a two-row update in O(n), reduced
     by one ``gcd`` per row.  The sorting permutations are applied by
@@ -137,14 +132,14 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
+    violation = first_violation(x, y)
+    if violation is not None:
+        raise NotMajorized(violation)
     n = len(x)
-    scale, xn, yn = _joint_frame(x, y)
+    _, xn, yn = _joint_frame(x, y)
     order_x, order_y = (sorted(range(n), key=v.__getitem__, reverse=True)
                         for v in (xn, yn))
     xs, vs = [xn[i] for i in order_x], [yn[i] for i in order_y]
-    violation = _profile_violation(tuple(accumulate(xs)), tuple(accumulate(vs)))
-    if violation is not None:
-        raise NotMajorized(_unscaled(violation, scale))
 
     transforms: list[TTransform] = []
     # chain row r is nums[r] / dens[r]

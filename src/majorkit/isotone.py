@@ -487,11 +487,13 @@ def classify_global(a: Mat) -> GlobalForm | None:
     off-diagonal one wins, so the identity-patterned form is the one
     reported.  Returns ``None`` when neither shape fits, which by the
     classical characterisation means the map is not globally isotone.
+    It tests the ints of ``a._frame``, ``(L, L * a)``; a trace map keeps
+    ``a``'s own entries, and a form's ``alpha`` and ``beta`` are ints over ``L``.
     """
     n = _require_square(a)
-    rows = a.rows
+    scale, rows = a._frame
     if all(len(set(row)) == 1 for row in rows):
-        return TraceMap(Vec(row[0] for row in rows))
+        return TraceMap(Vec(row[0] for row in a.rows))
 
     first = rows[0]
     for beta in reversed(dict.fromkeys(first)):
@@ -503,18 +505,21 @@ def classify_global(a: Mat) -> GlobalForm | None:
         positions = [j for j, in moved]
         scales = {row[j] - beta for row, j in zip(rows, positions)}
         if len(set(positions)) == n and len(scales) == 1:
-            return PermScaled(scales.pop(), beta, Perm(positions).inverse())
+            return PermScaled(Fraction(scales.pop(), scale), Fraction(beta, scale),
+                              Perm(positions).inverse())
     return None
 
 
 def column_sums_equal(a: Mat) -> IsotoneVerdict:
     """Exactly check that all column sums agree; witness is the first unequal pair."""
     _require_square(a)
-    sums = [sum(row[j] for row in a.rows) for j in range(a.n_cols)]
+    scale, rows = a._frame
+    sums = [sum(col) for col in zip(*rows)]
     for j, s in enumerate(sums[1:], start=1):
         if s != sums[0]:
             return IsotoneVerdict(False, {
-                "column_a": 0, "column_b": j, "sum_a": sums[0], "sum_b": s,
+                "column_a": 0, "column_b": j,
+                "sum_a": Fraction(sums[0], scale), "sum_b": Fraction(s, scale),
             })
     return IsotoneVerdict(True)
 
@@ -533,8 +538,8 @@ def shift_by_J(a: Mat, lam: Rational) -> Mat:
 def choose_positive_shift(a: Mat) -> int:
     """Smallest integer ``lam`` making every entry of ``a + lam * J`` positive."""
     _require_square(a)
-    lowest = min(v for row in a.rows for v in row)
-    return math.floor(-lowest) + 1
+    scale, rows = a._frame
+    return -min(map(min, rows)) // scale + 1
 
 
 def classify_at_point(a: Mat, anchor: AnchorPoint,

@@ -49,7 +49,7 @@ class SortedView:
 
 def sort_desc(x: Vec) -> SortedView:
     """Sort ``x`` into decreasing and increasing order with a stable witness."""
-    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    order = sorted(range(len(x)), key=x._frame[1].__getitem__, reverse=True)
     descending = Vec(x[i] for i in order)
     ascending = Vec(reversed(descending.entries))
     return SortedView(descending, ascending, Perm(order).inverse())
@@ -101,19 +101,14 @@ def _int_profiles(x: Vec, y: Vec) -> tuple[int, tuple[int, ...], tuple[int, ...]
     return scale, desc_prefix_sums(xs), desc_prefix_sums(ys)
 
 
-def _unscaled(violation: Violation | None, scale: int) -> Violation | None:
-    """A violation between the profiles of ``L x`` and ``L y``, restated
-    with the exact sums of ``x`` and ``y``."""
+def first_violation(x: Vec, y: Vec) -> Violation | None:
+    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
+    scale, px, py = _int_profiles(x, y)
+    violation = _profile_violation(px, py)
     if violation is None:
         return None
     return replace(violation, lhs=Fraction(violation.lhs, scale),
                    rhs=Fraction(violation.rhs, scale))
-
-
-def first_violation(x: Vec, y: Vec) -> Violation | None:
-    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
-    scale, px, py = _int_profiles(x, y)
-    return _unscaled(_profile_violation(px, py), scale)
 
 
 def majorizes(x: Vec, y: Vec) -> bool:
@@ -169,4 +164,4 @@ def permutohedron_vertices(alpha: Vec, guard: int = DEFAULT_GUARD) -> list[Vec]:
     These are the vertices of the permutohedron of ``alpha``, whose convex
     hull is exactly the set of vectors majorized by ``alpha``.
     """
-    return [Vec(v) for _, v in _orbit(alpha.entries, guard)]
+    return [Perm._of(p).apply(alpha) for p, _ in _orbit(alpha._frame[1], guard)]

@@ -4,8 +4,9 @@ Everything in this package computes over arbitrary-precision rationals
 (`fractions.Fraction`), so every comparison, partial sum, and equality
 test downstream is decided exactly.  Decimal strings and binary64 floats
 are converted losslessly at the boundary; no operation ever rounds.
-Hot loops run in an integer frame: a :class:`Vec` or :class:`Mat` caches
-its ``_frame``, its entries scaled by the LCM of their denominators to ints.
+Every decision runs in an integer frame: a :class:`Vec` or :class:`Mat`
+caches its ``_frame``, its entries scaled by the LCM of their denominators
+to ints, and a ``Fraction`` is built only for a value returned.
 """
 
 from __future__ import annotations

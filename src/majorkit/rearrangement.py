@@ -5,7 +5,8 @@ copy of the decreasing rearrangement of ``y`` is maximised by aligning
 both decreasingly and minimised by opposing the orders (the classical
 rearrangement inequality).  This module computes the two extreme values,
 enumerates exactly which permutations attain them, and provides the
-factorial counting bound those sets obey.
+factorial counting bound those sets obey.  It sorts, ties and counts the
+ints of ``x._frame`` and ``y._frame`` and returns a value as ``Fraction(v, Lx * Ly)``.
 """
 
 from __future__ import annotations
@@ -34,22 +35,25 @@ def extremes(x: Vec, y: Vec) -> tuple[Rational, Rational]:
     """
     if len(x) != len(y):
         raise DimensionMismatch("rearrangement extremes need equal lengths")
-    return _extreme_values(sorted(x, reverse=True), sorted(y, reverse=True))
+    return _extremes(x, y)[:2]
 
 
-def _extreme_values(xd: list[Rational],
-                    yd: list[Rational]) -> tuple[Rational, Rational]:
-    """(maximum, minimum) from the decreasing sorts ``xd`` and ``yd``."""
-    return (sum(map(mul, xd, yd), Fraction(0)),
-            sum(map(mul, reversed(xd), yd), Fraction(0)))
+def _extremes(x: Vec, y: Vec) -> tuple[Rational, Rational, list[int], list[int]]:
+    """(maximum, minimum) and the decreasing sorts ``xd`` and ``yd`` of the
+    ints of ``x._frame`` and ``y._frame`` that they pair."""
+    (lx, xs), (ly, ys) = x._frame, y._frame
+    xd, yd = sorted(xs, reverse=True), sorted(ys, reverse=True)
+    return (Fraction(sum(map(mul, xd, yd)), lx * ly),
+            Fraction(sum(map(mul, reversed(xd), yd)), lx * ly), xd, yd)
 
 
 def permuted_dot(x: Vec, p: Perm, y: Vec) -> Rational:
     """Exact ``x^T P y_desc``: entry ``x[p(j)]`` pairs with the j-th largest of ``y``."""
     if len(x) != len(y) or len(p) != len(x):
         raise DimensionMismatch("permuted dot needs matching lengths")
-    yd = sorted(y, reverse=True)
-    return sum((x[p(j)] * yd[j] for j in range(len(x))), Fraction(0))
+    (lx, xs), (ly, ys) = x._frame, y._frame
+    yd = sorted(ys, reverse=True)
+    return Fraction(sum(xs[i] * v for i, v in zip(p.image, yd)), lx * ly)
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,10 @@ def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerRep
         raise DimensionMismatch("extremizer scan needs equal lengths")
     if len(x) > guard:
         raise GuardExceeded(len(x), guard)
-    xd, yd = sorted(x, reverse=True), sorted(y, reverse=True)
-    best, worst = _extreme_values(xd, yd)
-    ids = {v: c for c, v in enumerate(dict.fromkeys(x))}
-    classes = [ids[v] for v in x]
+    best, worst, xd, yd = _extremes(x, y)
+    xs = x._frame[1]
+    ids = {v: c for c, v in enumerate(dict.fromkeys(xs))}
+    classes = [ids[v] for v in xs]
     # block[j]: which run of tied entries of yd position j lies in
     block = list(accumulate(map(ne, yd, yd[1:]), initial=0))
     desc = [ids[v] for v in xd]
@@ -143,8 +147,8 @@ def _block_rearrangements(classes: list[int], want: list[int],
 
 
 def distinct_count(x: Vec) -> int:
-    """Number of distinct values among the entries."""
-    return len(set(x))
+    """Number of distinct values among the entries, the ints of ``x._frame``."""
+    return len(set(x._frame[1]))
 
 
 def extremizer_bound(n: int, k: int) -> int:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -24,13 +25,12 @@ from majorkit import (
     StatementCheck,
     ExtremizerReport,
     PermScaled,
+    SortedView,
     TraceMap,
     Vec,
-    distinct_count,
     enumerate_perms,
     first_violation,
     random_ds,
-    sort_desc,
 )
 from majorkit import doubly_stochastic, isotone, majorization, numerics
 
@@ -382,7 +382,7 @@ def oracle_classify_global(a: Mat) -> TraceMap | PermScaled | None:
 
 def oracle_extremizer_sets(x: Vec, y: Vec, guard=DEFAULT_GUARD) -> ExtremizerReport:
     n = len(x)
-    yd = sort_desc(y).descending
+    yd = oracle_sort_desc(y).descending
     prod = [[xi * yj for yj in yd] for xi in x]
     best: Rational | None = None
     worst: Rational | None = None
@@ -402,7 +402,53 @@ def oracle_extremizer_sets(x: Vec, y: Vec, guard=DEFAULT_GUARD) -> ExtremizerRep
             minimizers.append(p)
     assert best is not None and worst is not None
     return ExtremizerReport(best, worst, tuple(maximizers), tuple(minimizers),
-                            distinct_count(x))
+                            oracle_distinct_count(x))
+
+
+# The Fraction bodies of the public functions that now decide on the
+# integer frame, kept as oracles for them: each sorts, compares or hashes
+# the Fraction entries themselves.  classify_global's oracle is
+# oracle_classify_global and extremizer_sets' is oracle_extremizer_sets.
+
+def oracle_sort_desc(x: Vec) -> SortedView:
+    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    descending = Vec(x[i] for i in order)
+    ascending = Vec(reversed(descending.entries))
+    return SortedView(descending, ascending, Perm(order).inverse())
+
+
+def oracle_permutohedron_vertices(alpha: Vec, guard=DEFAULT_GUARD) -> list[Vec]:
+    return [v for _, v in oracle_orbit(alpha, guard)]
+
+
+def oracle_extremes(x: Vec, y: Vec) -> tuple[Rational, Rational]:
+    xd, yd = sorted(x, reverse=True), sorted(y, reverse=True)
+    return (sum(map(mul, xd, yd), Fraction(0)),
+            sum(map(mul, reversed(xd), yd), Fraction(0)))
+
+
+def oracle_permuted_dot(x: Vec, p: Perm, y: Vec) -> Rational:
+    yd = sorted(y, reverse=True)
+    return sum((x[p(j)] * yd[j] for j in range(len(x))), Fraction(0))
+
+
+def oracle_distinct_count(x: Vec) -> int:
+    return len(set(x))
+
+
+def oracle_column_sums_equal(a: Mat) -> IsotoneVerdict:
+    sums = [sum(row[j] for row in a.rows) for j in range(a.n_cols)]
+    for j, s in enumerate(sums[1:], start=1):
+        if s != sums[0]:
+            return IsotoneVerdict(False, {
+                "column_a": 0, "column_b": j, "sum_a": sums[0], "sum_b": s,
+            })
+    return IsotoneVerdict(True)
+
+
+def oracle_choose_positive_shift(a: Mat) -> int:
+    lowest = min(v for row in a.rows for v in row)
+    return math.floor(-lowest) + 1
 
 
 # Dense, recursive and Fraction-loop constructions kept as oracles for

@@ -11,22 +11,49 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from majorkit import (
+    AnchorPoint,
     DimensionMismatch,
     GuardExceeded,
     Mat,
+    NotMajorized,
     Perm,
+    PermScaled,
     Vec,
     as_rational,
     birkhoff,
+    check_ds,
+    choose_positive_shift,
+    classify_at_point,
+    classify_global,
+    column_sums_equal,
+    distinct_count,
     enumerate_perms,
+    equivalent,
+    extremes,
     extremizer_sets,
+    first_violation,
+    is_equiv_preserving_at,
+    is_global_isotone_sampled,
+    is_isotone_at,
+    is_left_isotone_at,
+    is_right_isotone_at,
+    isotone_point_campaign,
+    majorizes,
+    permutohedron_vertices,
+    permuted_dot,
     random_ds,
+    sort_desc,
+    verify_statements,
     witness_ds,
 )
 from majorkit.cli import _PLAIN_RATIO
+from majorkit.isotone import perturb_entry
 from majorkit.numerics import _clear_denominators
 from helpers import (
-    count_clears, majorizing_pair, mat_mul, naive_mat_vec, plain_ratios, rand_perm,
+    count_clears, majorizing_pair, mat_mul, naive_mat_vec, oracle_choose_positive_shift,
+    oracle_classify_global, oracle_column_sums_equal, oracle_distinct_count,
+    oracle_extremes, oracle_extremizer_sets, oracle_permuted_dot,
+    oracle_permutohedron_vertices, oracle_sort_desc, plain_ratios, rand_perm,
     rand_vec, transpose,
 )
 
@@ -391,3 +418,131 @@ class TestEnumeratePerms:
             enumerate_perms(9)
         # An explicit override lifts the guard.
         assert len(list(islice(enumerate_perms(9, guard=9), 2))) == 2
+
+
+# One rational spelt as a Fraction, an unreduced "p/q" string, an exact
+# binary64 float (when it has one) or an unreduced Fraction; small
+# numerators give ties, and negatives come in.
+def _spelt(p, q, k, how):
+    if how == 0:
+        return Fraction(p, q)
+    if how == 1:
+        return f"{p * k}/{q * k}"
+    if how == 2 and q in (1, 2, 4):
+        return p / q
+    return Fraction(p * k, q * k)
+
+
+spelt_entries = st.builds(_spelt, st.integers(-4, 4), st.integers(1, 4),
+                          st.integers(1, 3), st.integers(0, 3))
+
+
+@st.composite
+def spelt_mats(draw, n):
+    """A square matrix of size ``n``: free entries, constant rows (a trace
+    map) or a planted scaled permutation plus constant, respelt."""
+    kind = draw(st.sampled_from(["free", "trace", "planted"]))
+    if kind == "free":
+        return Mat(draw(st.lists(st.lists(spelt_entries, min_size=n, max_size=n),
+                                 min_size=n, max_size=n)))
+    if kind == "trace":
+        return Mat([[draw(spelt_entries)] * n for _ in range(n)])
+    alpha = draw(spelt_entries.filter(lambda v: Fraction(v) != 0))
+    form = PermScaled(Fraction(alpha), Fraction(draw(spelt_entries)),
+                      Perm(draw(st.permutations(range(n)))))
+    return Mat([[_spelt(v.numerator, v.denominator, 2, 1) for v in row]
+                for row in form.as_matrix().rows])
+
+
+def _same(got, expected):
+    """Equal, types included: ``repr`` tells an int from a ``Fraction``."""
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+class TestFrameDecisions:
+    """Every public decision reads the integer frames ``Vec`` and ``Mat``
+    cache: with Fraction's order, equality and hash raising, each returns
+    what it returns unpatched, and the nine that used to decide on
+    Fractions agree with their Fraction oracles."""
+
+    @staticmethod
+    def _run():
+        # Fresh values on every run, so neither run reads the other's frames.
+        x = Vec(["2/4", Fraction(-3, 2), 0.5, 2, "-3/2"])
+        y = Vec([Fraction(1, 2), 3, -1, "-6/4", 0.25])
+        out = [sort_desc(x), permutohedron_vertices(x), extremes(x, y),
+               permuted_dot(x, Perm([2, 0, 4, 1, 3]), y), extremizer_sets(x, y),
+               distinct_count(x), majorizes(x, y), first_violation(x, y),
+               equivalent(x, Perm([1, 2, 3, 4, 0]).apply(x))]
+        rng = random.Random(29)
+        for pair in ((x, y), majorizing_pair(rng, 6)):
+            try:
+                w = witness_ds(*pair)
+            except NotMajorized as exc:
+                out.append(exc.violation)
+            else:
+                out += [w, birkhoff(w.matrix), check_ds(w.matrix.matrix)]
+        planted = PermScaled(Fraction(3, 2), Fraction(-1, 3), Perm([1, 2, 0, 3]))
+        cells = [planted.as_matrix(),
+                 Mat([[c] * 4 for c in ("1/2", -2, 0.5, "3/3")]),
+                 Mat([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                       for _ in range(4)] for _ in range(4)])]
+        cells.append(perturb_entry(cells[0], rng))
+        strict = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        tied = AnchorPoint(Vec([2, "2/2", 1.0, 0]))
+        for i, a in enumerate(cells):
+            out += [classify_global(a), column_sums_equal(a), choose_positive_shift(a),
+                    check_ds(a), verify_statements(a, strict, trials=5, seed=i)]
+            for anchor in (strict, tied):
+                out += [is_equiv_preserving_at(a, anchor),
+                        is_left_isotone_at(a, anchor),
+                        is_right_isotone_at(a, anchor, trials=5, seed=i),
+                        is_isotone_at(a, anchor, trials=5, seed=i),
+                        is_global_isotone_sampled(a, trials=5, seed=i)]
+            try:
+                out.append(classify_at_point(a, strict))
+            except ValueError as exc:
+                out.append(str(exc))
+        out.append(isotone_point_campaign(tied, matrices=16, seed=3))
+        return out
+
+    def test_no_fraction_is_compared_or_hashed(self, monkeypatch):
+        expected = self._run()
+
+        def raising(*args):
+            raise AssertionError("a Fraction was compared or hashed")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+            monkeypatch.setattr(Fraction, name, raising)
+        got = self._run()
+        monkeypatch.undo()
+        _same(got, expected)
+
+    @staticmethod
+    def _check_nine(x, y, p, a):
+        _same(sort_desc(x), oracle_sort_desc(x))
+        _same(permutohedron_vertices(x), oracle_permutohedron_vertices(x))
+        _same(extremes(x, y), oracle_extremes(x, y))
+        _same(permuted_dot(x, p, y), oracle_permuted_dot(x, p, y))
+        _same(extremizer_sets(x, y), oracle_extremizer_sets(x, y))
+        _same(distinct_count(x), oracle_distinct_count(x))
+        _same(classify_global(a), oracle_classify_global(a))
+        _same(column_sums_equal(a), oracle_column_sums_equal(a))
+        _same(choose_positive_shift(a), oracle_choose_positive_shift(a))
+
+    @given(data=st.data())
+    def test_the_nine_match_their_fraction_oracles(self, data):
+        n = data.draw(st.integers(1, 6))
+        x, y = (Vec(data.draw(st.lists(spelt_entries, min_size=n, max_size=n)))
+                for _ in "xy")
+        p = Perm(data.draw(st.permutations(range(n))))
+        self._check_nine(x, y, p, data.draw(spelt_mats(n)))
+
+    def test_every_scale_is_applied(self):
+        # A negative non-integer least entry, y over L > 1, and a planted
+        # form over L > 1.
+        x, y, p = Vec(["-1/2", 3]), Vec(["1/3", 2]), Perm([1, 0])
+        for a in (PermScaled(Fraction(2), Fraction(1, 2), p).as_matrix(),
+                  Mat([["-1/2", 0], [0, "-1/3"]])):
+            self._check_nine(x, y, p, a)

@@ -157,6 +157,19 @@ def global_sampled(n: int):
     return make, read
 
 
+def classify(n: int):
+    rows, _ = _planted(n)
+
+    def make():
+        a = mk.Mat(rows)
+        return lambda: mk.classify_global(a)
+
+    def read(form):
+        _expect(isinstance(form, mk.PermScaled), f"the planted form at n = {n} is found")
+        return {}
+    return make, read
+
+
 def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
     """``x`` majorized by ``y``: ``y`` seeded, ``x`` averages disjoint pairs of it."""
     rng = random.Random(f"sweep:check:{n}:{primes}")
@@ -287,6 +300,7 @@ def verify(n: int):
 LAYERS = (
     ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
     ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
+    ("isotone.classify_global", (4, 8, 16), classify),
     ("cli.check.small_den", (256, 1024, 4096), _check(primes=False)),
     ("cli.check.prime_den", (256, 1024, 4096), _check(primes=True)),
     ("doubly_stochastic.witness_ds", (20, 40, 80), witness),
