@@ -59,6 +59,7 @@ from .numerics import (
     Mat,
     Perm,
     Vec,
+    _perm_images,
     as_rational,
 )
 from .rearrangement import extremizer_bound, extremizer_sets
@@ -388,8 +389,7 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     anchor = isotone.AnchorPoint(alpha)
     if not anchor.strictly_decreasing:
         raise CliError("verify requires a strictly decreasing anchor")
-    if anchor.n > args.guard_n:  # every cell scans the n! orbit; fail before the pool
-        raise GuardExceeded(anchor.n, args.guard_n)
+    _perm_images(anchor.n, args.guard_n)  # every cell scans the n! orbit
     inputs["matrices"] = args.matrices
 
     cells = isotone.campaign_matrices(anchor.n, args.matrices, args.seed)

@@ -170,8 +170,8 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
 
     # D = unsort.matrix() @ chain @ presort.matrix(): row i of D is the
     # chain's row unsort^-1(i), read at columns presort(c).
-    unsort = Perm(order_x)
-    presort = Perm(order_y).inverse()
+    unsort = Perm._of(tuple(order_x))
+    presort = Perm._of(tuple(order_y)).inverse()
     cols = presort.image
     chain = [(nums[r], dens[r]) for r in unsort.inverse().image]
     zero = Fraction(0)
@@ -339,7 +339,7 @@ def random_ds(n: int, seed: int, steps: int = 8) -> DoublyStochastic:
     for _ in range(steps):
         image = list(range(n))
         rng.shuffle(image)
-        raw.append((rng.randint(1, 1000), Perm(image)))
+        raw.append((rng.randint(1, 1000), Perm._of(tuple(image))))
     total = sum(w for w, _ in raw)
     return DoublyStochastic(
         _weighted_perm_sum(n, ((Fraction(w, total), p) for w, p in raw)))

@@ -51,7 +51,6 @@ from .majorization import _orbit, _profile_violation, desc_prefix_sums
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
-    GuardExceeded,
     Mat,
     Perm,
     Rational,
@@ -126,10 +125,14 @@ class PermScaled:
 GlobalForm = TraceMap | PermScaled
 
 
-def _require_square(a: Mat) -> int:
+def _require_square(a: Mat, anchor: AnchorPoint | None = None) -> int:
     if not a.is_square:
         raise DimensionMismatch("isotonicity is defined for square matrices")
-    return a.n_rows
+    n = a.n_rows
+    if anchor is not None and anchor.n != n:
+        raise DimensionMismatch(f"cannot apply {n}x{n} matrix "
+                                f"to a vector of length {anchor.n}")
+    return n
 
 
 # The image kernel.  A's frame scales it by the LCM of its denominators
@@ -173,10 +176,7 @@ def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
     image before ``moved`` has its profile).  A pairwise (target, source)
     scan first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
     """
-    n = _require_square(a)
-    if anchor.n != n:
-        raise DimensionMismatch(f"cannot apply {n}x{n} matrix "
-                                f"to a vector of length {anchor.n}")
+    _require_square(a, anchor)
     den, nums = anchor.alpha._frame
     images = _images(a._frame[1], nums, guard)
     first = next(images)
@@ -186,13 +186,13 @@ def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
         return base, None
     below = _first_below(chain((moved,), images), base)
     (ps, _, _), (pt, y, _) = (below, first) if below else (first, moved)
-    ps, pt, y = Perm(ps), Perm(pt), _vec(y, den)
+    ps, pt, y = Perm._of(ps), Perm._of(pt), _vec(y, den)
     return base, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
         "point": IsotoneVerdict(False, {"perm": ps}) if below
         else IsotoneVerdict(False, {"y": y}, trials=trials),
-        "equiv": IsotoneVerdict(False, {"perm": Perm(moved[0])}),
+        "equiv": IsotoneVerdict(False, {"perm": Perm._of(moved[0])}),
         "global_sampled": IsotoneVerdict(
             False, {"perm": ps.compose(pt.inverse()), "y": y}, trials=trials),
     }
@@ -469,7 +469,7 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
             continue
         below = _first_below(_images(rows, nums, guard), base)
         if below:
-            return IsotoneVerdict(False, {"perm": Perm(below[0]),
+            return IsotoneVerdict(False, {"perm": Perm._of(below[0]),
                                           "y": _vec(nums, den)}, trials=trials)
     return IsotoneVerdict(True, trials=trials)
 
@@ -506,7 +506,7 @@ def classify_global(a: Mat) -> GlobalForm | None:
         scales = {row[j] - beta for row, j in zip(rows, positions)}
         if len(set(positions)) == n and len(scales) == 1:
             return PermScaled(Fraction(scales.pop(), scale), Fraction(beta, scale),
-                              Perm(positions).inverse())
+                              Perm._of(tuple(positions)).inverse())
     return None
 
 
@@ -549,9 +549,10 @@ def classify_at_point(a: Mat, anchor: AnchorPoint,
     At such an anchor preserving equivalence is global isotonicity, so the
     form is the one :func:`classify_global` recovers.  When no shape fits, the
     error states whether the input simply was not equivalence preserving
-    or (should it ever happen) genuinely escapes both forms.
+    or (should it ever happen) genuinely escapes both forms.  Raises
+    :class:`DimensionMismatch` unless A is square and the anchor as long.
     """
-    _require_square(a)
+    _require_square(a, anchor)
     if not anchor.strictly_decreasing:
         raise ValueError("classification requires a strictly decreasing anchor")
     form = classify_global(a)
@@ -611,7 +612,7 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     come from it (the global witness is a pair of orbit points) and the
     samplers run only when it holds.
     """
-    _require_square(a)
+    _require_square(a, anchor)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
     base, failed = _orbit_scan(a, anchor, trials, guard)
@@ -662,7 +663,7 @@ def random_perm_scaled(n: int, rng: random.Random) -> Mat:
     rng.shuffle(image)
     scale = _random_nonzero(rng)
     shiftv = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return PermScaled(scale, shiftv, Perm(image)).as_matrix()
+    return PermScaled(scale, shiftv, Perm._of(tuple(image))).as_matrix()
 
 
 def perturb_entry(a: Mat, rng: random.Random) -> Mat:
@@ -721,8 +722,7 @@ def isotone_point_campaign(anchor: AnchorPoint, matrices: int = 200,
     Raises :class:`GuardExceeded` before building the pool when the
     anchor's orbit scan would.
     """
-    if anchor.n > guard:
-        raise GuardExceeded(anchor.n, guard)
+    _perm_images(anchor.n, guard)
     total = equiv_count = 0
     violations: list[tuple[str, Mat]] = []
     for label, a in campaign_matrices(anchor.n, matrices, seed):

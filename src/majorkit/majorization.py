@@ -52,7 +52,7 @@ def sort_desc(x: Vec) -> SortedView:
     order = sorted(range(len(x)), key=x._frame[1].__getitem__, reverse=True)
     descending = Vec(x[i] for i in order)
     ascending = Vec(reversed(descending.entries))
-    return SortedView(descending, ascending, Perm(order).inverse())
+    return SortedView(descending, ascending, Perm._of(tuple(order)).inverse())
 
 
 def trace(x: Vec) -> Rational:

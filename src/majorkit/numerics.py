@@ -281,21 +281,21 @@ class Perm:
 
     @classmethod
     def _of(cls, image: tuple[int, ...]) -> "Perm":
-        """A ``Perm`` of an int tuple that is a permutation by construction,
-        which is not checked again."""
+        """The package's internal constructor: a ``Perm`` of an int tuple that
+        is a permutation by construction, which is not checked again."""
         p = cls.__new__(cls)
         p._image = image
         return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
+        return cls._of(tuple(range(n)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Perm":
         img = list(range(n))
         img[i], img[j] = img[j], img[i]
-        return cls(img)
+        return cls._of(tuple(img))
 
     @property
     def image(self) -> tuple[int, ...]:
@@ -322,7 +322,7 @@ class Perm:
         """Return ``self`` after ``other``: ``(self.compose(other))(i) == self(other(i))``."""
         if len(other) != len(self):
             raise DimensionMismatch("permutation sizes differ")
-        return Perm(self._image[j] for j in other._image)
+        return Perm._of(tuple([self._image[j] for j in other._image]))
 
     def inverse(self) -> "Perm":
         return Perm._of(tuple(sorted(range(len(self._image)),
@@ -347,7 +347,8 @@ class Perm:
 
 def _perm_images(n: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple[int, ...]]:
     """Image tuples of all n! permutations of ``{0..n-1}`` in lexicographic
-    order, the one source of every permutation scan.  Raises
+    order, the one source of every permutation scan and the guard's one
+    owner, which every library caller calls to refuse a size: it raises
     :class:`GuardExceeded` on the call (not on first iteration) when ``n``
     is above ``guard``, so runaway enumerations fail fast and reproducibly.
     """
@@ -361,4 +362,4 @@ def _perm_images(n: int, guard: int = DEFAULT_GUARD) -> Iterator[tuple[int, ...]
 def enumerate_perms(n: int, guard: int = DEFAULT_GUARD) -> Iterator[Perm]:
     """Stream all n! permutations of ``{0..n-1}`` in lexicographic image
     order; raises :class:`GuardExceeded` on the call, as :func:`_perm_images`."""
-    return map(Perm, _perm_images(n, guard))
+    return map(Perm._of, _perm_images(n, guard))

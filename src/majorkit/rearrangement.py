@@ -20,10 +20,10 @@ from operator import mul, ne
 from .numerics import (
     DEFAULT_GUARD,
     DimensionMismatch,
-    GuardExceeded,
     Perm,
     Rational,
     Vec,
+    _perm_images,
 )
 
 
@@ -85,8 +85,7 @@ def extremizer_sets(x: Vec, y: Vec, guard: int = DEFAULT_GUARD) -> ExtremizerRep
     """
     if len(x) != len(y):
         raise DimensionMismatch("extremizer scan needs equal lengths")
-    if len(x) > guard:
-        raise GuardExceeded(len(x), guard)
+    _perm_images(len(x), guard)  # the guard trips before any work
     best, worst, xd, yd = _extremes(x, y)
     xs = x._frame[1]
     ids = {v: c for c, v in enumerate(dict.fromkeys(xs))}

@@ -864,6 +864,52 @@ class TestVerify:
         assert code == 2
         assert report is None
 
+    # The refutations verify exists to report, shown by blinding
+    # classify_global: n = 3, 14 cells, 4 of them planted forms.
+    REFUTE = ["verify", "--n", "3", "--matrices", "8", "--seed", "2", "--trials", "5"]
+
+    @staticmethod
+    def _refuted(capsys, fmt: str) -> tuple[int, dict, list[tuple[str, Mat]]]:
+        """The exit code, witness and cells of a :attr:`REFUTE` run."""
+        code = main([*TestVerify.REFUTE, fmt])
+        out = capsys.readouterr().out
+        if fmt == "--json":
+            witness = json.loads(out)["witness"]
+        else:
+            line, = [line for line in out.splitlines() if line.startswith("  witness: ")]
+            witness = json.loads(line.removeprefix("  witness: "))
+        return code, witness, list(isotone.campaign_matrices(3, 8, 2))
+
+    @pytest.mark.parametrize("fmt", ["--json", "--text"])
+    def test_unclassified_preservers_are_listed_twice(self, monkeypatch, capsys, fmt):
+        # A planted form with no global form holds four statements and
+        # fails the fifth: it preserves equivalence unclassified, and its
+        # definitive verdicts disagree.
+        monkeypatch.setattr(isotone, "classify_global", lambda a: None)
+        code, witness, cells = self._refuted(capsys, fmt)
+        planted = [(label, cli._leaf(a)) for label, a in cells
+                   if label in ("trace_map", "perm_scaled")]
+        assert code == 1 and len(planted) == 4
+        for key in ("inconsistent", "unclassified_preservers"):
+            assert [(row["label"], row["matrix"]) for row in witness[key]] == planted
+            assert {row["bits"] for row in witness[key]} == {"11110"}
+
+    @pytest.mark.parametrize("fmt", ["--json", "--text"])
+    def test_a_form_for_a_failing_cell_is_inconsistent_only(self, monkeypatch,
+                                                            capsys, fmt):
+        # A global form for a cell whose orbit fails contradicts its exact
+        # verdicts, but the cell preserves nothing, so it is no
+        # unclassified preserver.
+        classify = isotone.classify_global
+        fake = isotone.TraceMap(Vec([0, 0, 0]))
+        monkeypatch.setattr(isotone, "classify_global", lambda a: classify(a) or fake)
+        code, witness, cells = self._refuted(capsys, fmt)
+        failing = [(label, cli._leaf(a)) for label, a in cells if classify(a) is None]
+        assert code == 1 and failing
+        assert [(row["label"], row["matrix"]) for row in witness["inconsistent"]] == failing
+        assert {row["bits"] for row in witness["inconsistent"]} == {"00001"}
+        assert witness["unclassified_preservers"] == []
+
 
 class TestContract:
     def test_determinism_modulo_elapsed(self, sandbox):

@@ -462,13 +462,21 @@ class TestAnchorLength:
 
     @pytest.mark.parametrize("predicate", [
         is_equiv_preserving_at, is_left_isotone_at, is_right_isotone_at,
-        is_isotone_at, verify_statements,
+        is_isotone_at, verify_statements, classify_at_point,
     ])
     def test_mismatched_anchor_raises(self, predicate):
-        with pytest.raises(DimensionMismatch):
+        # SYM31 and the identity are global forms, so classify_at_point
+        # has a form to return; the length is checked first, before the
+        # anchor's strictness, whatever the anchor.
+        with pytest.raises(DimensionMismatch,
+                           match=r"^cannot apply 2x2 matrix to a vector of length 3$"):
             predicate(SYM31, self.ANCHOR3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^cannot apply 3x3 matrix to a vector of length 2$"):
             predicate(Mat.identity(3), ANCHOR21)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^cannot apply 2x2 matrix to a vector of length 3$"):
+            predicate(SYM31, AnchorPoint(Vec([1, 1, 0])))
 
     @pytest.mark.parametrize("call", [
         lambda a: is_equiv_preserving_at(a, ANCHOR21),
@@ -623,6 +631,14 @@ class TestClassifyAtPoint:
             classify_at_point(SYM31, AnchorPoint(Vec([1, 2])))
         with pytest.raises(ValueError, match="not equivalence preserving"):
             classify_at_point(DIAG12, ANCHOR21)
+
+    def test_an_unclassified_preserver_raises_the_refutation(self, monkeypatch):
+        # Were classify_global to miss a form, the equivalence preserver
+        # would refute the classification: a RuntimeError, not a
+        # precondition's ValueError.
+        monkeypatch.setattr(isotone, "classify_global", lambda a: None)
+        with pytest.raises(RuntimeError, match="fits neither canonical form"):
+            classify_at_point(SYM31, ANCHOR21)
 
     def test_succeeds_exactly_on_equiv_preservers(self):
         # The point classification succeeds exactly when the exact
@@ -790,19 +806,25 @@ class TestOrbitScanIsOneForwardPass:
     def test_holding_orbit_builds_no_perm_and_keeps_no_memo(self, monkeypatch,
                                                             alpha):
         # A planted form holds at every anchor, so the scan reads every one
-        # of the 8! images.  It may build no Perm (a Perm is built only for a
-        # witness) and hold nothing that grows with the orbit.
+        # of the 8! images.  It may build no Perm, checked or trusted (a
+        # Perm is built only for a witness) and hold nothing that grows
+        # with the orbit.
         a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
                        Perm([3, 0, 7, 5, 1, 6, 2, 4])).as_matrix()
         anchor = AnchorPoint(Vec(alpha))
         built = []
-        init = Perm.__init__
+        init, trusted = Perm.__init__, Perm._of
 
         def counting_init(self, image):
             built.append(image)
             init(self, image)
 
+        def counting_of(cls, image):
+            built.append(image)
+            return trusted(image)
+
         monkeypatch.setattr(Perm, "__init__", counting_init)
+        monkeypatch.setattr(Perm, "_of", classmethod(counting_of))
         tracemalloc.start()
         try:
             verdict = is_equiv_preserving_at(a, anchor, guard=8)
@@ -1219,6 +1241,20 @@ class TestCampaign:
         anchor = AnchorPoint(Vec([4, 3, 2, 1]))
         report = isotone_point_campaign(anchor, matrices=40, seed=2)
         assert report.passed
+
+    def test_unclassified_preservers_are_recorded(self, monkeypatch):
+        # Were classify_global to miss every form, each equivalence
+        # preserver of the pool, the planted forms, would be a violation,
+        # recorded as (label, matrix) in pool order.
+        anchor = AnchorPoint(Vec([3, 2, 1]))
+        preservers = tuple((label, a) for label, a in campaign_matrices(3, 16, seed=5)
+                           if is_equiv_preserving_at(a, anchor).holds)
+        assert {label for label, _ in preservers} == {"trace_map", "perm_scaled"}
+        monkeypatch.setattr(isotone, "classify_global", lambda a: None)
+        report = isotone_point_campaign(anchor, matrices=16, seed=5)
+        assert report.violations == preservers
+        assert report.equiv_preserving == len(preservers)
+        assert not report.passed
 
     def test_guard_trips_before_the_pool_is_built(self, monkeypatch):
         def unreachable(*args):

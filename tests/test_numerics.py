@@ -47,8 +47,8 @@ from majorkit import (
     witness_ds,
 )
 from majorkit.cli import _PLAIN_RATIO
-from majorkit.isotone import perturb_entry
-from majorkit.numerics import _clear_denominators
+from majorkit.isotone import perturb_entry, random_perm_scaled
+from majorkit.numerics import _clear_denominators, _perm_images
 from helpers import (
     count_clears, majorizing_pair, mat_mul, naive_mat_vec, oracle_choose_positive_shift,
     oracle_classify_global, oracle_column_sums_equal, oracle_distinct_count,
@@ -268,6 +268,55 @@ class TestVec:
         assert Vec([1, 2]).dot(Vec([3, 4])) == 11
         assert Vec([1, 2]).scale(Fraction(1, 2)) == Vec(["1/2", "1"])
 
+    def test_subtraction_undoes_addition(self):
+        x, y = Vec([3, Fraction(-1, 2)]), Vec([Fraction(5, 3), 2])
+        assert (x + y) - y == x
+        assert x - x == Vec([0, 0])
+
+
+class TestOperands:
+    # The public arithmetic of Vec, Mat and Perm: another type is declined,
+    # so Python tries its reflected operation, and a size that disagrees
+    # is a DimensionMismatch, never a truncated zip.
+    @pytest.mark.parametrize("value, method, other", [
+        (Vec([1, 2]), "__eq__", (1, 2)),
+        (Vec([1, 2]), "__add__", 1),
+        (Vec([1, 2]), "__sub__", [1, 2]),
+        (Mat([[1]]), "__eq__", [[1]]),
+        (Mat([[1]]), "__add__", Vec([1])),
+        (Perm([1, 0]), "__eq__", (1, 0)),
+    ], ids=["vec-eq", "vec-add", "vec-sub", "mat-eq", "mat-add", "perm-eq"])
+    def test_another_type_is_declined(self, value, method, other):
+        assert getattr(value, method)(other) is NotImplemented
+
+    @pytest.mark.parametrize("call", [  # Vec + and dot, and Mat @: TestVec, TestMat
+        lambda: Vec([1, 2]) - Vec([1]),
+        lambda: Mat.identity(2) + Mat([[1, 2]]),
+        lambda: Perm([1, 0]).compose(Perm([0])),
+        lambda: Perm([1, 0]).apply(Vec([1, 2, 3])),
+    ], ids=["vec-sub", "mat-add", "compose", "apply"])
+    def test_sizes_must_agree(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Mat([]), "a matrix needs at least one row and column"),
+        (lambda: Mat([[]]), "a matrix needs at least one row and column"),
+        (lambda: _perm_images(0), "n must be positive"),
+    ], ids=["no-rows", "empty-row", "no-perms"])
+    def test_empty_sizes_are_refused(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+    def test_a_fraction_subclass_is_kept(self):
+        class Half(Fraction):
+            pass
+
+        value = Half(1, 2)
+        assert as_rational(value) is value
+        assert Vec([value])._frame == (2, (1,))
+
 
 class TestMat:
     def test_rejects_ragged_rows(self):
@@ -355,11 +404,11 @@ class TestPerm:
             assert p.inverse().matrix() == transpose(p.matrix())
 
     def test_trusted_images_pass_the_check(self, monkeypatch):
-        # Perm._of skips the bijection check for images that are
-        # permutations by construction: inverses, birkhoff's matchings and
-        # the extremizer backtrack's images.  With the check put back, on
-        # construct-shaped witnesses and tie-heavy x, every such image
-        # passes and every output is the same.
+        # Perm._of skips the bijection check for every image the package
+        # builds as a permutation by construction.  With the check put back,
+        # and each image required to be the int tuple a Perm holds, every
+        # site passes on construct-shaped witnesses, tie-heavy x, failing
+        # orbits and planted forms, and every output is the same.
         rng = random.Random(24)
         pairs = []
         for _ in range(3):
@@ -371,19 +420,41 @@ class TestPerm:
                  Vec([9, Fraction(7, 2), 3, 1, 0, -8, -8])),
                 (Vec([1, 2, 1, 2, 1, 2]), Vec([3, 3, 1, 0, 0, -2]))]
 
-        def run():
-            return ([birkhoff(witness_ds(x, y).matrix) for x, y in pairs],
-                    [extremizer_sets(x, y) for x, y in ties])
-
-        trusted = run()
+        diag = Mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+        strict = AnchorPoint(Vec([4, 3, 2, 1]))
+        planted = PermScaled(Fraction(3), Fraction(-1, 2),
+                             Perm([2, 0, 3, 1])).as_matrix()
+        p, q = Perm([3, 1, 4, 0, 2]), Perm([1, 4, 0, 2, 3])
+        sites = {  # the Perm._of sites each call reaches
+            "witness_ds, inverse, birkhoff":
+                lambda: [birkhoff(witness_ds(x, y).matrix) for x, y in pairs],
+            "extremizer backtrack": lambda: [extremizer_sets(x, y) for x, y in ties],
+            "orbit scan, compose": lambda: verify_statements(diag, strict),
+            "global sampler": lambda: is_global_isotone_sampled(diag),
+            "upward sampler's identity": lambda: is_right_isotone_at(
+                Mat([[1, 0], [0, 0]]), AnchorPoint(Vec([1, 1]))),
+            "classify_global": lambda: classify_global(planted),
+            "sort_desc": lambda: [sort_desc(y) for _, y in ties],
+            "compose": lambda: p.compose(q),
+            "identity": lambda: Perm.identity(5),
+            "transposition": lambda: Perm.transposition(5, 1, 3),
+            "enumerate_perms": lambda: list(enumerate_perms(4)),
+            "random_ds": lambda: random_ds(5, seed=7),
+            "random_perm_scaled": lambda: random_perm_scaled(5, random.Random(7)),
+        }
+        trusted = {site: run() for site, run in sites.items()}
         checked = []
 
         def checking(cls, image):
+            assert type(image) is tuple
             checked.append(image)
             return cls(image)
 
         monkeypatch.setattr(Perm, "_of", classmethod(checking))
-        assert run() == trusted
+        for site, run in sites.items():
+            before = len(checked)
+            assert run() == trusted[site], site
+            assert len(checked) > before, site
         assert len(checked) > 2 * 720
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

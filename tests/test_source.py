@@ -72,41 +72,70 @@ def test_only_main_times_and_builds_the_cli_report():
     assert offenders == []
 
 
+def _scoped_nodes(tree: ast.AST, scope: str = ""):
+    """Every node below ``tree`` with the dotted function or class scope it lies in."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
+def _name(node: ast.AST) -> str:
+    """The last dotted part of an expression: ``"Perm"`` for ``numerics.Perm``."""
+    return ast.unparse(node).split(".")[-1]
+
+
+def _src_calls() -> list[tuple[str, str, ast.Call]]:
+    """``(module:scope, callee, call)`` for every call in ``src/``: ``scope``
+    is the dotted function or class it lies in, ``callee`` the called
+    expression's last dotted part."""
+    return [(f"{path.stem}:{scope}", _name(node.func), node)
+            for path in sorted(SRC.glob("*.py"))
+            for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
 def test_no_module_calls_sort_desc():
     # sort_desc is a public view only: the package sorts its own integer
     # frames, so the witness path compares no two Fractions.
-    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)
-             and ast.unparse(node.func).split(".")[-1] == "sort_desc"]
+    calls = [f"{where}:{call.lineno}" for where, callee, call in _src_calls()
+             if callee == "sort_desc"]
     assert calls == []
-
-
-def _call_scopes(tree: ast.AST, name: str) -> list[str]:
-    """The dotted function or class scope of every call of ``name``."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if (isinstance(child, ast.Call)
-                    and ast.unparse(child.func).split(".")[-1] == name):
-                found.append(".".join(scope))
-            visit(child, scope)
-    visit(tree, [])
-    return found
 
 
 def test_only_values_and_the_weight_check_clear_denominators():
     # A Vec or Mat clears itself on the first read of its cached _frame,
     # and every caller reads that; a decomposition's weights are no value
     # and keep their own clear.
-    calls = {f"{path.stem}:{scope}" for path in sorted(SRC.glob("*.py"))
-             for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")),
-                                       "_clear_denominators")}
+    calls = {where for where, callee, _ in _src_calls()
+             if callee == "_clear_denominators"}
     outside = {call for call in calls if not call.startswith("numerics:")}
     assert outside == {"doubly_stochastic:BirkhoffDecomposition.__post_init__"}
     assert calls - outside == {"numerics:Vec._frame", "numerics:Mat._frame"}
+
+
+def test_only_perm_of_builds_a_perm_inside_the_package():
+    # Perm(...) checks a permutation that comes from outside; a permutation
+    # the package builds by construction goes through the trusted Perm._of,
+    # so no image is checked twice.  Passing Perm as a callable, as to
+    # map, is a call too, and so is cls(...) inside Perm.
+    offenders = [f"{where}:{call.lineno}" for where, callee, call in _src_calls()
+                 if callee == "Perm" or callee == "cls" and ":Perm." in where
+                 or callee != "isinstance" and "Perm" in map(
+                     _name, [*call.args, *(k.value for k in call.keywords)])]
+    assert offenders == []
+
+
+def test_only_perm_images_and_verifys_n_check_raise_guard_exceeded():
+    # numerics._perm_images owns the guard: every library caller refuses a
+    # size by calling it.  cmd_verify checks --n itself before it builds
+    # the default anchor, where _perm_images would refuse n <= 0 with
+    # another message.
+    raised = sorted((where, call.lineno) for where, callee, call in _src_calls()
+                    if callee == "GuardExceeded")
+    assert [where for where, _ in raised] == ["cli:cmd_verify", "numerics:_perm_images"]
+    anchors = [call.lineno for where, callee, call in _src_calls()
+               if (where, callee) == ("cli:cmd_verify", "AnchorPoint")]
+    assert raised[0][1] < min(anchors)

@@ -15,11 +15,12 @@ reads a frame an earlier run cached: each time is what a one-shot caller
 pays.  The counters come from one more, untimed run under
 ``bench/tracer.py``: the kernel calls and result counters it records
 (prefix sums, mat-vecs, transforms, terms, extremizers, ...), plus what it
-does not see, the orbit images read, the ``getrandbits`` words drawn and
-the ``clears``, calls of ``numerics._clear_denominators``, and what the
-point's result reports (draws, reported-sum characters, report bytes,
-extremizer and verify counts), so a reader can tell less work from
-faster work.  The sweep runs in this process, importing majorkit from
+does not see, the orbit images read, the ``getrandbits`` words drawn,
+the ``clears``, calls of ``numerics._clear_denominators``, the
+``perm_checks``, calls of ``Perm.__init__``, which checks its image, and
+what the point's result reports (draws, reported-sum characters, report
+bytes, extremizer and verify counts), so a reader can tell less work
+from faster work.  The sweep runs in this process, importing majorkit from
 this checkout's ``src/``, and is not one of the benchmark's gated
 workloads.  Every point is cheap enough to time in seconds: ``check``'s
 prime denominators come from a pool of eight, so its LCM stays near 56
@@ -74,10 +75,12 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
-    over every span, with the orbit images, ``getrandbits`` words and clears."""
+    over every span, with the orbit images, ``getrandbits`` words, clears
+    and permutation checks."""
     extra = {"images": 0, "words": 0}
     orbit, rng_class = isotone._orbit, random.Random
     clear, clears = numerics._clear_denominators, [0]
+    perm_init, perm_checks = numerics.Perm.__init__, [0]
     holders = [module for name, module in sys.modules.items()
                if name.startswith("majorkit")
                and getattr(module, "_clear_denominators", None) is clear]
@@ -85,6 +88,10 @@ def _counted(run) -> tuple[object, dict]:
     def counted_clear(rows):
         clears[0] += 1
         return clear(rows)
+
+    def counted_perm_init(self, image):
+        perm_checks[0] += 1
+        perm_init(self, image)
 
     def counted_orbit(*args):
         for image in orbit(*args):
@@ -98,6 +105,7 @@ def _counted(run) -> tuple[object, dict]:
 
     tracer = Tracer()
     isotone._orbit, random.Random = counted_orbit, Counting
+    numerics.Perm.__init__ = counted_perm_init
     for module in holders:
         module._clear_denominators = counted_clear
     tracer.install(mk)
@@ -106,6 +114,7 @@ def _counted(run) -> tuple[object, dict]:
     finally:
         tracer.uninstall()
         isotone._orbit, random.Random = orbit, rng_class
+        numerics.Perm.__init__ = perm_init
         for module in holders:
             module._clear_denominators = clear
     counters = {}
@@ -115,7 +124,7 @@ def _counted(run) -> tuple[object, dict]:
         for name, k in row["counters"].items():
             counters[name] = counters.get(name, 0) + k
     return result, {**counters, **{k: v for k, v in extra.items() if v},
-                    "clears": clears[0]}
+                    "clears": clears[0], "perm_checks": perm_checks[0]}
 
 
 def _planted(n: int):
