@@ -26,10 +26,12 @@ rearrangements and the preorder's lower sets are convex.  The region
 *above* the anchor is unbounded, so the right-sided predicates are
 refuted by sampling instead: a ``False`` verdict carries a concrete
 counterexample and is definitive, a ``True`` verdict is only "no
-violation found".  One forward scan of the orbit decides every orbit
-quantifier: it stops at the image that decides a failure and reads every
-image of a holding orbit.  The samplers run it first (the orbit lies above
-the anchor too), so when equivalence fails they fail too, even at 0 trials.
+violation found", unless the anchor's n! cones certify it exactly
+(:func:`_cones_hold`), which skips the draws and reports the same verdict.
+One forward scan of the orbit decides every orbit quantifier: it stops
+at the image that decides a failure and reads every image of a holding
+orbit.  The samplers run it first (the orbit lies above the anchor too),
+so when equivalence fails they fail too, even at 0 trials.
 
 Every image is evaluated by one integer kernel on the frames that ``Mat``
 and ``Vec`` cache, so A and the anchor are cleared at most once, whatever
@@ -44,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add, gt, mul, sub
+from operator import add, gt, lt, mul, sub
 from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _orbit, _profile_violation, desc_prefix_sums
@@ -90,8 +92,8 @@ class IsotoneVerdict:
 
     ``witness`` re-verifies against the exact predicate whenever
     ``holds`` is false.  ``trials`` is set when the verdict came from a
-    sampler, in which case a positive verdict means "no violation found"
-    rather than a proof.
+    sampler, in which case a positive verdict may mean only "no violation
+    found" rather than a proof (see :func:`_cones_hold`).
     """
 
     holds: bool
@@ -344,12 +346,61 @@ def _upward_verdict(a: Mat, anchor: AnchorPoint, base: tuple[int, ...],
     return IsotoneVerdict(True, trials=trials)
 
 
+def _cones_hold(rows: Sequence[Sequence[int]], nums: Sequence[int], guard: int) -> bool:
+    """Whether no ``y`` above ``alpha = nums / den`` can have ``A y`` fail to
+    majorize ``A alpha``, for integer ``rows`` whose orbit scan at ``nums`` holds.
+
+    It asks for equal column sums and, on each of the n! cones ``sigma``
+    (tied anchors included), with ``alpha_sigma`` the anchor's ``m``-th
+    largest entry at place ``sigma(m)``, ``z = A alpha_sigma`` and ``U_k``
+    the first ``k`` rows of ``z`` in stable descending order, that the
+    column sums ``C`` of A over ``U_k`` satisfy ``C[sigma(0)] >= ... >=
+    C[sigma(n-1)]`` for each ``k < n``.  Proof: let ``sigma`` sort
+    ``y``, which majorizes ``alpha``.  Then ``y = alpha_sigma + sum_m t_m
+    (e_sigma(m) - e_sigma(m+1))`` with ``t_m >= 0`` the gap between the
+    ``m``-th prefix sums of sorted ``y`` and sorted ``alpha``, so
+    ``s_k(A y) >= sum over U_k of A y = s_k(z) + sum_m t_m (C[sigma(m)] -
+    C[sigma(m+1)]) >= s_k(z)``, which is ``s_k(A alpha)`` as the orbit
+    holds, and equal column sums fix the total.  No global form is
+    assumed.  Any top-``k`` set bounds ``s_k``, so a tie at its boundary
+    can only make the certificate decline.
+    """
+    n = len(nums)
+    if len(set(map(sum, zip(*rows)))) > 1:
+        return False
+    ranked = sorted(nums, reverse=True)
+    for sigma in _perm_images(n, guard):
+        apex = [0] * n
+        for m, place in enumerate(sigma):
+            apex[place] = ranked[m]
+        z = [sum(map(mul, row, apex)) for row in rows]
+        sums = [0] * n
+        for i in sorted(range(n), key=z.__getitem__, reverse=True)[:-1]:
+            sums = list(map(add, sums, rows[i]))
+            along = [sums[place] for place in sigma]
+            if any(map(lt, along, along[1:])):
+                return False
+    return True
+
+
+def _certified(a: Mat, anchor: AnchorPoint, trials: int, streams: int,
+               guard: int) -> bool:
+    """:func:`_cones_hold` on a holding orbit, read only when its n! cones
+    cost no more matvecs than the ``streams`` samplers' ``trials`` draws
+    (so never at ``trials <= 0``)."""
+    return (math.factorial(anchor.n) <= streams * trials
+            and _cones_hold(a._frame[1], anchor.alpha._frame[1], guard))
+
+
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
-    """The orbit scan's ``side`` verdict, else :func:`_upward_verdict`'s."""
+    """The orbit scan's ``side`` verdict, else the certified pass, else
+    :func:`_upward_verdict`'s."""
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
+    if _certified(a, anchor, trials, 1, guard):
+        return IsotoneVerdict(True, trials=trials)
     return _upward_verdict(a, anchor, base, trials, seed, side)
 
 
@@ -358,10 +409,12 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
                         guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
     """Sampled refuter for: orbit images stay below the image of anything above.
 
-    The region above the anchor is unbounded, so this cannot decide; past
-    the orbit it draws ``trials`` vectors above the anchor and checks
-    ``A alpha`` against each.  A failure witness ``(perm, y)``
-    re-verifies exactly; a pass means no violation found.
+    The region above the anchor is unbounded, so past the orbit it draws
+    ``trials`` vectors above the anchor and checks ``A alpha`` against
+    each.  A failure witness ``(perm, y)`` re-verifies exactly; a pass
+    means no violation found or, when ``n! <= trials`` and the anchor's
+    cones certify it (:func:`_cones_hold`), that none exists; that pass
+    draws nothing and reads the same.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "right")
 
@@ -373,7 +426,8 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     The downward half (everything majorized by the anchor maps below the
     anchor's own image) reduces to the orbit as in :func:`is_left_isotone_at`
     but against the single target ``A alpha``; its witness is ``perm``.
-    The upward half samples as in :func:`is_right_isotone_at`; witness ``y``.
+    The upward half samples, or is certified, as in
+    :func:`is_right_isotone_at`; witness ``y``.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "point")
 
@@ -610,7 +664,9 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     through the individual predicates instead.  One orbit scan decides
     the orbit half of every statement; when it fails, all five verdicts
     come from it (the global witness is a pair of orbit points) and the
-    samplers run only when it holds.
+    samplers run only when it holds.  Then, when ``n! <= 2 * trials``,
+    the anchor's cones are read once for ``right`` and ``point`` together,
+    and when they certify, both pass without a draw.
     """
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
@@ -622,8 +678,11 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
             failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
-        right = _upward_verdict(a, anchor, base, trials, seed, "right")
-        point = _upward_verdict(a, anchor, base, trials, seed, "point")
+        if _certified(a, anchor, trials, 2, guard):
+            right = point = IsotoneVerdict(True, trials=trials)
+        else:
+            right = _upward_verdict(a, anchor, base, trials, seed, "right")
+            point = _upward_verdict(a, anchor, base, trials, seed, "point")
         global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

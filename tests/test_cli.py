@@ -784,6 +784,18 @@ class TestIsotone:
                           "--at", "alpha_tie.json", "--predicate", "all")
         assert code == 2
 
+    def test_all_and_equiv_report_one_shape_error(self, capsys):
+        # The joint verifier owns its preconditions: a non-strict anchor of
+        # the wrong length is a shape error for every predicate.
+        errors = []
+        for predicate in ("all", "equiv"):
+            assert main(["isotone", str(DATA / "mat_sym31.json"), "--at",
+                         str(DATA / "alpha_flat.json"), "--predicate", predicate]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == ["error: cannot apply 2x2 matrix to a vector of length 4\n"] * 2
+
     def test_all_reports_the_left_witness(self, sandbox):
         code, report = sandbox("isotone", "mat_diag12.json",
                                "--at", "alpha_21.json", "--predicate", "all",

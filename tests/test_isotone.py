@@ -44,12 +44,15 @@ from majorkit.isotone import (
     _STEP_SCALE,
     _all_below,
     _below,
+    _cones_hold,
     _draws_above,
     _first_below,
     _images,
+    _orbit_scan,
     _profile,
     _random_distinct_vec,
     _subset_table,
+    _upward_verdict,
     _vec,
     campaign_matrices,
     perturb_entry,
@@ -1068,16 +1071,33 @@ class TestSamplerStreams:
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == SAMPLER_STREAMS_SHA256
 
-    def test_a_holding_cell_draws_the_pinned_word_counts(self, words):
+    def test_a_holding_cell_draws_the_pinned_word_counts(self, words, monkeypatch):
         # Every draw here is at most 6 bits, one getrandbits word each.  The
-        # counts were taken while each draw still called _below.
+        # counts were taken while each draw still called _below.  The cone
+        # certificate declines here, so the upward streams draw.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
         assert verify_statements(a, anchor, trials=50, seed=1).all_hold
         assert words == [5515]  # right, point and global streams
         words[0] = 0
         assert is_right_isotone_at(a, anchor, trials=50, seed=1).holds
         assert words == [2673]
+
+    def test_a_certified_cell_draws_only_the_global_stream(self, words):
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
+        assert words == [329]
+        words[0] = 0
+        assert verify_statements(a, anchor, trials=50, seed=1).all_hold
+        assert words == [329]
+        words[0] = 0
+        assert is_right_isotone_at(a, anchor, trials=50, seed=1) == \
+            IsotoneVerdict(True, trials=50)
+        assert is_isotone_at(a, anchor, trials=50, seed=1) == \
+            IsotoneVerdict(True, trials=50)
+        assert words == [0]
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_no_trials_hold_and_draw_no_word(self, words, trials):
@@ -1132,6 +1152,96 @@ class TestSamplerStreams:
         a = Mat([[int(i == j == 0) for j in range(50)] for i in range(50)])
         with pytest.raises(ValueError, match="Sample larger than population"):
             is_global_isotone_sampled(a, trials=1, guard=50)
+
+
+# Anchors of the exhaustive n = 3 box with the number of its matrices
+# that the cones certify on a holding orbit.  At the constant anchor every
+# orbit holds, so equal column sums are not implied there.
+_BOX_CERTIFIED = {(1, 0, 0): 27, (1, 1, 0): 27, (2, 1, 1): 27, (3, 2, 1): 63,
+                  (1, 1, 1): 27}
+
+
+class TestConeCertificate:
+    """``_cones_hold`` passes the upward predicates without a draw; where it
+    holds, no vector above the anchor refutes them."""
+
+    def test_no_certified_cell_of_the_n3_box_is_refuted(self):
+        # Every matrix with entries in {-1, 0, 1}; the cheap certificate
+        # filters first, then the orbit scan.  Permuting A's rows permutes
+        # every image and leaves its profile, so the streams read each row
+        # multiset once.
+        refuted, certified = [], dict.fromkeys(_BOX_CERTIFIED, 0)
+        sampled = set()
+        for alpha in _BOX_CERTIFIED:
+            anchor = AnchorPoint(Vec(alpha))
+            nums = anchor.alpha._frame[1]
+            for e in product((-1, 0, 1), repeat=9):
+                rows = (e[:3], e[3:6], e[6:])
+                if not _cones_hold(rows, nums, 3):
+                    continue
+                a = Mat(rows)
+                base, failed = _orbit_scan(a, anchor, None, 3)
+                if failed:
+                    continue
+                certified[alpha] += 1
+                if (key := (alpha, *sorted(rows))) in sampled:
+                    continue
+                sampled.add(key)
+                for side in ("right", "point"):
+                    if not _upward_verdict(a, anchor, base, 2000, 0, side).holds:
+                        refuted.append((alpha, rows, side))
+        assert refuted == []
+        assert certified == _BOX_CERTIFIED
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_planted_forms_at_strict_anchors_are_certified(self, n):
+        rng = random.Random(f"cones:{n}")
+        for _ in range(4):
+            anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
+            for a in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
+                assert _cones_hold(a._frame[1], anchor.alpha._frame[1], n)
+
+    def test_the_cones_are_read_only_when_no_dearer_than_the_draws(self, monkeypatch):
+        # n! cones against streams * trials draws: 2 streams in the joint
+        # verifier, 1 in each upward predicate; none at trials <= 0.
+        reads, cones_hold = [], isotone._cones_hold
+        monkeypatch.setattr(isotone, "_cones_hold",
+                            lambda *args: reads.append(1) or cones_hold(*args))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        for trials, read in ((12, True), (11, False), (0, False), (-2, False)):
+            reads.clear()
+            assert verify_statements(a, anchor, trials=trials, seed=1).all_hold
+            assert reads == [1] * read
+        for trials, read in ((24, True), (23, False), (0, False), (-2, False)):
+            for predicate in (is_right_isotone_at, is_isotone_at):
+                reads.clear()
+                assert predicate(a, anchor, trials=trials, seed=1) == \
+                    IsotoneVerdict(True, trials=trials)
+                assert reads == [1] * read
+
+    def test_past_the_run_rule_the_joint_verifier_still_draws(self, words, monkeypatch):
+        # At n = 5, 120 cones cost more than 2 * 50 draws.
+        monkeypatch.setattr(isotone, "_cones_hold",
+                            lambda *args: pytest.fail("the cones were read"))
+        a = random_perm_scaled(5, random.Random(3))
+        five = AnchorPoint(Vec([5, 4, 2, 1, 0]))
+        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
+        global_words, words[0] = words[0], 0
+        assert verify_statements(a, five, trials=50, seed=1).all_hold
+        assert words[0] > global_words
+
+    def test_a_declined_certificate_leaves_every_verdict_as_drawn(self, monkeypatch):
+        # Certified or drawn, a holding cell reports the same verdicts.
+        rng = random.Random(223)
+        cells = [(random_perm_scaled(n, rng),
+                  AnchorPoint(rand_strictly_decreasing(rng, n)))
+                 for n in (2, 3, 4) for _ in range(3)]
+        certified = [verify_statements(a, anchor, trials=20, seed=i)
+                     for i, (a, anchor) in enumerate(cells)]
+        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
+        assert certified == [verify_statements(a, anchor, trials=20, seed=i)
+                             for i, (a, anchor) in enumerate(cells)]
 
 
 _tie_pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),

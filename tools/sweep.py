@@ -16,8 +16,9 @@ pays.  The counters come from one more, untimed run under
 ``bench/tracer.py``: the kernel calls and result counters it records
 (prefix sums, mat-vecs, transforms, terms, extremizers, ...), plus what it
 does not see, the orbit images read, the ``getrandbits`` words drawn,
-the ``clears``, calls of ``numerics._clear_denominators``, the
-``perm_checks``, calls of ``Perm.__init__``, which checks its image, and
+the ``cones`` that ``isotone._cones_hold`` reads, the ``clears``, calls
+of ``numerics._clear_denominators``, the ``perm_checks``, calls of
+``Perm.__init__``, which checks its image, and
 what the point's result reports (draws, reported-sum characters, report
 bytes, extremizer and verify counts), so a reader can tell less work
 from faster work.  The sweep runs in this process, importing majorkit from
@@ -75,10 +76,11 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
-    over every span, with the orbit images, ``getrandbits`` words, clears
-    and permutation checks."""
-    extra = {"images": 0, "words": 0}
+    over every span, with the orbit images, ``getrandbits`` words, cones,
+    clears and permutation checks."""
+    extra = {"images": 0, "words": 0, "cones": 0}
     orbit, rng_class = isotone._orbit, random.Random
+    perm_images = isotone._perm_images  # what _cones_hold iterates
     clear, clears = numerics._clear_denominators, [0]
     perm_init, perm_checks = numerics.Perm.__init__, [0]
     holders = [module for name, module in sys.modules.items()
@@ -98,6 +100,15 @@ def _counted(run) -> tuple[object, dict]:
             extra["images"] += 1
             yield image
 
+    def counted_perm_images(*args):
+        images = perm_images(*args)  # the guard still raises on the call
+
+        def cones():
+            for image in images:
+                extra["cones"] += 1
+                yield image
+        return cones()
+
     class Counting(rng_class):
         def getrandbits(self, k):
             extra["words"] += 1
@@ -105,6 +116,7 @@ def _counted(run) -> tuple[object, dict]:
 
     tracer = Tracer()
     isotone._orbit, random.Random = counted_orbit, Counting
+    isotone._perm_images = counted_perm_images
     numerics.Perm.__init__ = counted_perm_init
     for module in holders:
         module._clear_denominators = counted_clear
@@ -114,6 +126,7 @@ def _counted(run) -> tuple[object, dict]:
     finally:
         tracer.uninstall()
         isotone._orbit, random.Random = orbit, rng_class
+        isotone._perm_images = perm_images
         numerics.Perm.__init__ = perm_init
         for module in holders:
             module._clear_denominators = clear
@@ -149,7 +162,7 @@ def right_isotone(n: int):
 
     def read(verdict):
         _expect(verdict.holds, f"the planted form at n = {n} holds")
-        return {"draws": verdict.trials}  # a holding verdict read every draw
+        return {"draws": verdict.trials}  # asked for; words and cones tell what was read
     return make, read
 
 
