@@ -26,8 +26,12 @@ rearrangements and the preorder's lower sets are convex.  The region
 *above* the anchor is unbounded, so the right-sided predicates are
 refuted by sampling instead: a ``False`` verdict carries a concrete
 counterexample and is definitive, a ``True`` verdict is only "no
-violation found", unless the anchor's n! cones certify it exactly
-(:func:`_cones_hold`), which skips the draws and reports the same verdict.
+violation found", unless it is certified exactly, which skips the draws
+and reports the same verdict.  Two certificates are read, cheapest
+first: A's rows (:func:`_rows_symmetric`: when every adjacent column swap
+only permutes them, A is globally isotone, which passes the global
+sampler and both upward predicates at once), then, for the upward
+predicates only, the anchor's n! cones (:func:`_cones_hold`).
 One forward scan of the orbit decides every orbit quantifier: it stops
 at the image that decides a failure and reads every image of a holding
 orbit.  The samplers run it first (the orbit lies above the anchor too),
@@ -93,7 +97,9 @@ class IsotoneVerdict:
     ``witness`` re-verifies against the exact predicate whenever
     ``holds`` is false.  ``trials`` is set when the verdict came from a
     sampler, in which case a positive verdict may mean only "no violation
-    found" rather than a proof (see :func:`_cones_hold`).
+    found" rather than a proof; a sampler's pass certified from A's rows
+    (:func:`_rows_symmetric`) or the anchor's cones (:func:`_cones_hold`)
+    is a proof and reads the same.
     """
 
     holds: bool
@@ -147,6 +153,14 @@ def _require_square(a: Mat, anchor: AnchorPoint | None = None) -> int:
 
 def _vec(nums: Sequence[int], den: int) -> Vec:
     return Vec(Fraction(v, den) for v in nums)
+
+
+def _unequal_column(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first column ``j`` of the integer ``rows`` whose sum differs from
+    column 0's, as ``(j, sum of column 0, sum of column j)``; ``None`` when
+    every column sum agrees."""
+    first, *rest = map(sum, zip(*rows))
+    return next(((j, first, s) for j, s in enumerate(rest, start=1) if s != first), None)
 
 
 def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -366,7 +380,7 @@ def _cones_hold(rows: Sequence[Sequence[int]], nums: Sequence[int], guard: int) 
     can only make the certificate decline.
     """
     n = len(nums)
-    if len(set(map(sum, zip(*rows)))) > 1:
+    if _unequal_column(rows):
         return False
     ranked = sorted(nums, reverse=True)
     for sigma in _perm_images(n, guard):
@@ -392,14 +406,39 @@ def _certified(a: Mat, anchor: AnchorPoint, trials: int, streams: int,
             and _cones_hold(a._frame[1], anchor.alpha._frame[1], guard))
 
 
+def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
+    """Whether swapping any two adjacent columns of the integer ``rows``
+    of A only permutes them, which makes A globally isotone.
+
+    It compares the sorted rows of ``A tau_m`` with those of A for each
+    adjacent swap ``tau_m``, ``m < n - 1``: O(n^3 log n) work, and no
+    ``2^n`` or ``n!`` term.  Proof: when it holds, ``A tau_m = P_m A``
+    for a row permutation ``P_m``, and the adjacent swaps generate every
+    permutation ``Q``, so ``A Q = P_Q A``.  If ``x`` is majorized by
+    ``y``, then ``x = sum_Q lambda_Q Q y`` with convex weights
+    ``lambda_Q`` (Birkhoff), so ``A x = sum_Q lambda_Q P_Q (A y)`` is a
+    doubly stochastic image of ``A y`` and is majorized by it
+    (Hardy-Littlewood-Polya; Marshall, Olkin & Arnold, *Inequalities*,
+    2nd ed., 2011, ch. 2).  So every global trial passes, ``right``
+    holds (``P alpha`` below ``y`` gives ``A P alpha`` below ``A y``) and
+    so does ``point``'s upward half.  Equal column sums follow (each swap
+    fixes their vector), and no global form is assumed:
+    :func:`classify_global` is never read, so the joint verifier's global
+    bit still tests the classification.
+    """
+    ranked = sorted(rows)
+    return all(sorted(row[:m] + (row[m + 1], row[m]) + row[m + 2:] for row in rows)
+               == ranked for m in range(len(rows) - 1))
+
+
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
-    """The orbit scan's ``side`` verdict, else the certified pass, else
-    :func:`_upward_verdict`'s."""
+    """The orbit scan's ``side`` verdict, else the pass certified from A's
+    rows or the anchor's cones, else :func:`_upward_verdict`'s."""
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
-    if _certified(a, anchor, trials, 1, guard):
+    if _rows_symmetric(a._frame[1]) or _certified(a, anchor, trials, 1, guard):
         return IsotoneVerdict(True, trials=trials)
     return _upward_verdict(a, anchor, base, trials, seed, side)
 
@@ -412,9 +451,10 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     The region above the anchor is unbounded, so past the orbit it draws
     ``trials`` vectors above the anchor and checks ``A alpha`` against
     each.  A failure witness ``(perm, y)`` re-verifies exactly; a pass
-    means no violation found or, when ``n! <= trials`` and the anchor's
-    cones certify it (:func:`_cones_hold`), that none exists; that pass
-    draws nothing and reads the same.
+    means no violation found or that none exists: when A's rows certify
+    global isotonicity (:func:`_rows_symmetric`), or when ``n! <= trials``
+    and the anchor's cones certify it (:func:`_cones_hold`).  A certified
+    pass draws nothing and reads the same.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "right")
 
@@ -426,8 +466,8 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     The downward half (everything majorized by the anchor maps below the
     anchor's own image) reduces to the orbit as in :func:`is_left_isotone_at`
     but against the single target ``A alpha``; its witness is ``perm``.
-    The upward half samples, or is certified, as in
-    :func:`is_right_isotone_at`; witness ``y``.
+    The upward half samples, or is certified from A's rows or the
+    anchor's cones, as in :func:`is_right_isotone_at`; witness ``y``.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "point")
 
@@ -467,7 +507,7 @@ def _subset_table(rows: Sequence[Sequence[int]]) -> _Table | None:
     the column sums differ, as traces can then move.  One running sum walks
     the subsets in Gray-code order (Knuth, *TAOCP* 4A, §7.2.1.1)."""
     n = len(rows)
-    if len(set(map(sum, zip(*rows)))) > 1:
+    if _unequal_column(rows):
         return None
     table: _Table = [{} for _ in range(n)]
     inside, total = 0, [0] * n  # the subset S as a bitmask, and c_S
@@ -497,27 +537,40 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
                               guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
     """Sampled refuter for global isotonicity.
 
-    For each drawn ``y`` (distinct-entry rationals) it suffices to check
-    the rearrangements of ``y`` against ``y`` itself, since the vectors
-    below ``y`` form the convex hull of those rearrangements.  When A's
-    column sums are equal, the ``2^n - 2`` proper row-subset sums of A,
-    walked once per call, decide that exactly by the rearrangement
-    inequality (Marshall, Olkin & Arnold, *Inequalities: Theory of
-    Majorization and Its Applications*, 2nd ed., 2011, ch. 1 and 6), and
-    a trial they clear reads no perm.  Every other trial runs the orbit
-    scan's ``below`` search with anchor ``y``, so a failure witness
-    ``(y, perm)`` is the first perm in lexicographic order and re-verifies
-    exactly.
+    When A's rows certify global isotonicity (:func:`_rows_symmetric`),
+    the pass draws nothing and reads as a clean run's,
+    ``IsotoneVerdict(True, trials=trials)``; ``trials <= 0`` returns
+    before anything is read, and the guard trips before the rows are.
+    Otherwise, for each drawn ``y`` (distinct-entry rationals) it
+    suffices to check the rearrangements of ``y`` against ``y`` itself,
+    since the vectors below ``y`` form the convex hull of those
+    rearrangements.  When A's column sums are equal, the ``2^n - 2``
+    proper row-subset sums of A, walked once per call, decide that
+    exactly by the rearrangement inequality (Marshall, Olkin & Arnold,
+    *Inequalities: Theory of Majorization and Its Applications*, 2nd
+    ed., 2011, ch. 1 and 6), and a trial they clear reads no perm.
+    Every other trial runs the orbit scan's ``below`` search with anchor
+    ``y``, so a failure witness ``(y, perm)`` is the first perm in
+    lexicographic order and re-verifies exactly.
     """
     n = _require_square(a)
     if trials <= 0:  # no draws: no enumeration and no table, at any n
         return IsotoneVerdict(True, trials=trials)
-    _perm_images(n, guard)  # the guard trips before the table is built
+    _perm_images(n, guard)  # the guard trips before A's rows are read
+    if _rows_symmetric(a._frame[1]):
+        return IsotoneVerdict(True, trials=trials)
+    return _global_draws(a, trials, seed, guard)
+
+
+def _global_draws(a: Mat, trials: int, seed: int | str,
+                  guard: int) -> IsotoneVerdict:
+    """:func:`is_global_isotone_sampled`'s ``trials > 0`` draws, past the
+    guard and a declined row certificate."""
     rows = a._frame[1]
     table = _subset_table(rows)
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
-        nums, den = _random_distinct_vec(n, rng)
+        nums, den = _random_distinct_vec(len(rows), rng)
         base = _profile(rows, nums)
         if table is not None and _all_below(table, nums, base):
             continue
@@ -568,14 +621,14 @@ def column_sums_equal(a: Mat) -> IsotoneVerdict:
     """Exactly check that all column sums agree; witness is the first unequal pair."""
     _require_square(a)
     scale, rows = a._frame
-    sums = [sum(col) for col in zip(*rows)]
-    for j, s in enumerate(sums[1:], start=1):
-        if s != sums[0]:
-            return IsotoneVerdict(False, {
-                "column_a": 0, "column_b": j,
-                "sum_a": Fraction(sums[0], scale), "sum_b": Fraction(s, scale),
-            })
-    return IsotoneVerdict(True)
+    unequal = _unequal_column(rows)
+    if unequal is None:
+        return IsotoneVerdict(True)
+    j, first, s = unequal
+    return IsotoneVerdict(False, {
+        "column_a": 0, "column_b": j,
+        "sum_a": Fraction(first, scale), "sum_b": Fraction(s, scale),
+    })
 
 
 def shift_by_J(a: Mat, lam: Rational) -> Mat:
@@ -664,9 +717,12 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     through the individual predicates instead.  One orbit scan decides
     the orbit half of every statement; when it fails, all five verdicts
     come from it (the global witness is a pair of orbit points) and the
-    samplers run only when it holds.  Then, when ``n! <= 2 * trials``,
-    the anchor's cones are read once for ``right`` and ``point`` together,
-    and when they certify, both pass without a draw.
+    samplers run only when it holds.  Then A's rows are read once
+    (:func:`_rows_symmetric`); when they certify, ``right``, ``point``
+    and ``global_sampled`` all pass without a draw, as a clean sampler run
+    would.  When they decline and ``n! <= 2 * trials``, the anchor's cones
+    are read once for ``right`` and ``point`` together, and when they
+    certify, both pass without a draw; the global stream then draws.
     """
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
@@ -678,12 +734,15 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
             failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
-        if _certified(a, anchor, trials, 2, guard):
-            right = point = IsotoneVerdict(True, trials=trials)
+        if trials <= 0 or _rows_symmetric(a._frame[1]):  # nothing to draw, or to refute
+            right = point = global_sampled = IsotoneVerdict(True, trials=trials)
         else:
-            right = _upward_verdict(a, anchor, base, trials, seed, "right")
-            point = _upward_verdict(a, anchor, base, trials, seed, "point")
-        global_sampled = is_global_isotone_sampled(a, trials, seed, guard)
+            if _certified(a, anchor, trials, 2, guard):
+                right = point = IsotoneVerdict(True, trials=trials)
+            else:
+                right = _upward_verdict(a, anchor, base, trials, seed, "right")
+                point = _upward_verdict(a, anchor, base, trials, seed, "point")
+            global_sampled = _global_draws(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]
     definitive = list(exact_bits)

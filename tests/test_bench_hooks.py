@@ -82,12 +82,17 @@ def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer, rows, profiled):
     assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == profiled
 
 
-def test_global_sampler_clears_a_planted_form_without_perms(tracer):
+_PLANTED8 = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                                majorkit.Perm([3, 0, 7, 5, 1, 6, 2, 4]))
+
+
+def test_global_sampler_clears_a_planted_form_without_perms(tracer, monkeypatch):
     # Equal column sums let the subset gate clear every trial of a planted
     # form, so no perm is enumerated and each trial profiles only A y:
-    # 10 * 8! perms and 10 * 8! profiles without the gate.
-    a = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
-                            majorkit.Perm([3, 0, 7, 5, 1, 6, 2, 4])).as_matrix()
+    # 10 * 8! perms and 10 * 8! profiles without the gate.  The row
+    # certificate declines here, so the trials are drawn.
+    monkeypatch.setattr(majorkit.isotone, "_rows_symmetric", lambda rows: False)
+    a = _PLANTED8.as_matrix()
     tracer.install(majorkit)
     try:
         verdict = majorkit.is_global_isotone_sampled(a, trials=10, seed=0)
@@ -98,6 +103,22 @@ def test_global_sampler_clears_a_planted_form_without_perms(tracer):
     assert sampled["calls"] == 1
     assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
     assert sampled["kernels"]["majorization.prefix_sums"][0] == 10
+
+
+def test_a_row_certified_form_takes_no_sampler_profile(tracer):
+    # A's rows certify the planted form: no trial is drawn, so no profile
+    # is built and no perm is enumerated.
+    a = _PLANTED8.as_matrix()
+    tracer.install(majorkit)
+    try:
+        verdict = majorkit.is_global_isotone_sampled(a, trials=10, seed=0)
+    finally:
+        tracer.uninstall()
+    assert verdict == majorkit.IsotoneVerdict(True, trials=10)
+    sampled = tracer.summary()["isotone.global_sampled"]
+    assert sampled["calls"] == 1
+    assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
+    assert sampled["kernels"].get("majorization.prefix_sums", [0, 0])[0] == 0
 
 
 def test_first_violation_profiles_both_vectors_as_kernels(tracer):

@@ -51,6 +51,7 @@ from majorkit.isotone import (
     _orbit_scan,
     _profile,
     _random_distinct_vec,
+    _rows_symmetric,
     _subset_table,
     _upward_verdict,
     _vec,
@@ -328,6 +329,19 @@ class TestGlobalSampled:
         with pytest.raises(GuardExceeded):
             is_global_isotone_sampled(Mat.identity(3), trials=5, guard=2)
 
+    def test_the_guard_and_no_trials_read_no_row(self, monkeypatch):
+        # The guard trips before A's rows are read, and with no draws
+        # nothing is read at all, at any n.
+        def unreachable(rows):
+            raise AssertionError("A's rows were read")
+
+        monkeypatch.setattr(isotone, "_rows_symmetric", unreachable)
+        with pytest.raises(GuardExceeded):
+            is_global_isotone_sampled(Mat.identity(3), trials=5, guard=2)
+        for trials in (0, -2):
+            assert is_global_isotone_sampled(Mat.identity(12), trials, guard=2) == \
+                IsotoneVerdict(True, trials=trials)
+
     def test_failing_first_trial_reads_few_perms(self, perms_read):
         # The perms are built lazily: a refutation in the first trial at
         # n = 8 must not pay for all 40,320 of them.
@@ -443,6 +457,21 @@ class TestSubsetGate:
         finally:
             tracemalloc.stop()
         assert verdict.holds
+        assert peak < 2 * 2**20
+
+    def test_the_walk_keeps_no_per_subset_sums(self):
+        # A's rows certify the planted cycle, so the sampler above no longer
+        # walks; the walk itself must stay as flat.
+        n = 14
+        rows = PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                          Perm([*range(1, n), 0])).as_matrix()._frame[1]
+        tracemalloc.start()
+        try:
+            table = _subset_table(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(map(len, table)) == [1] * (n - 1)  # one sort per size
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("rows, v, below", [
@@ -1023,6 +1052,13 @@ def words(monkeypatch):
     return count
 
 
+@pytest.fixture
+def rows_declined(monkeypatch):
+    """The row certificate declines every matrix, so the cones and the
+    draws run as they do for a matrix it does not certify."""
+    monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
+
+
 def _tied_anchors():
     """``(nums, den)`` at n = 1..8 whose rank order rests on ties: all
     equal, two-valued in both orders, and seeded draws from three values."""
@@ -1071,10 +1107,11 @@ class TestSamplerStreams:
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == SAMPLER_STREAMS_SHA256
 
-    def test_a_holding_cell_draws_the_pinned_word_counts(self, words, monkeypatch):
+    def test_a_holding_cell_draws_the_pinned_word_counts(self, words, monkeypatch,
+                                                         rows_declined):
         # Every draw here is at most 6 bits, one getrandbits word each.  The
-        # counts were taken while each draw still called _below.  The cone
-        # certificate declines here, so the upward streams draw.
+        # counts were taken while each draw still called _below.  The row
+        # and cone certificates decline here, so every stream draws.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
@@ -1084,7 +1121,8 @@ class TestSamplerStreams:
         assert is_right_isotone_at(a, anchor, trials=50, seed=1).holds
         assert words == [2673]
 
-    def test_a_certified_cell_draws_only_the_global_stream(self, words):
+    def test_a_certified_cell_draws_only_the_global_stream(self, words, rows_declined):
+        # The cones certify the upward predicates; the global stream draws.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         assert is_global_isotone_sampled(a, trials=50, seed=1).holds
@@ -1097,6 +1135,21 @@ class TestSamplerStreams:
             IsotoneVerdict(True, trials=50)
         assert is_isotone_at(a, anchor, trials=50, seed=1) == \
             IsotoneVerdict(True, trials=50)
+        assert words == [0]
+
+    def test_a_row_certified_cell_draws_no_word_and_reads_no_cone(self, words,
+                                                                   monkeypatch):
+        monkeypatch.setattr(isotone, "_cones_hold",
+                            lambda *args: pytest.fail("the cones were read"))
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        held = IsotoneVerdict(True, trials=50)
+        check = verify_statements(a, anchor, trials=50, seed=1)
+        assert check.all_hold
+        assert check.right == check.point == check.global_sampled == held
+        assert is_global_isotone_sampled(a, trials=50, seed=1) == held
+        assert is_right_isotone_at(a, anchor, trials=50, seed=1) == held
+        assert is_isotone_at(a, anchor, trials=50, seed=1) == held
         assert words == [0]
 
     @pytest.mark.parametrize("trials", [0, -2])
@@ -1112,6 +1165,19 @@ class TestSamplerStreams:
         assert check.all_hold
         assert check.right == check.point == check.global_sampled == held
         assert words == [0]
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_build_no_table_past_declined_rows(self, monkeypatch,
+                                                         rows_declined, trials):
+        def unreachable(rows):
+            raise AssertionError("subset table built with no trials")
+
+        monkeypatch.setattr(isotone, "_subset_table", unreachable)
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        check = verify_statements(a, anchor, trials=trials, seed=1)
+        assert check.right == check.point == check.global_sampled == \
+            IsotoneVerdict(True, trials=trials)
 
     def test_draws_above_equal_the_oracle_at_tied_anchors(self):
         # Ties are where re-ranking by insertion could pick other entries
@@ -1201,7 +1267,8 @@ class TestConeCertificate:
             for a in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
                 assert _cones_hold(a._frame[1], anchor.alpha._frame[1], n)
 
-    def test_the_cones_are_read_only_when_no_dearer_than_the_draws(self, monkeypatch):
+    def test_the_cones_are_read_only_when_no_dearer_than_the_draws(self, monkeypatch,
+                                                                   rows_declined):
         # n! cones against streams * trials draws: 2 streams in the joint
         # verifier, 1 in each upward predicate; none at trials <= 0.
         reads, cones_hold = [], isotone._cones_hold
@@ -1220,7 +1287,8 @@ class TestConeCertificate:
                     IsotoneVerdict(True, trials=trials)
                 assert reads == [1] * read
 
-    def test_past_the_run_rule_the_joint_verifier_still_draws(self, words, monkeypatch):
+    def test_past_the_run_rule_the_joint_verifier_still_draws(self, words, monkeypatch,
+                                                              rows_declined):
         # At n = 5, 120 cones cost more than 2 * 50 draws.
         monkeypatch.setattr(isotone, "_cones_hold",
                             lambda *args: pytest.fail("the cones were read"))
@@ -1231,8 +1299,10 @@ class TestConeCertificate:
         assert verify_statements(a, five, trials=50, seed=1).all_hold
         assert words[0] > global_words
 
-    def test_a_declined_certificate_leaves_every_verdict_as_drawn(self, monkeypatch):
-        # Certified or drawn, a holding cell reports the same verdicts.
+    def test_a_declined_certificate_leaves_every_verdict_as_drawn(self, monkeypatch,
+                                                                  rows_declined):
+        # Certified or drawn, a holding cell reports the same verdicts.  The
+        # row certificate declines on both sides, so the cones decide here.
         rng = random.Random(223)
         cells = [(random_perm_scaled(n, rng),
                   AnchorPoint(rand_strictly_decreasing(rng, n)))
@@ -1242,6 +1312,125 @@ class TestConeCertificate:
         monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
         assert certified == [verify_statements(a, anchor, trials=20, seed=i)
                              for i, (a, anchor) in enumerate(cells)]
+
+
+# The exhaustive boxes (n, entry values) with the number of their
+# matrices that fit a global form.
+_ROW_BOXES = {(2, tuple(range(-2, 3))): 45, (3, (-1, 0, 1)): 63, (4, (0, 1)): 64}
+
+
+def _box(n, values):
+    """Every n x n matrix with entries in ``values``, as integer rows."""
+    for e in product(values, repeat=n * n):
+        yield tuple(e[i:i + n] for i in range(0, n * n, n))
+
+
+@st.composite
+def _row_cases(draw):
+    """Integer rows, a planted form about half the time, and whether they are."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return tuple(tuple(draw(st.integers(0, 1)) for _ in range(n))
+                     for _ in range(n)), False
+    if draw(st.booleans()):
+        return tuple((draw(st.integers(-4, 4)),) * n for _ in range(n)), True
+    image = draw(st.permutations(range(n)))
+    c, b = draw(st.integers(-3, 3).filter(bool)), draw(st.integers(-3, 3))
+    return tuple(tuple(b + c * (image[i] == j) for j in range(n))
+                 for i in range(n)), True
+
+
+class TestRowCertificate:
+    """``_rows_symmetric`` certifies exactly the globally isotone matrices,
+    and a pass it certifies is the one the draws give."""
+
+    @pytest.mark.parametrize("box", _ROW_BOXES, ids=["n2", "n3", "n4"])
+    def test_it_agrees_with_classify_global_on_the_box(self, box):
+        held = 0
+        for rows in _box(*box):
+            certified = _rows_symmetric(rows)
+            assert certified == (classify_global(Mat(rows)) is not None), rows
+            held += certified
+        assert held == _ROW_BOXES[box]
+
+    def test_no_draw_refutes_a_certified_box_matrix(self, monkeypatch):
+        # Both certificates decline in the samplers, so each predicate draws
+        # its 500 trials.  Permuting A's rows leaves every profile, so each
+        # row multiset is drawn for once.
+        certified = {box: [rows for rows in _box(*box) if _rows_symmetric(rows)]
+                     for box in _ROW_BOXES}
+        assert {box: len(held) for box, held in certified.items()} == _ROW_BOXES
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
+        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
+        refuted = []
+        for (n, _), held in certified.items():
+            anchors = [AnchorPoint(Vec(range(n, 0, -1))),
+                       AnchorPoint(Vec((1, 1, 0, 0)[:n]))]  # strict, tied
+            for rows in {tuple(sorted(rows)) for rows in held}:
+                a = Mat(rows)
+                if not is_global_isotone_sampled(a, trials=500, seed=n).holds:
+                    refuted.append((rows, "global"))
+                for anchor in anchors:
+                    for predicate in (is_right_isotone_at, is_isotone_at):
+                        if not predicate(a, anchor, trials=500, seed=n).holds:
+                            refuted.append((rows, anchor.alpha, predicate.__name__))
+        assert refuted == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reading_it_changes_no_verdict(self, n, words, monkeypatch):
+        # The row test is read only on a holding orbit, where the theorem
+        # leaves only planted forms; the global sampler reads it on every
+        # cell.  A planted form draws no word when it is read.
+        rng = random.Random(f"rows:{n}")
+        anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
+        cells = list(campaign_matrices(n, 4, 5))
+        runs = [(trials, i, label, a) for trials in (0, 1, 20)
+                for i, (label, a) in enumerate(cells)]
+
+        def outcomes(read):
+            out = []
+            for trials, i, label, a in runs:
+                words[0] = 0
+                out.append((verify_statements(a, anchor, trials, seed=i),
+                            is_global_isotone_sampled(a, trials, seed=i)))
+                if read and label in ("trace_map", "perm_scaled"):
+                    assert words == [0], (label, trials)
+            return out
+
+        read = outcomes(read=True)
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
+        assert outcomes(read=False) == read
+
+    @pytest.mark.parametrize("declines", [False, True])
+    def test_each_public_call_reads_the_rows_at_most_once(self, monkeypatch, declines):
+        # Declined, the joint verifier's global stream must not read them
+        # again; a failing orbit reads them not at all.
+        reads, rows_symmetric = [], isotone._rows_symmetric
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: (
+            reads.append(1) or (not declines and rows_symmetric(rows))))
+        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
+        planted = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
+        failing = Mat([[1, 2, 0, 0], [0, 1, 3, 0], [2, 0, 1, 0], [0, 0, 0, 1]])
+        for a, read in ((planted, [1]), (failing, [])):
+            for call in (verify_statements, is_right_isotone_at, is_isotone_at):
+                reads.clear()
+                call(a, anchor, trials=20, seed=1)
+                assert reads == read, (call.__name__, a)
+            reads.clear()
+            is_global_isotone_sampled(a, trials=20, seed=1)
+            assert reads == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_row_cases(), data=st.data())
+    def test_a_certified_matrix_keeps_its_rows_under_every_column_permutation(
+            self, case, data):
+        rows, planted = case
+        certified = _rows_symmetric(rows)
+        assert certified or not planted
+        if certified:
+            q = data.draw(st.permutations(range(len(rows))))
+            moved = [tuple(row[j] for j in q) for row in rows]
+            assert sorted(moved) == sorted(rows)
 
 
 _tie_pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),

@@ -77,7 +77,7 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
     over every span, with the orbit images, ``getrandbits`` words, cones,
-    clears and permutation checks."""
+    clears and permutation checks, each kept at 0 when none was read."""
     extra = {"images": 0, "words": 0, "cones": 0}
     orbit, rng_class = isotone._orbit, random.Random
     perm_images = isotone._perm_images  # what _cones_hold iterates
@@ -136,7 +136,7 @@ def _counted(run) -> tuple[object, dict]:
             counters[f"{name}.calls"] = counters.get(f"{name}.calls", 0) + calls
         for name, k in row["counters"].items():
             counters[name] = counters.get(name, 0) + k
-    return result, {**counters, **{k: v for k, v in extra.items() if v},
+    return result, {**counters, **extra,
                     "clears": clears[0], "perm_checks": perm_checks[0]}
 
 
