@@ -26,12 +26,10 @@ rearrangements and the preorder's lower sets are convex.  The region
 *above* the anchor is unbounded, so the right-sided predicates are
 refuted by sampling instead: a ``False`` verdict carries a concrete
 counterexample and is definitive, a ``True`` verdict is only "no
-violation found", unless it is certified exactly, which skips the draws
-and reports the same verdict.  Two certificates are read, cheapest
-first: A's rows (:func:`_rows_symmetric`: when every adjacent column swap
-only permutes them, A is globally isotone, which passes the global
-sampler and both upward predicates at once), then, for the upward
-predicates only, the anchor's n! cones (:func:`_cones_hold`).
+violation found", unless A's rows certify it exactly, which skips the
+draws and reports the same verdict: when every adjacent column swap only
+permutes them (:func:`_rows_symmetric`), A is globally isotone, which
+passes the global sampler and both upward predicates at once.
 One forward scan of the orbit decides every orbit quantifier: it stops
 at the image that decides a failure and reads every image of a holding
 orbit.  The samplers run it first (the orbit lies above the anchor too),
@@ -50,7 +48,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add, gt, lt, mul, sub
+from operator import gt, mul
 from typing import Any, Iterator, Mapping, Sequence
 
 from .majorization import _orbit, _profile_violation, desc_prefix_sums
@@ -98,8 +96,7 @@ class IsotoneVerdict:
     ``holds`` is false.  ``trials`` is set when the verdict came from a
     sampler, in which case a positive verdict may mean only "no violation
     found" rather than a proof; a sampler's pass certified from A's rows
-    (:func:`_rows_symmetric`) or the anchor's cones (:func:`_cones_hold`)
-    is a proof and reads the same.
+    (:func:`_rows_symmetric`) is a proof and reads the same.
     """
 
     holds: bool
@@ -153,14 +150,6 @@ def _require_square(a: Mat, anchor: AnchorPoint | None = None) -> int:
 
 def _vec(nums: Sequence[int], den: int) -> Vec:
     return Vec(Fraction(v, den) for v in nums)
-
-
-def _unequal_column(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The first column ``j`` of the integer ``rows`` whose sum differs from
-    column 0's, as ``(j, sum of column 0, sum of column j)``; ``None`` when
-    every column sum agrees."""
-    first, *rest = map(sum, zip(*rows))
-    return next(((j, first, s) for j, s in enumerate(rest, start=1) if s != first), None)
 
 
 def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -360,52 +349,6 @@ def _upward_verdict(a: Mat, anchor: AnchorPoint, base: tuple[int, ...],
     return IsotoneVerdict(True, trials=trials)
 
 
-def _cones_hold(rows: Sequence[Sequence[int]], nums: Sequence[int], guard: int) -> bool:
-    """Whether no ``y`` above ``alpha = nums / den`` can have ``A y`` fail to
-    majorize ``A alpha``, for integer ``rows`` whose orbit scan at ``nums`` holds.
-
-    It asks for equal column sums and, on each of the n! cones ``sigma``
-    (tied anchors included), with ``alpha_sigma`` the anchor's ``m``-th
-    largest entry at place ``sigma(m)``, ``z = A alpha_sigma`` and ``U_k``
-    the first ``k`` rows of ``z`` in stable descending order, that the
-    column sums ``C`` of A over ``U_k`` satisfy ``C[sigma(0)] >= ... >=
-    C[sigma(n-1)]`` for each ``k < n``.  Proof: let ``sigma`` sort
-    ``y``, which majorizes ``alpha``.  Then ``y = alpha_sigma + sum_m t_m
-    (e_sigma(m) - e_sigma(m+1))`` with ``t_m >= 0`` the gap between the
-    ``m``-th prefix sums of sorted ``y`` and sorted ``alpha``, so
-    ``s_k(A y) >= sum over U_k of A y = s_k(z) + sum_m t_m (C[sigma(m)] -
-    C[sigma(m+1)]) >= s_k(z)``, which is ``s_k(A alpha)`` as the orbit
-    holds, and equal column sums fix the total.  No global form is
-    assumed.  Any top-``k`` set bounds ``s_k``, so a tie at its boundary
-    can only make the certificate decline.
-    """
-    n = len(nums)
-    if _unequal_column(rows):
-        return False
-    ranked = sorted(nums, reverse=True)
-    for sigma in _perm_images(n, guard):
-        apex = [0] * n
-        for m, place in enumerate(sigma):
-            apex[place] = ranked[m]
-        z = [sum(map(mul, row, apex)) for row in rows]
-        sums = [0] * n
-        for i in sorted(range(n), key=z.__getitem__, reverse=True)[:-1]:
-            sums = list(map(add, sums, rows[i]))
-            along = [sums[place] for place in sigma]
-            if any(map(lt, along, along[1:])):
-                return False
-    return True
-
-
-def _certified(a: Mat, anchor: AnchorPoint, trials: int, streams: int,
-               guard: int) -> bool:
-    """:func:`_cones_hold` on a holding orbit, read only when its n! cones
-    cost no more matvecs than the ``streams`` samplers' ``trials`` draws
-    (so never at ``trials <= 0``)."""
-    return (math.factorial(anchor.n) <= streams * trials
-            and _cones_hold(a._frame[1], anchor.alpha._frame[1], guard))
-
-
 def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
     """Whether swapping any two adjacent columns of the integer ``rows``
     of A only permutes them, which makes A globally isotone.
@@ -434,11 +377,11 @@ def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
     """The orbit scan's ``side`` verdict, else the pass certified from A's
-    rows or the anchor's cones, else :func:`_upward_verdict`'s."""
+    rows, else :func:`_upward_verdict`'s."""
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
-    if _rows_symmetric(a._frame[1]) or _certified(a, anchor, trials, 1, guard):
+    if _rows_symmetric(a._frame[1]):
         return IsotoneVerdict(True, trials=trials)
     return _upward_verdict(a, anchor, base, trials, seed, side)
 
@@ -451,10 +394,9 @@ def is_right_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIAL
     The region above the anchor is unbounded, so past the orbit it draws
     ``trials`` vectors above the anchor and checks ``A alpha`` against
     each.  A failure witness ``(perm, y)`` re-verifies exactly; a pass
-    means no violation found or that none exists: when A's rows certify
-    global isotonicity (:func:`_rows_symmetric`), or when ``n! <= trials``
-    and the anchor's cones certify it (:func:`_cones_hold`).  A certified
-    pass draws nothing and reads the same.
+    means no violation found, or that none exists when A's rows certify
+    global isotonicity (:func:`_rows_symmetric`).  A certified pass draws
+    nothing and reads the same.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "right")
 
@@ -466,8 +408,8 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     The downward half (everything majorized by the anchor maps below the
     anchor's own image) reduces to the orbit as in :func:`is_left_isotone_at`
     but against the single target ``A alpha``; its witness is ``perm``.
-    The upward half samples, or is certified from A's rows or the
-    anchor's cones, as in :func:`is_right_isotone_at`; witness ``y``.
+    The upward half samples, or is certified from A's rows, as in
+    :func:`is_right_isotone_at`; witness ``y``.
     """
     return _sampled_at(a, anchor, trials, seed, guard, "point")
 
@@ -498,40 +440,6 @@ def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], i
     return tuple(nums), 1 + den
 
 
-_Table = list[dict[tuple[int, ...], None]]
-
-
-def _subset_table(rows: Sequence[Sequence[int]]) -> _Table | None:
-    """Entry ``k - 1`` holds the distinct decreasing sorts of the sums
-    ``c_S`` of ``k`` rows of ``rows``, for ``k = 1..n-1``; ``None`` when
-    the column sums differ, as traces can then move.  One running sum walks
-    the subsets in Gray-code order (Knuth, *TAOCP* 4A, §7.2.1.1)."""
-    n = len(rows)
-    if _unequal_column(rows):
-        return None
-    table: _Table = [{} for _ in range(n)]
-    inside, total = 0, [0] * n  # the subset S as a bitmask, and c_S
-    for i in range(1, 1 << n):  # step i toggles the row of i's lowest bit
-        inside ^= (low := i & -i)
-        total = list(map(add if inside & low else sub, total, rows[low.bit_length() - 1]))
-        table[inside.bit_count() - 1][tuple(sorted(total, reverse=True))] = None
-    return table[:-1]  # all n rows is no proper subset
-
-
-def _all_below(table: _Table, v: Sequence[int], base: tuple[int, ...]) -> bool:
-    """Whether every rearrangement ``P v`` has an image majorized by ``A v``,
-    whose profile is ``base``; ``table`` is :func:`_subset_table` of A's rows.
-
-    The largest sum of ``k`` entries of ``A P v`` is the largest ``c_S . P v``
-    over ``k``-row subsets ``S``; by the rearrangement inequality its maximum
-    over ``P`` is ``sorted(c_S) . sorted(v)``, so only each size's set of
-    sorts is read.  Equal column sums fix the trace, so comparing those
-    maxima with ``base`` for ``k = 1..n-1`` decides."""
-    vd = sorted(v, reverse=True)
-    return all(sum(map(mul, c, vd)) <= top
-               for sorts, top in zip(table, base) for c in sorts)
-
-
 def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
                               seed: int | str = 0,
                               guard: int = DEFAULT_GUARD) -> IsotoneVerdict:
@@ -544,17 +452,13 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
     Otherwise, for each drawn ``y`` (distinct-entry rationals) it
     suffices to check the rearrangements of ``y`` against ``y`` itself,
     since the vectors below ``y`` form the convex hull of those
-    rearrangements.  When A's column sums are equal, the ``2^n - 2``
-    proper row-subset sums of A, walked once per call, decide that
-    exactly by the rearrangement inequality (Marshall, Olkin & Arnold,
-    *Inequalities: Theory of Majorization and Its Applications*, 2nd
-    ed., 2011, ch. 1 and 6), and a trial they clear reads no perm.
-    Every other trial runs the orbit scan's ``below`` search with anchor
-    ``y``, so a failure witness ``(y, perm)`` is the first perm in
-    lexicographic order and re-verifies exactly.
+    rearrangements.  Each trial runs the orbit scan's ``below`` search
+    with anchor ``y``, reading its orbit in lexicographic order, so a
+    failure witness ``(y, perm)`` is the first such perm and re-verifies
+    exactly.
     """
     n = _require_square(a)
-    if trials <= 0:  # no draws: no enumeration and no table, at any n
+    if trials <= 0:  # no draws: no enumeration, at any n
         return IsotoneVerdict(True, trials=trials)
     _perm_images(n, guard)  # the guard trips before A's rows are read
     if _rows_symmetric(a._frame[1]):
@@ -565,16 +469,13 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
 def _global_draws(a: Mat, trials: int, seed: int | str,
                   guard: int) -> IsotoneVerdict:
     """:func:`is_global_isotone_sampled`'s ``trials > 0`` draws, past the
-    guard and a declined row certificate."""
+    guard and a declined row certificate: each trial scans the drawn
+    ``y``'s orbit for the first image not majorized by ``A y``."""
     rows = a._frame[1]
-    table = _subset_table(rows)
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
         nums, den = _random_distinct_vec(len(rows), rng)
-        base = _profile(rows, nums)
-        if table is not None and _all_below(table, nums, base):
-            continue
-        below = _first_below(_images(rows, nums, guard), base)
+        below = _first_below(_images(rows, nums, guard), _profile(rows, nums))
         if below:
             return IsotoneVerdict(False, {"perm": Perm._of(below[0]),
                                           "y": _vec(nums, den)}, trials=trials)
@@ -621,10 +522,11 @@ def column_sums_equal(a: Mat) -> IsotoneVerdict:
     """Exactly check that all column sums agree; witness is the first unequal pair."""
     _require_square(a)
     scale, rows = a._frame
-    unequal = _unequal_column(rows)
+    first, *rest = map(sum, zip(*rows))
+    unequal = next(((j, s) for j, s in enumerate(rest, start=1) if s != first), None)
     if unequal is None:
         return IsotoneVerdict(True)
-    j, first, s = unequal
+    j, s = unequal
     return IsotoneVerdict(False, {
         "column_a": 0, "column_b": j,
         "sum_a": Fraction(first, scale), "sum_b": Fraction(s, scale),
@@ -720,9 +622,8 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     samplers run only when it holds.  Then A's rows are read once
     (:func:`_rows_symmetric`); when they certify, ``right``, ``point``
     and ``global_sampled`` all pass without a draw, as a clean sampler run
-    would.  When they decline and ``n! <= 2 * trials``, the anchor's cones
-    are read once for ``right`` and ``point`` together, and when they
-    certify, both pass without a draw; the global stream then draws.
+    would.  When they decline, the ``right``, ``point`` and global
+    streams draw.
     """
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
@@ -737,11 +638,8 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
         if trials <= 0 or _rows_symmetric(a._frame[1]):  # nothing to draw, or to refute
             right = point = global_sampled = IsotoneVerdict(True, trials=trials)
         else:
-            if _certified(a, anchor, trials, 2, guard):
-                right = point = IsotoneVerdict(True, trials=trials)
-            else:
-                right = _upward_verdict(a, anchor, base, trials, seed, "right")
-                point = _upward_verdict(a, anchor, base, trials, seed, "point")
+            right = _upward_verdict(a, anchor, base, trials, seed, "right")
+            point = _upward_verdict(a, anchor, base, trials, seed, "point")
             global_sampled = _global_draws(a, trials, seed, guard)
 
     exact_bits = [left.holds, equiv.holds, form is not None]

@@ -25,8 +25,8 @@ RationalLike = Union[Fraction, int, float, str]
 #: Largest size for which factorial-cost enumeration runs without an
 #: explicit override.  8! = 40320 permutations is still sub-second; the
 #: orbit predicates in :mod:`majorkit.isotone` read the anchor's orbit
-#: once, and its global sampler reads a trial's orbit only when the
-#: subset gate cannot clear that trial.
+#: once, and its global sampler reads a trial's orbit only when A's rows
+#: do not certify the matrix.
 DEFAULT_GUARD = 8
 
 # CPython's default int-string digit limit; without a cap on exponents,

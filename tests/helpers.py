@@ -7,7 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -150,22 +150,6 @@ def oracle_random_distinct_vec(n: int, rng: random.Random) -> Vec:
     nums = rng.sample(range(-24, 25), n)
     den = rng.randint(1, 6)
     return Vec(Fraction(v, den) for v in nums)
-
-
-def oracle_subset_table(rows: list[list[int]]) -> list[dict] | None:
-    """Per subset size k = 1..n-1, the distinct decreasing sorts of the sums
-    of k rows, from every proper subset's partial sum kept in a list: the
-    sum of bitmask s is that of s minus its lowest bit, plus that row."""
-    n = len(rows)
-    if len(set(map(sum, zip(*rows)))) > 1:
-        return None
-    sums = [(0,) * n]
-    table = [{} for _ in range(n - 1)]
-    for s in range(1, (1 << n) - 1):
-        low = s & -s
-        sums.append(tuple(map(add, sums[s ^ low], rows[low.bit_length() - 1])))
-        table[s.bit_count() - 1][tuple(sorted(sums[s], reverse=True))] = None
-    return table
 
 
 # Fraction profiles and pairwise orbit loops on Fraction matvecs kept as

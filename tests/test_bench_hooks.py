@@ -86,23 +86,24 @@ _PLANTED8 = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
                                 majorkit.Perm([3, 0, 7, 5, 1, 6, 2, 4]))
 
 
-def test_global_sampler_clears_a_planted_form_without_perms(tracer, monkeypatch):
-    # Equal column sums let the subset gate clear every trial of a planted
-    # form, so no perm is enumerated and each trial profiles only A y:
-    # 10 * 8! perms and 10 * 8! profiles without the gate.  The row
-    # certificate declines here, so the trials are drawn.
+def test_a_declined_planted_form_profiles_its_whole_orbit_per_trial(tracer,
+                                                                    monkeypatch):
+    # When A's rows decline, each trial profiles A y and then every one of
+    # the 5! distinct rearrangements of the drawn y, in order, through
+    # desc_prefix_sums; the orbit is read without enumerating a Perm.
     monkeypatch.setattr(majorkit.isotone, "_rows_symmetric", lambda rows: False)
-    a = _PLANTED8.as_matrix()
+    a = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                            majorkit.Perm([3, 0, 4, 1, 2])).as_matrix()
     tracer.install(majorkit)
     try:
         verdict = majorkit.is_global_isotone_sampled(a, trials=10, seed=0)
     finally:
         tracer.uninstall()
-    assert verdict.holds
+    assert verdict == majorkit.IsotoneVerdict(True, trials=10)
     sampled = tracer.summary()["isotone.global_sampled"]
     assert sampled["calls"] == 1
     assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
-    assert sampled["kernels"]["majorization.prefix_sums"][0] == 10
+    assert sampled["kernels"]["majorization.prefix_sums"][0] == 10 * (1 + 120)
 
 
 def test_a_row_certified_form_takes_no_sampler_profile(tracer):

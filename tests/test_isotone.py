@@ -42,9 +42,7 @@ from majorkit.majorization import _orbit
 from majorkit.numerics import _clear_denominators
 from majorkit.isotone import (
     _STEP_SCALE,
-    _all_below,
     _below,
-    _cones_hold,
     _draws_above,
     _first_below,
     _images,
@@ -52,8 +50,6 @@ from majorkit.isotone import (
     _profile,
     _random_distinct_vec,
     _rows_symmetric,
-    _subset_table,
-    _upward_verdict,
     _vec,
     campaign_matrices,
     perturb_entry,
@@ -65,6 +61,7 @@ from helpers import (
     count_clears,
     oracle_classify_global,
     oracle_equiv,
+    oracle_first_violation,
     oracle_global,
     oracle_left,
     oracle_orbit,
@@ -72,7 +69,6 @@ from helpers import (
     oracle_random_distinct_vec,
     oracle_right,
     oracle_sample_above,
-    oracle_subset_table,
     oracle_verify,
     rand_strictly_decreasing,
     rand_vec,
@@ -310,24 +306,26 @@ class TestGlobalSampled:
         assert verdict.holds and verdict.trials == -2
 
     @pytest.mark.parametrize("trials", [0, -2])
-    def test_no_trials_build_no_subset_table(self, monkeypatch, perms_read, trials):
-        # The table has 2^n - 2 entries and the guard allows n = 12 here:
-        # with no draws neither it nor the perms may be built.
-        def unreachable(rows):
-            raise AssertionError("subset table built with no trials")
+    def test_no_trials_run_no_draws(self, monkeypatch, perms_read, trials):
+        # The guard allows n = 12 here, and A's rows do not certify the
+        # diagonal: with no draws neither the trials nor the perms may run.
+        def unreachable(*args):
+            raise AssertionError("trials drawn with no trials")
 
-        monkeypatch.setattr(isotone, "_subset_table", unreachable)
-        verdict = is_global_isotone_sampled(Mat.identity(12), trials, guard=12)
+        monkeypatch.setattr(isotone, "_global_draws", unreachable)
+        diagonal = Mat([[i + 1 if i == j else 0 for j in range(12)] for i in range(12)])
+        verdict = is_global_isotone_sampled(diagonal, trials, guard=12)
         assert verdict.holds and verdict.trials == trials
         assert perms_read == []
 
-    def test_guard_trips_before_the_subset_table(self, monkeypatch):
-        def unreachable(rows):
-            raise AssertionError("subset table built above the guard")
+    def test_guard_trips_before_the_draws(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("trials drawn above the guard")
 
-        monkeypatch.setattr(isotone, "_subset_table", unreachable)
+        monkeypatch.setattr(isotone, "_global_draws", unreachable)
         with pytest.raises(GuardExceeded):
-            is_global_isotone_sampled(Mat.identity(3), trials=5, guard=2)
+            is_global_isotone_sampled(Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+                                      trials=5, guard=2)
 
     def test_the_guard_and_no_trials_read_no_row(self, monkeypatch):
         # The guard trips before A's rows are read, and with no draws
@@ -363,11 +361,16 @@ class TestGlobalSampled:
                 assert classify_global(a) is not None
 
 
-def _gate_and_scan(rows, v):
-    """The subset gate's "every image below" and the ordered scan's, for A v."""
-    base = _profile(rows, v)
-    scan = _first_below(_images(rows, v, guard=len(rows)), base)
-    return _all_below(_subset_table(rows), v, base), scan is None
+def _scan_and_oracle(rows, v):
+    """The perm image of the first rearrangement of ``v`` whose A-image is
+    not majorized by ``A v``, from a global trial's ordered scan and from
+    the Fraction oracle; ``None`` when every image is below."""
+    scan = _first_below(_images(rows, v, guard=len(rows)), _profile(rows, v))
+    a, y = Mat(rows), Vec(v)
+    oracle = next((p for p, w in oracle_orbit(y)
+                   if oracle_first_violation(a @ w, a @ y) is not None), None)
+    return (None if scan is None else scan[0],
+            None if oracle is None else tuple(oracle.image))
 
 
 def _balanced(rows, total):
@@ -377,7 +380,7 @@ def _balanced(rows, total):
 
 
 @st.composite
-def _gate_cases(draw):
+def _scan_cases(draw):
     n = draw(st.integers(1, 6))
     ints = st.integers(-4, 4)
     rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
@@ -388,22 +391,19 @@ def _gate_cases(draw):
     return rows, tuple(v)
 
 
-class TestSubsetGate:
-    """The gate must decide exactly what the ordered scan decides."""
+class TestOrderedScan:
+    """A global trial reads the orbit of ``y`` in lexicographic order: its
+    witness is the oracle's first rearrangement not below ``A y``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_gate_cases())
-    def test_matches_the_ordered_scan(self, case):
-        rows, v = case
-        balanced = len({sum(col) for col in zip(*rows)}) == 1
-        assert (_subset_table(rows) is not None) == balanced
-        if balanced:
-            gate, scan = _gate_and_scan(rows, v)
-            assert gate == scan
+    @given(_scan_cases())
+    def test_matches_the_fraction_oracle(self, case):
+        scan, oracle = _scan_and_oracle(*case)
+        assert scan == oracle
 
     @pytest.mark.parametrize("kind", ["balanced", "perm_scaled", "trace_map"])
-    def test_seeded_cases_match_the_ordered_scan(self, kind):
-        rng = random.Random(f"gate:{kind}")
+    def test_seeded_cases_match_the_fraction_oracle(self, kind):
+        rng = random.Random(f"scan:{kind}")
         outcomes = set()
         for i in range(60):
             n = 1 + i % 6
@@ -416,63 +416,11 @@ class TestSubsetGate:
             distinct = tuple(rng.sample(range(-24, 25), n))
             tied = tuple(rng.choice([-1, 0, 2]) for _ in range(n))
             for v in (distinct, tied, (rng.randint(-5, 5),) * n):
-                gate, scan = _gate_and_scan(rows, v)
-                assert gate == scan
-                outcomes.add(gate)
+                scan, oracle = _scan_and_oracle(rows, v)
+                assert scan == oracle
+                outcomes.add(scan is None)
         # Planted forms are globally isotone: every image stays below A v.
         assert outcomes == ({True, False} if kind == "balanced" else {True})
-
-    def test_gray_walk_tables_what_the_partial_sums_tabled(self):
-        # The same distinct sorts per subset size, whatever the walk order;
-        # unequal column sums give no table in both.
-        rng = random.Random("gate:gray")
-        for n in range(1, 9):
-            for make in (random_perm_scaled, random_trace_map):
-                rows = make(n, rng)._frame[1]
-                levels = _subset_table(rows)
-                assert levels is not None
-                assert list(map(set, levels)) == \
-                    list(map(set, oracle_subset_table(rows)))
-            balanced = _balanced([[rng.randint(-4, 4) for _ in range(n)]
-                                  for _ in range(n - 1)], rng.randint(-5, 5))
-            assert list(map(set, _subset_table(balanced))) == \
-                list(map(set, oracle_subset_table(balanced)))
-            if n > 1:
-                uneven = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-                first, second = map(sum, list(zip(*uneven))[:2])
-                uneven[0][0] += second - first + 1  # column 0 sums one more
-                assert _subset_table(uneven) is oracle_subset_table(uneven) is None
-
-    def test_planted_cycle_keeps_no_per_subset_sums(self):
-        # A planted n-cycle form has few distinct sorts per size, so the
-        # walk's peak stays flat while the 2^14 - 2 subsets are summed;
-        # keeping every partial sum peaked at 7.7 MiB here.
-        n = 14
-        a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
-                       Perm([*range(1, n), 0])).as_matrix()
-        tracemalloc.start()
-        try:
-            verdict = is_global_isotone_sampled(a, trials=1, guard=n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert verdict.holds
-        assert peak < 2 * 2**20
-
-    def test_the_walk_keeps_no_per_subset_sums(self):
-        # A's rows certify the planted cycle, so the sampler above no longer
-        # walks; the walk itself must stay as flat.
-        n = 14
-        rows = PermScaled(Fraction(3, 2), Fraction(-1, 3),
-                          Perm([*range(1, n), 0])).as_matrix()._frame[1]
-        tracemalloc.start()
-        try:
-            table = _subset_table(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert list(map(len, table)) == [1] * (n - 1)  # one sort per size
-        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("rows, v, below", [
         ([[5]], (3,), True),
@@ -485,7 +433,9 @@ class TestSubsetGate:
     ], ids=["n1", "n2-identity", "n2-constant-y", "n2-fails",
             "n2-constant-y-non-form", "n3-tied-form", "n3-tied-non-form"])
     def test_small_and_tied_cases(self, rows, v, below):
-        assert _gate_and_scan(rows, v) == (below, below)
+        scan, oracle = _scan_and_oracle(rows, v)
+        assert scan == oracle
+        assert (scan is None) == below
 
 
 class TestAnchorLength:
@@ -1054,8 +1004,8 @@ def words(monkeypatch):
 
 @pytest.fixture
 def rows_declined(monkeypatch):
-    """The row certificate declines every matrix, so the cones and the
-    draws run as they do for a matrix it does not certify."""
+    """The row certificate declines every matrix, so the draws run as they
+    do for a matrix it does not certify."""
     monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
 
 
@@ -1107,40 +1057,19 @@ class TestSamplerStreams:
         digest = hashlib.sha256(repr(draws).encode()).hexdigest()
         assert digest == SAMPLER_STREAMS_SHA256
 
-    def test_a_holding_cell_draws_the_pinned_word_counts(self, words, monkeypatch,
-                                                         rows_declined):
+    def test_a_holding_cell_draws_the_pinned_word_counts(self, words, rows_declined):
         # Every draw here is at most 6 bits, one getrandbits word each.  The
         # counts were taken while each draw still called _below.  The row
-        # and cone certificates decline here, so every stream draws.
+        # certificate declines here, so every stream draws.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
-        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
         assert verify_statements(a, anchor, trials=50, seed=1).all_hold
         assert words == [5515]  # right, point and global streams
         words[0] = 0
         assert is_right_isotone_at(a, anchor, trials=50, seed=1).holds
         assert words == [2673]
 
-    def test_a_certified_cell_draws_only_the_global_stream(self, words, rows_declined):
-        # The cones certify the upward predicates; the global stream draws.
-        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
-        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
-        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
-        assert words == [329]
-        words[0] = 0
-        assert verify_statements(a, anchor, trials=50, seed=1).all_hold
-        assert words == [329]
-        words[0] = 0
-        assert is_right_isotone_at(a, anchor, trials=50, seed=1) == \
-            IsotoneVerdict(True, trials=50)
-        assert is_isotone_at(a, anchor, trials=50, seed=1) == \
-            IsotoneVerdict(True, trials=50)
-        assert words == [0]
-
-    def test_a_row_certified_cell_draws_no_word_and_reads_no_cone(self, words,
-                                                                   monkeypatch):
-        monkeypatch.setattr(isotone, "_cones_hold",
-                            lambda *args: pytest.fail("the cones were read"))
+    def test_a_row_certified_cell_draws_no_word(self, words):
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         held = IsotoneVerdict(True, trials=50)
@@ -1167,12 +1096,12 @@ class TestSamplerStreams:
         assert words == [0]
 
     @pytest.mark.parametrize("trials", [0, -2])
-    def test_no_trials_build_no_table_past_declined_rows(self, monkeypatch,
-                                                         rows_declined, trials):
-        def unreachable(rows):
-            raise AssertionError("subset table built with no trials")
+    def test_no_trials_draw_nothing_past_declined_rows(self, monkeypatch,
+                                                       rows_declined, trials):
+        def unreachable(*args):
+            raise AssertionError("trials drawn with no trials")
 
-        monkeypatch.setattr(isotone, "_subset_table", unreachable)
+        monkeypatch.setattr(isotone, "_global_draws", unreachable)
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         check = verify_statements(a, anchor, trials=trials, seed=1)
@@ -1214,104 +1143,10 @@ class TestSamplerStreams:
 
     def test_more_entries_than_the_range_is_a_value_error(self):
         # As random.sample(range(-24, 25), 50) is, at a guard that lets
-        # n = 50 through; unequal column sums build no subset table.
+        # n = 50 through; A's rows do not certify this matrix, so it draws.
         a = Mat([[int(i == j == 0) for j in range(50)] for i in range(50)])
         with pytest.raises(ValueError, match="Sample larger than population"):
             is_global_isotone_sampled(a, trials=1, guard=50)
-
-
-# Anchors of the exhaustive n = 3 box with the number of its matrices
-# that the cones certify on a holding orbit.  At the constant anchor every
-# orbit holds, so equal column sums are not implied there.
-_BOX_CERTIFIED = {(1, 0, 0): 27, (1, 1, 0): 27, (2, 1, 1): 27, (3, 2, 1): 63,
-                  (1, 1, 1): 27}
-
-
-class TestConeCertificate:
-    """``_cones_hold`` passes the upward predicates without a draw; where it
-    holds, no vector above the anchor refutes them."""
-
-    def test_no_certified_cell_of_the_n3_box_is_refuted(self):
-        # Every matrix with entries in {-1, 0, 1}; the cheap certificate
-        # filters first, then the orbit scan.  Permuting A's rows permutes
-        # every image and leaves its profile, so the streams read each row
-        # multiset once.
-        refuted, certified = [], dict.fromkeys(_BOX_CERTIFIED, 0)
-        sampled = set()
-        for alpha in _BOX_CERTIFIED:
-            anchor = AnchorPoint(Vec(alpha))
-            nums = anchor.alpha._frame[1]
-            for e in product((-1, 0, 1), repeat=9):
-                rows = (e[:3], e[3:6], e[6:])
-                if not _cones_hold(rows, nums, 3):
-                    continue
-                a = Mat(rows)
-                base, failed = _orbit_scan(a, anchor, None, 3)
-                if failed:
-                    continue
-                certified[alpha] += 1
-                if (key := (alpha, *sorted(rows))) in sampled:
-                    continue
-                sampled.add(key)
-                for side in ("right", "point"):
-                    if not _upward_verdict(a, anchor, base, 2000, 0, side).holds:
-                        refuted.append((alpha, rows, side))
-        assert refuted == []
-        assert certified == _BOX_CERTIFIED
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_planted_forms_at_strict_anchors_are_certified(self, n):
-        rng = random.Random(f"cones:{n}")
-        for _ in range(4):
-            anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
-            for a in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
-                assert _cones_hold(a._frame[1], anchor.alpha._frame[1], n)
-
-    def test_the_cones_are_read_only_when_no_dearer_than_the_draws(self, monkeypatch,
-                                                                   rows_declined):
-        # n! cones against streams * trials draws: 2 streams in the joint
-        # verifier, 1 in each upward predicate; none at trials <= 0.
-        reads, cones_hold = [], isotone._cones_hold
-        monkeypatch.setattr(isotone, "_cones_hold",
-                            lambda *args: reads.append(1) or cones_hold(*args))
-        a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
-        anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
-        for trials, read in ((12, True), (11, False), (0, False), (-2, False)):
-            reads.clear()
-            assert verify_statements(a, anchor, trials=trials, seed=1).all_hold
-            assert reads == [1] * read
-        for trials, read in ((24, True), (23, False), (0, False), (-2, False)):
-            for predicate in (is_right_isotone_at, is_isotone_at):
-                reads.clear()
-                assert predicate(a, anchor, trials=trials, seed=1) == \
-                    IsotoneVerdict(True, trials=trials)
-                assert reads == [1] * read
-
-    def test_past_the_run_rule_the_joint_verifier_still_draws(self, words, monkeypatch,
-                                                              rows_declined):
-        # At n = 5, 120 cones cost more than 2 * 50 draws.
-        monkeypatch.setattr(isotone, "_cones_hold",
-                            lambda *args: pytest.fail("the cones were read"))
-        a = random_perm_scaled(5, random.Random(3))
-        five = AnchorPoint(Vec([5, 4, 2, 1, 0]))
-        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
-        global_words, words[0] = words[0], 0
-        assert verify_statements(a, five, trials=50, seed=1).all_hold
-        assert words[0] > global_words
-
-    def test_a_declined_certificate_leaves_every_verdict_as_drawn(self, monkeypatch,
-                                                                  rows_declined):
-        # Certified or drawn, a holding cell reports the same verdicts.  The
-        # row certificate declines on both sides, so the cones decide here.
-        rng = random.Random(223)
-        cells = [(random_perm_scaled(n, rng),
-                  AnchorPoint(rand_strictly_decreasing(rng, n)))
-                 for n in (2, 3, 4) for _ in range(3)]
-        certified = [verify_statements(a, anchor, trials=20, seed=i)
-                     for i, (a, anchor) in enumerate(cells)]
-        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
-        assert certified == [verify_statements(a, anchor, trials=20, seed=i)
-                             for i, (a, anchor) in enumerate(cells)]
 
 
 # The exhaustive boxes (n, entry values) with the number of their
@@ -1354,14 +1189,13 @@ class TestRowCertificate:
         assert held == _ROW_BOXES[box]
 
     def test_no_draw_refutes_a_certified_box_matrix(self, monkeypatch):
-        # Both certificates decline in the samplers, so each predicate draws
-        # its 500 trials.  Permuting A's rows leaves every profile, so each
-        # row multiset is drawn for once.
+        # The row certificate declines in the samplers, so each predicate
+        # draws its 500 trials.  Permuting A's rows leaves every profile, so
+        # each row multiset is drawn for once.
         certified = {box: [rows for rows in _box(*box) if _rows_symmetric(rows)]
                      for box in _ROW_BOXES}
         assert {box: len(held) for box, held in certified.items()} == _ROW_BOXES
         monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
-        monkeypatch.setattr(isotone, "_cones_hold", lambda *args: False)
         refuted = []
         for (n, _), held in certified.items():
             anchors = [AnchorPoint(Vec(range(n, 0, -1))),
@@ -1375,6 +1209,72 @@ class TestRowCertificate:
                         if not predicate(a, anchor, trials=500, seed=n).holds:
                             refuted.append((rows, anchor.alpha, predicate.__name__))
         assert refuted == []
+
+    @pytest.mark.parametrize("alpha", [(3, 2, 1), (1, 0, 0), (1, 1, 0), (2, 1, 1),
+                                       (1, 1, 1)])
+    def test_no_certified_cell_of_the_n3_box_is_refuted(self, alpha, monkeypatch):
+        # At strict, tied and constant anchors, every matrix of the n = 3
+        # box that the rows certify holds its orbit, and once the
+        # certificate declines no draw above the anchor refutes it.
+        # Permuting A's rows leaves every profile, so each row multiset is
+        # drawn for once.
+        anchor = AnchorPoint(Vec(alpha))
+        held = [rows for rows in _box(3, (-1, 0, 1)) if _rows_symmetric(rows)]
+        assert len(held) == _ROW_BOXES[3, (-1, 0, 1)]
+        assert [rows for rows in held
+                if _orbit_scan(Mat(rows), anchor, None, 3)[1] is not None] == []
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
+        refuted = [(rows, predicate.__name__)
+                   for rows in sorted({tuple(sorted(rows)) for rows in held})
+                   for predicate in (is_right_isotone_at, is_isotone_at)
+                   if not predicate(Mat(rows), anchor, trials=500, seed=3).holds]
+        assert refuted == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_planted_forms_at_strict_anchors_are_certified(self, n, words):
+        # Forms with Fraction entries are certified on their cleared rows,
+        # so the joint verifier passes them without a draw.
+        rng = random.Random(f"planted:{n}")
+        cells = [(a, anchor) for anchor in (AnchorPoint(rand_strictly_decreasing(rng, n))
+                                            for _ in range(4))
+                 for a in (random_trace_map(n, rng), random_perm_scaled(n, rng))]
+        words[0] = 0  # the fixture counts the words drawn for the cells too
+        for a, anchor in cells:
+            assert _rows_symmetric(a._frame[1])
+            assert verify_statements(a, anchor, trials=50, seed=n).all_hold
+        assert words == [0]
+
+    @pytest.mark.parametrize("predicate", [is_right_isotone_at, is_isotone_at],
+                             ids=["right", "point"])
+    def test_a_declined_certificate_leaves_every_upward_verdict_as_drawn(
+            self, predicate, monkeypatch):
+        # Certified or drawn, an upward predicate reports the same verdict
+        # on every campaign cell, at strict and tied anchors.
+        rng = random.Random(223)
+        runs = [(a, anchor, i) for n in (2, 3, 4)
+                for anchor in (AnchorPoint(rand_strictly_decreasing(rng, n)),
+                               AnchorPoint(Vec([1] * (n - 1) + [0])))
+                for i, (_, a) in enumerate(campaign_matrices(n, 4, n))]
+        certified = [predicate(a, anchor, trials=20, seed=i) for a, anchor, i in runs]
+        assert any(verdict.holds for verdict in certified)
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
+        assert certified == [predicate(a, anchor, trials=20, seed=i)
+                             for a, anchor, i in runs]
+
+    def test_a_planted_cycle_is_certified_in_flat_memory(self):
+        # A's rows certify the planted 14-cycle before any trial reads an
+        # orbit of 14! rearrangements, so the sampler's peak stays flat.
+        n = 14
+        a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
+                       Perm([*range(1, n), 0])).as_matrix()
+        tracemalloc.start()
+        try:
+            verdict = is_global_isotone_sampled(a, trials=1, guard=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == IsotoneVerdict(True, trials=1)
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_reading_it_changes_no_verdict(self, n, words, monkeypatch):

@@ -13,10 +13,10 @@ library point builds fresh ``Vec``, ``Mat`` and ``AnchorPoint`` inputs
 from plain rows before each run, outside the timed window, so no run
 reads a frame an earlier run cached: each time is what a one-shot caller
 pays.  The counters come from one more, untimed run under
-``bench/tracer.py``: the kernel calls and result counters it records
-(prefix sums, mat-vecs, transforms, terms, extremizers, ...), plus what it
-does not see, the orbit images read, the ``getrandbits`` words drawn,
-the ``cones`` that ``isotone._cones_hold`` reads, the ``clears``, calls
+``bench/tracer.py``: the calls of every kernel it times (prefix sums,
+mat-vecs, ..., 0 when never called) and the result counters it records
+(transforms, terms, extremizers, ...), plus what it does not see, the
+orbit images read, the ``getrandbits`` words drawn, the ``clears``, calls
 of ``numerics._clear_denominators``, the ``perm_checks``, calls of
 ``Perm.__init__``, which checks its image, and
 what the point's result reports (draws, reported-sum characters, report
@@ -59,6 +59,9 @@ from tracer import Tracer  # noqa: E402
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
 RUNS = 9  # timed runs per point; one under --quick
+# Every kernel bench/tracer.py times; each point reports all of their calls.
+KERNELS = ("majorization.prefix_sums", "numerics.enumerate_perms", "numerics.matvec",
+           "numerics.matmat", "numerics.perm_apply", "numerics.perm_matrix")
 
 
 def _expect(holds: bool, what: str) -> None:
@@ -76,11 +79,10 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
-    over every span, with the orbit images, ``getrandbits`` words, cones,
-    clears and permutation checks, each kept at 0 when none was read."""
-    extra = {"images": 0, "words": 0, "cones": 0}
+    over every span, with the orbit images, ``getrandbits`` words, clears
+    and permutation checks; each kernel and extra reads 0 when never called."""
+    extra = {"images": 0, "words": 0}
     orbit, rng_class = isotone._orbit, random.Random
-    perm_images = isotone._perm_images  # what _cones_hold iterates
     clear, clears = numerics._clear_denominators, [0]
     perm_init, perm_checks = numerics.Perm.__init__, [0]
     holders = [module for name, module in sys.modules.items()
@@ -100,15 +102,6 @@ def _counted(run) -> tuple[object, dict]:
             extra["images"] += 1
             yield image
 
-    def counted_perm_images(*args):
-        images = perm_images(*args)  # the guard still raises on the call
-
-        def cones():
-            for image in images:
-                extra["cones"] += 1
-                yield image
-        return cones()
-
     class Counting(rng_class):
         def getrandbits(self, k):
             extra["words"] += 1
@@ -116,7 +109,6 @@ def _counted(run) -> tuple[object, dict]:
 
     tracer = Tracer()
     isotone._orbit, random.Random = counted_orbit, Counting
-    isotone._perm_images = counted_perm_images
     numerics.Perm.__init__ = counted_perm_init
     for module in holders:
         module._clear_denominators = counted_clear
@@ -126,14 +118,15 @@ def _counted(run) -> tuple[object, dict]:
     finally:
         tracer.uninstall()
         isotone._orbit, random.Random = orbit, rng_class
-        isotone._perm_images = perm_images
         numerics.Perm.__init__ = perm_init
         for module in holders:
             module._clear_denominators = clear
-    counters = {}
+    counters = {f"{name}.calls": 0 for name in KERNELS}
     for row in tracer.summary().values():
         for name, (calls, _) in row["kernels"].items():
-            counters[f"{name}.calls"] = counters.get(f"{name}.calls", 0) + calls
+            if name not in KERNELS:
+                raise RuntimeError(f"tracer kernel {name} is missing from KERNELS")
+            counters[f"{name}.calls"] += calls
         for name, k in row["counters"].items():
             counters[name] = counters.get(name, 0) + k
     return result, {**counters, **extra,
@@ -162,7 +155,7 @@ def right_isotone(n: int):
 
     def read(verdict):
         _expect(verdict.holds, f"the planted form at n = {n} holds")
-        return {"draws": verdict.trials}  # asked for; words and cones tell what was read
+        return {"draws": verdict.trials}  # asked for; words tell what was read
     return make, read
 
 
