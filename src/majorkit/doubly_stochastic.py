@@ -15,7 +15,9 @@ entries are scaled once by the least common multiple ``L`` of their
 denominators, every comparison, sum and update is on Python ints, and
 only the results become ``Fraction``s again.  A matrix's frame is its cached
 ``Mat._frame``: :func:`witness_ds` hands its matrix the T-chain's own, and
-the check and :func:`birkhoff`'s peel (on a copy) read it.
+the check and :func:`birkhoff`'s peel (on a copy) read it.  The peel hands
+its decomposition the weights as ints over that ``L``, so its weight check
+clears nothing; a decomposition built from outside clears its weights.
 """
 
 from __future__ import annotations
@@ -178,24 +180,45 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     grid = tuple(tuple([Fraction(row[c], den) if row[c] else zero for c in cols])
                  for row, den in chain)
     scale = math.lcm(*dens)
-    frame = tuple(tuple([row[c] * (scale // den) for c in cols]) for row, den in chain)
+    frame = tuple(tuple([row[c] * up for c in cols])
+                  for row, up in [(row, scale // den) for row, den in chain])
     return MajorizationWitness(DoublyStochastic(Mat._of(grid, (scale, frame))),
                                tuple(transforms), presort, unsort)
 
 
 @dataclass(frozen=True)
 class BirkhoffDecomposition:
-    """Convex combination of permutation matrices reproducing a source matrix."""
+    """Convex combination of permutation matrices reproducing a source matrix.
+
+    It needs at least one term, permutations of one size, positive weights
+    summing to one and at most ``(n-1)**2 + 1`` terms, checked on the
+    weights as ints over their least common denominator.
+    """
 
     terms: tuple[tuple[Rational, Perm], ...]
 
     def __post_init__(self):
+        scale, (weights,) = _clear_denominators([[w for w, _ in self.terms]])
+        self._check(scale, weights)
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[Rational, Perm], ...], scale: int,
+            weights: list[int]) -> "BirkhoffDecomposition":
+        """:func:`birkhoff`'s constructor: ``terms[k]``'s weight is
+        ``weights[k] / scale``, so the checks read these ints and no weight
+        is cleared again."""
+        dec = cls.__new__(cls)
+        object.__setattr__(dec, "terms", terms)
+        dec._check(scale, weights)
+        return dec
+
+    def _check(self, scale: int, weights) -> None:
+        """The class's checks, ``terms[k]``'s weight being ``weights[k] / scale``."""
         if not self.terms:
             raise ValueError("decomposition needs at least one term")
         n = len(self.terms[0][1])
         if any(len(p) != n for _, p in self.terms):
             raise DimensionMismatch("every term's permutation needs the same size")
-        scale, (weights,) = _clear_denominators([[w for w, _ in self.terms]])
         if min(weights) <= 0:
             raise ValueError("weights must be positive")
         if sum(weights) != scale:
@@ -220,44 +243,41 @@ def _weighted_perm_sum(n: int, terms: Iterable[tuple[Rational, Perm]]) -> Mat:
     return Mat(rows)
 
 
-def _augment(adjacent: list[list[int]], match_col: list[int],
-             root: int) -> list[int] | None:
-    """Match ``root`` by one augmenting path and return the path's
-    columns, or return ``None``.
+def _augment(adjacent: list[list[int]], match_col: list[int], root: int,
+             seen: list[int], stamp: int) -> list[int] | None:
+    """The columns of an augmenting path from ``root``, in path order, or
+    ``None`` if there is none.
 
-    ``match_col`` maps each column to its row (``-1`` if free) and is
-    updated in place.  Depth-first search from ``root``, trying each
-    row's columns in ascending index; the first augmenting path found is
-    flipped.  The returned columns ``via`` are in path order: ``via[0]``
-    is now ``root``'s, the last one was free, and each other ``via[d]``
-    moved from the row that now holds ``via[d + 1]``.  It keeps its path
-    on an explicit stack, so a path through every row of a large support
-    cannot exhaust the interpreter's recursion limit.
+    ``match_col`` maps each column to its row (``-1`` if free) and is only
+    read: the caller flips the path.  Depth-first search from ``root``,
+    trying each row's columns in ascending index; the first augmenting
+    path found is returned.  ``via[0]`` is a column of ``root``, the last
+    one is free, and each other ``via[d]`` is matched to the row that
+    ``via[d + 1]`` leads from, so the path's rows are ``root`` and
+    ``match_col[via[d]]``.  Column ``c`` counts as tried in this search
+    when ``seen[c] == stamp``, so one ``seen`` list serves every search
+    that is given a new ``stamp``.  The search keeps one iterator per path
+    row on an explicit stack, so a path through every row of a large
+    support cannot exhaust the interpreter's recursion limit.
     """
-    seen = [False] * len(match_col)
-    path = [root]  # rows on the search path
-    via: list[int] = []  # via[d] leads from path[d] to path[d + 1]
+    via: list[int] = []  # via[d] leads from the path's row d to row d + 1
     untried = [iter(adjacent[root])]  # per path row: columns not yet tried
-    while untried:
+    while True:
         for c in untried[-1]:
-            if not seen[c]:
+            if seen[c] != stamp:
                 break
         else:  # dead end: back up to the previous row
+            if not via:
+                return None
             untried.pop()
-            path.pop()
-            if via:
-                via.pop()
+            via.pop()
             continue
-        seen[c] = True
+        seen[c] = stamp
         via.append(c)
         row = match_col[c]
-        if row < 0:  # free column: flip the whole path
-            for r, col in zip(path, via):
-                match_col[col] = r
+        if row < 0:
             return via
-        path.append(row)
         untried.append(iter(adjacent[row]))
-    return None
 
 
 def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
@@ -273,21 +293,27 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
 
     With ``L`` the least common multiple of the entries' denominators, the
     peel runs on a copy of the matrix's cached frame ``L * d`` and emits each
-    weight as ``Fraction(w, L)``.
+    weight as ``Fraction(w, L)``.  It keeps the ints ``w`` and builds its
+    decomposition through ``BirkhoffDecomposition._of``, which checks them
+    against ``L`` without clearing the weights again.
 
     The matching is repaired, not rebuilt: a peel unmatches only the rows
     whose matched cell it emptied, and the next peel rematches them in
     ascending order, one augmenting path each.  The residual is a scaled
     doubly stochastic matrix, so it holds a perfect matching, and an
-    augmenting path starts at every unmatched row (Berge, 1957).
+    augmenting path starts at every unmatched row (Berge, 1957).  Every
+    search of one decomposition shares one ``seen`` list and takes the
+    next stamp.
 
     A peel subtracts lazily.  Matched column ``c`` keeps a key, and its
     cell ``(match_col[c], c)`` holds ``key[c] - offset``; a peel's weight
     is ``min(key) - offset``, after which ``offset`` is ``min(key)`` and
     the emptied cells are the columns whose key equals it.  So a peel
     touches only the cells it empties and the columns an augmenting path
-    moves: a moved column writes its old cell back into ``work`` and
-    takes its key from its new one.
+    moves.  Flipping a path moves each of its columns in one step, from
+    its old row ``o`` to its new row ``r``: the old cell takes back its
+    value, ``work[o][c] = key[c] - offset``, the column is matched to
+    ``r``, and its key becomes ``work[r][c] + offset``.
     """
     if isinstance(d, Mat):
         d = DoublyStochastic(d)
@@ -299,19 +325,29 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
     match_col = [-1] * n  # column -> row
     key = [0] * n  # matched column -> its cell's value plus offset
     offset = 0
+    seen = [0] * n  # seen[c] == stamp: column c tried by the current search
+    stamp = 0
     unmatched = list(range(n))  # rows to match before the next peel
     terms: list[tuple[Rational, Perm]] = []
+    weights: list[int] = []  # terms' weights, times scale
     while remaining:
         for root in sorted(unmatched):
-            via = _augment(adjacent, match_col, root)
+            stamp += 1
+            via = _augment(adjacent, match_col, root, seen, stamp)
             if not via:
                 raise RuntimeError("no permutation inside the support; input invalid")
-            for c, nxt in zip(via, via[1:]):  # moved from row match_col[nxt]
-                work[match_col[nxt]][c] = key[c] - offset
-            for c in via:
-                key[c] = work[match_col[c]][c] + offset
+            r = root
+            for col in via:  # col moves from row o to row r
+                o = match_col[col]
+                if o >= 0:
+                    work[o][col] = key[col] - offset
+                match_col[col] = r
+                key[col] = work[r][col] + offset
+                r = o
         low = min(key)
-        terms.append((Fraction(low - offset, scale), Perm._of(tuple(match_col))))
+        w = low - offset
+        weights.append(w)
+        terms.append((Fraction(w, scale), Perm._of(tuple(match_col))))
         offset = low
         unmatched = []
         c = -1
@@ -323,7 +359,7 @@ def birkhoff(d: DoublyStochastic | Mat) -> BirkhoffDecomposition:
             match_col[c] = -1
             unmatched.append(r)
         remaining -= len(unmatched)
-    return BirkhoffDecomposition(tuple(terms))
+    return BirkhoffDecomposition._of(tuple(terms), scale, weights)
 
 
 def random_ds(n: int, seed: int, steps: int = 8) -> DoublyStochastic:

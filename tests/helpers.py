@@ -32,7 +32,7 @@ from majorkit import (
     first_violation,
     random_ds,
 )
-from majorkit import doubly_stochastic, isotone, majorization, numerics
+from majorkit import doubly_stochastic, numerics
 
 
 # Signed, zero-padded digit strings "p/q", zero denominators and parts

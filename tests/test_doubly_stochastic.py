@@ -326,6 +326,36 @@ class TestBirkhoff:
             with pytest.raises(ValueError, match=error):
                 BirkhoffDecomposition(terms)
 
+    @pytest.mark.parametrize("weights, error", [
+        ((3, 2, 1), None),
+        ((2, 2, 1), "sum to one"),
+        ((3, 4, -1), "positive"),
+        ((6, 0, 0), "positive"),
+    ], ids=["sums-to-L", "sums-to-five", "negative", "zero"])
+    def test_the_peels_weights_are_checked_on_its_ints(self, weights, error):
+        # birkhoff builds its decomposition through the trusted _of, which
+        # reads the weights as ints over L = 6 and clears nothing.
+        terms = tuple((Fraction(w, 6), p) for w, p in zip(
+            weights, (Perm([0, 1, 2]), Perm([1, 2, 0]), Perm([2, 0, 1]))))
+        if error is None:
+            assert BirkhoffDecomposition._of(terms, 6, list(weights)).terms == terms
+        else:
+            with pytest.raises(ValueError, match=error):
+                BirkhoffDecomposition._of(terms, 6, list(weights))
+
+    def test_the_peels_term_list_is_checked(self):
+        # n = 2 allows (n-1)^2 + 1 = 2 terms.
+        identity, swap = Perm([0, 1]), Perm([1, 0])
+        third = Fraction(1, 3)
+        with pytest.raises(ValueError, match="too many terms"):
+            BirkhoffDecomposition._of(((third, identity), (third, swap),
+                                       (third, identity)), 3, [1, 1, 1])
+        with pytest.raises(ValueError, match="at least one term"):
+            BirkhoffDecomposition._of((), 1, [])
+        half = Fraction(1, 2)
+        with pytest.raises(DimensionMismatch, match="same size"):
+            BirkhoffDecomposition._of(((half, identity), (half, Perm([0]))), 2, [1, 1])
+
     def test_peel_meets_the_bound_on_long_combinations(self):
         # Piles of twice as many permutations as the bound allows still
         # peel into at most (n-1)^2 + 1 terms, and some pile needs them all.
@@ -410,8 +440,8 @@ class TestBirkhoff:
                       steps=data.draw(st.integers(n, 2 * n)))
         paths = []
 
-        def recording(adjacent, match_col, root):
-            via = _augment(adjacent, match_col, root)
+        def recording(*search):
+            via = _augment(*search)
             paths.append(len(via))
             return via
 
@@ -427,9 +457,9 @@ class TestBirkhoff:
         calls = []
         augment = doubly_stochastic._augment
 
-        def counting(adjacent, match_col, root):
+        def counting(adjacent, match_col, root, *stamped):
             calls.append(root)
-            return augment(adjacent, match_col, root)
+            return augment(adjacent, match_col, root, *stamped)
 
         monkeypatch.setattr(doubly_stochastic, "_augment", counting)
         return calls
@@ -478,16 +508,33 @@ class TestPerfectMatching:
     def test_augmenting_path_through_every_row(self):
         # Rows r -> {r, r+1}, the last row -> {0}: the greedy pass matches
         # r to r, so the last row needs a path through all n rows.
+        # The search keeps that path on an explicit stack, so the default
+        # recursion limit of 1000 does not bound it.
         n = 1500
         adjacent = [[r, r + 1] for r in range(n - 1)] + [[0]]
-        match_col = [-1] * n
-        assert all(_augment(adjacent, match_col, root) for root in range(n))
+        match_col, seen = [-1] * n, [0] * n
+        for root in range(n):
+            via = _augment(adjacent, match_col, root, seen, root + 1)
+            assert via
+            for c in via:  # flip: c moves to the row the path reached it from
+                match_col[c], root = root, match_col[c]
+        assert len(via) == n
         assert match_col == [n - 1, *range(n - 1)]
 
     def test_no_matching_is_false(self):
-        match_col = [-1] * 2
-        assert _augment([[0, 1], []], match_col, 0)
-        assert not _augment([[0, 1], []], match_col, 1)
+        match_col, seen = [-1] * 2, [0] * 2
+        assert _augment([[0, 1], []], match_col, 0, seen, 1)
+        assert not _augment([[0, 1], []], match_col, 1, seen, 2)
+
+    def test_a_new_stamp_forgets_the_columns_tried_before(self):
+        # One seen list serves every search: a column counts as tried only
+        # when it carries the current search's stamp.
+        adjacent, match_col = [[0, 1], [1]], [-1, 0]
+        seen = [7, 7]
+        assert _augment(adjacent, match_col, 1, seen, 7) is None
+        assert _augment(adjacent, match_col, 1, seen, 8) == [1, 0]
+        assert seen == [8, 8]
+        assert match_col == [-1, 0]  # the caller flips the path
 
 
 class TestNoFractionOrder:
@@ -529,15 +576,25 @@ class TestNoFractionOrder:
 class TestKeptFrame:
     """The check of a :class:`DoublyStochastic` and :func:`birkhoff`'s peel
     read the matrix's cached integer frame, so a matrix is cleared at most
-    once; a witness's matrix is handed the T-chain's frame."""
+    once; a witness's matrix is handed the T-chain's frame, and the peel's
+    weights are checked on its own ints over that frame's ``L``."""
 
-    def test_a_construct_item_clears_three_times(self, monkeypatch):
+    def test_a_construct_item_clears_twice(self, monkeypatch):
         x, y = majorizing_pair(random.Random(7), 20)
         calls = count_clears(monkeypatch)
         assert majorizes(x, y)
         assert calls == [2]  # x and y, each once
         birkhoff(witness_ds(x, y).matrix)
-        assert calls == [3]  # and the weights; witness_ds reads x's and y's
+        assert calls == [2]  # witness_ds reads x's and y's; the peel its own ints
+
+    def test_birkhoff_of_a_witness_clears_nothing(self, monkeypatch):
+        # The witness's matrix carries the T-chain's frame, and the peel
+        # hands its decomposition the weights' ints over that frame's L.
+        d = witness_ds(*majorizing_pair(random.Random(11), 12)).matrix
+        calls = count_clears(monkeypatch)
+        dec = birkhoff(d)
+        assert calls == [0]
+        assert dec.recompose() == d.matrix
 
     @given(pair=majorized_pairs())
     def test_the_witness_keeps_the_frame_its_matrix_clears_to(self, pair):
@@ -558,13 +615,13 @@ class TestKeptFrame:
         with pytest.raises(ValueError, match="not doubly stochastic"):
             DoublyStochastic(Mat._of(m.rows, (scale + 1, rows)))
 
-    def test_birkhoff_of_a_mat_clears_twice(self, monkeypatch):
+    def test_birkhoff_of_a_mat_clears_once(self, monkeypatch):
         m = random_ds(6, seed=5).matrix
         calls = count_clears(monkeypatch)
         birkhoff(Mat(m.rows))
-        assert calls == [2]  # the check and the weights
+        assert calls == [1]  # the check; the weights are the peel's ints
         birkhoff(m)
-        assert calls == [3]  # random_ds's check cleared m: the weights only
+        assert calls == [1]  # random_ds's check cleared m
 
     def test_birkhoff_leaves_the_kept_frame_as_it_was(self):
         rng = random.Random(17)

@@ -41,16 +41,22 @@ def test_every_private_helper_has_a_caller():
 
 def test_every_test_helper_has_a_caller():
     # An oracle that no test compares against checks nothing; a helper
-    # only its own body refers to is dead too.
+    # only its own body refers to is dead too, and so is a module or name
+    # imported into the helpers that none of their code reads.
     helpers = ast.parse((TESTS / "helpers.py").read_text(encoding="utf-8"))
     used = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
                          for path in sorted(TESTS.glob("test_*.py"))))
+    read = {node.id for node in ast.walk(helpers) if isinstance(node, ast.Name)}
     unused = []
     for node in helpers.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             others = ast.Module([n for n in helpers.body if n is not node], [])
             if node.name not in used | _references(others):
                 unused.append(node.name)
+        elif (isinstance(node, ast.Import)
+              or isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            unused += [name for name in bound if name not in read]
     assert unused == []
 
 

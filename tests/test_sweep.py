@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import majorkit
-from majorkit import Vec, isotone, numerics
+from majorkit import Perm, Vec, doubly_stochastic, isotone, numerics
 
 SWEEP_PATH = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
-EXTRAS = {"images": 0, "words": 0, "clears": 0, "perm_checks": 0}
+EXTRAS = {"images": 0, "words": 0, "augments": 0, "clears": 0, "perm_checks": 0}
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,18 @@ def test_a_kernel_missing_from_the_list_is_an_error(sweep, monkeypatch):
     # some points only; the patched names are restored all the same.
     monkeypatch.setattr(sweep, "KERNELS", sweep.KERNELS[1:])
     orbit, rng_class, perm_init = isotone._orbit, random.Random, numerics.Perm.__init__
+    augment = doubly_stochastic._augment
     x, y = Vec([1, 1]), Vec([2, 0])
     with pytest.raises(RuntimeError, match="majorization.prefix_sums"):
         sweep._counted(lambda: majorkit.first_violation(x, y))
     assert isotone._orbit is orbit and random.Random is rng_class
-    assert numerics.Perm.__init__ is perm_init
+    assert numerics.Perm.__init__ is perm_init and doubly_stochastic._augment is augment
+
+
+def test_augments_count_the_peels_searches(sweep):
+    # A permutation matrix is one peel: one search per row, then its
+    # peel empties every cell and nothing is rematched.
+    d = majorkit.DoublyStochastic(Perm([2, 0, 1]).matrix())
+    dec, counters = sweep._counted(lambda: majorkit.birkhoff(d))
+    assert len(dec.terms) == 1
+    assert counters["augments"] == 3 and counters["clears"] == 0

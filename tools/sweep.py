@@ -16,8 +16,10 @@ pays.  The counters come from one more, untimed run under
 ``bench/tracer.py``: the calls of every kernel it times (prefix sums,
 mat-vecs, ..., 0 when never called) and the result counters it records
 (transforms, terms, extremizers, ...), plus what it does not see, the
-orbit images read, the ``getrandbits`` words drawn, the ``clears``, calls
-of ``numerics._clear_denominators``, the ``perm_checks``, calls of
+orbit images read, the ``getrandbits`` words drawn, the ``augments``,
+calls of ``doubly_stochastic._augment`` (one augmenting-path search of the
+Birkhoff peel each), the ``clears``, calls of
+``numerics._clear_denominators``, the ``perm_checks``, calls of
 ``Perm.__init__``, which checks its image, and
 what the point's result reports (draws, reported-sum characters, report
 bytes, extremizer and verify counts), so a reader can tell less work
@@ -54,7 +56,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import hostspeed  # noqa: E402
 import majorkit as mk  # noqa: E402
-from majorkit import cli, isotone, numerics  # noqa: E402
+from majorkit import cli, doubly_stochastic, isotone, numerics  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
@@ -79,10 +81,12 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 def _counted(run) -> tuple[object, dict]:
     """``run()`` once under the tracer: its kernel calls and counters, summed
-    over every span, with the orbit images, ``getrandbits`` words, clears
-    and permutation checks; each kernel and extra reads 0 when never called."""
-    extra = {"images": 0, "words": 0}
+    over every span, with the orbit images, ``getrandbits`` words, augmenting-path
+    searches, clears and permutation checks; each kernel and extra reads 0
+    when never called."""
+    extra = {"images": 0, "words": 0, "augments": 0}
     orbit, rng_class = isotone._orbit, random.Random
+    augment = doubly_stochastic._augment
     clear, clears = numerics._clear_denominators, [0]
     perm_init, perm_checks = numerics.Perm.__init__, [0]
     holders = [module for name, module in sys.modules.items()
@@ -97,6 +101,10 @@ def _counted(run) -> tuple[object, dict]:
         perm_checks[0] += 1
         perm_init(self, image)
 
+    def counted_augment(*search):
+        extra["augments"] += 1
+        return augment(*search)
+
     def counted_orbit(*args):
         for image in orbit(*args):
             extra["images"] += 1
@@ -109,6 +117,7 @@ def _counted(run) -> tuple[object, dict]:
 
     tracer = Tracer()
     isotone._orbit, random.Random = counted_orbit, Counting
+    doubly_stochastic._augment = counted_augment
     numerics.Perm.__init__ = counted_perm_init
     for module in holders:
         module._clear_denominators = counted_clear
@@ -118,6 +127,7 @@ def _counted(run) -> tuple[object, dict]:
     finally:
         tracer.uninstall()
         isotone._orbit, random.Random = orbit, rng_class
+        doubly_stochastic._augment = augment
         numerics.Perm.__init__ = perm_init
         for module in holders:
             module._clear_denominators = clear
