@@ -31,9 +31,11 @@ draws and reports the same verdict: when every adjacent column swap only
 permutes them (:func:`_rows_symmetric`), A is globally isotone, which
 passes the global sampler and both upward predicates at once.
 One forward scan of the orbit decides every orbit quantifier: it stops
-at the image that decides a failure and reads every image of a holding
-orbit.  The samplers run it first (the orbit lies above the anchor too),
-so when equivalence fails they fail too, even at 0 trials.
+at the image that decides a failure, and at the second image of an orbit
+whose rows certify A, as every image is then a rearrangement of
+``A alpha``; a holding orbit the rows decline is read to its last image.
+The samplers run it first (the orbit lies above the anchor too), so when
+equivalence fails they fail too, even at 0 trials.
 
 Every image is evaluated by one integer kernel on the frames that ``Mat``
 and ``Vec`` cache, so A and the anchor are cleared at most once, whatever
@@ -170,23 +172,33 @@ def _first_below(images, base):
 
 
 def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
-                ) -> tuple[tuple[int, ...], dict[str, IsotoneVerdict] | None]:
+                ) -> tuple[tuple[int, ...] | None, dict[str, IsotoneVerdict] | None]:
     """The profile of ``A alpha`` on A's frame and, unless every orbit image
     is equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
-    their :class:`StatementCheck` field.
+    their :class:`StatementCheck` field; ``(None, None)`` when A's rows
+    certify global isotonicity.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
     found in one forward pass: ``moved``, the first image with another
     profile, then ``below``, the first not majorized by ``A alpha`` (every
     image before ``moved`` has its profile).  A pairwise (target, source)
     scan first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
+    Unless the second image is ``moved``, A's rows are read once
+    (:func:`_rows_symmetric`), before the third: when they certify, every
+    image is a rearrangement of ``A alpha`` and no ``moved`` exists, so the
+    scan stops there; when they decline, it reads on in the same order,
+    so a holding ``(base, None)`` means they declined and no caller reads
+    them again.  The guard trips on the call, before the rows are read.
     """
     _require_square(a, anchor)
     den, nums = anchor.alpha._frame
     images = _images(a._frame[1], nums, guard)
     first = next(images)
     base = first[2]
-    moved = next((row for row in images if row[2] != base), None)
+    second = next(images, first)
+    if second[2] == base and _rows_symmetric(a._frame[1]):
+        return None, None
+    moved = next((row for row in chain((second,), images) if row[2] != base), None)
     if moved is None:
         return base, None
     below = _first_below(chain((moved,), images), base)
@@ -364,7 +376,10 @@ def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
     (Hardy-Littlewood-Polya; Marshall, Olkin & Arnold, *Inequalities*,
     2nd ed., 2011, ch. 2).  So every global trial passes, ``right``
     holds (``P alpha`` below ``y`` gives ``A P alpha`` below ``A y``) and
-    so does ``point``'s upward half.  Equal column sums follow (each swap
+    so does ``point``'s upward half.  Each orbit image ``A Q alpha =
+    P_Q (A alpha)`` is a rearrangement of ``A alpha``, so ``left`` and
+    ``equiv`` hold at every anchor, tied ones included, and the orbit
+    scan stops at its second image.  Equal column sums follow (each swap
     fixes their vector), and no global form is assumed:
     :func:`classify_global` is never read, so the joint verifier's global
     bit still tests the classification.
@@ -376,12 +391,12 @@ def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
 
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
-    """The orbit scan's ``side`` verdict, else the pass certified from A's
-    rows, else :func:`_upward_verdict`'s."""
+    """The orbit scan's ``side`` verdict, else the pass it certified from
+    A's rows, else :func:`_upward_verdict`'s."""
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
-    if _rows_symmetric(a._frame[1]):
+    if base is None:
         return IsotoneVerdict(True, trials=trials)
     return _upward_verdict(a, anchor, base, trials, seed, side)
 
@@ -619,11 +634,11 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     through the individual predicates instead.  One orbit scan decides
     the orbit half of every statement; when it fails, all five verdicts
     come from it (the global witness is a pair of orbit points) and the
-    samplers run only when it holds.  Then A's rows are read once
-    (:func:`_rows_symmetric`); when they certify, ``right``, ``point``
-    and ``global_sampled`` all pass without a draw, as a clean sampler run
-    would.  When they decline, the ``right``, ``point`` and global
-    streams draw.
+    samplers run only when it holds.  The scan reads A's rows once
+    (:func:`_rows_symmetric`) unless its second image fails; when they
+    certify, ``right``, ``point`` and ``global_sampled`` all pass without
+    a draw, as a clean sampler run would.  When they decline, the
+    ``right``, ``point`` and global streams draw.
     """
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
@@ -635,7 +650,7 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
             failed[k] for k in ("left", "right", "point", "equiv", "global_sampled"))
     else:
         left = equiv = IsotoneVerdict(True)
-        if trials <= 0 or _rows_symmetric(a._frame[1]):  # nothing to draw, or to refute
+        if trials <= 0 or base is None:  # nothing to draw, or to refute
             right = point = global_sampled = IsotoneVerdict(True, trials=trials)
         else:
             right = _upward_verdict(a, anchor, base, trials, seed, "right")

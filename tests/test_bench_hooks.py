@@ -63,23 +63,28 @@ def test_uninstall_restores_every_patched_attribute(tracer):
     assert changed == []
 
 
-@pytest.mark.parametrize("rows, profiled", [
-    ([[2, 1, 1], [1, 1, 2], [1, 2, 1]], 6),  # J plus a permutation
-    ([[1, 2, 0], [0, 1, 3], [2, 0, 1]], 2),  # fails at the second image
-], ids=["holds", "fails"])
-def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer, rows, profiled):
-    # The anchor (3, 2, 1) has 6 distinct rearrangements.  The orbit scan
-    # profiles each image it reads through desc_prefix_sums: all 6 when
-    # the orbit holds, and only up to the deciding image when it fails.
+@pytest.mark.parametrize("rows, alpha, holds, profiled", [
+    # J plus a permutation: A's rows certify it at the second image.
+    ([[2, 1, 1], [1, 1, 2], [1, 2, 1]], [3, 2, 1], True, 2),
+    ([[1, 2, 0], [0, 1, 3], [2, 0, 1]], [3, 2, 1], False, 2),
+    # Its rows decline and its orbit of 3 images holds: all are read.
+    ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], [1, 0, 0], True, 3),
+], ids=["holds", "fails", "tied"])
+def test_orbit_images_are_counted_as_prefix_sum_kernels(tracer, rows, alpha, holds,
+                                                        profiled):
+    # The orbit scan profiles each image it reads through desc_prefix_sums:
+    # up to the deciding image when the orbit fails, 2 when A's rows
+    # certify the holding orbit there, and every image when they decline.
     a = Mat(rows)
     tracer.install(majorkit)
     try:
-        majorkit.is_equiv_preserving_at(a, AnchorPoint(Vec([3, 2, 1])))
+        verdict = majorkit.is_equiv_preserving_at(a, AnchorPoint(Vec(alpha)))
     finally:
         tracer.uninstall()
     equiv = tracer.summary()["isotone.equiv"]
     assert equiv["calls"] == 1
     assert equiv["kernels"].get("majorization.prefix_sums", [0, 0])[0] == profiled
+    assert verdict.holds == holds
 
 
 _PLANTED8 = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),

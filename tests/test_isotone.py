@@ -5,7 +5,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -786,11 +786,11 @@ class TestOrbitScanIsOneForwardPass:
     @pytest.mark.parametrize("alpha", [range(8, 0, -1), (3, 3, 2, 2, 1, 1, 0, 0)],
                              ids=["strict", "tied"])
     def test_holding_orbit_builds_no_perm_and_keeps_no_memo(self, monkeypatch,
-                                                            alpha):
-        # A planted form holds at every anchor, so the scan reads every one
-        # of the 8! images.  It may build no Perm, checked or trusted (a
-        # Perm is built only for a witness) and hold nothing that grows
-        # with the orbit.
+                                                            rows_declined, alpha):
+        # A planted form holds at every anchor, and with A's rows declined
+        # the scan reads every one of the 8! images.  It may build no Perm,
+        # checked or trusted (a Perm is built only for a witness) and hold
+        # nothing that grows with the orbit.
         a = PermScaled(Fraction(3, 2), Fraction(-1, 3),
                        Perm([3, 0, 7, 5, 1, 6, 2, 4])).as_matrix()
         anchor = AnchorPoint(Vec(alpha))
@@ -1149,6 +1149,79 @@ class TestSamplerStreams:
             is_global_isotone_sampled(a, trials=1, guard=50)
 
 
+def _row_multisets(n, values):
+    """One row order for each row multiset of the box of :func:`_box`:
+    permuting A's rows changes no profile and no witness."""
+    return combinations_with_replacement(product(values, repeat=n), n)
+
+
+# The predicates that run the orbit scan, keyed by the verdict each
+# reports, and every public call that runs it: they and the joint verifier,
+# which takes strict anchors only.
+_PREDICATES = {
+    "equiv": lambda a, anchor: is_equiv_preserving_at(a, anchor),
+    "left": lambda a, anchor: is_left_isotone_at(a, anchor),
+    "right": lambda a, anchor: is_right_isotone_at(a, anchor, trials=5, seed=7),
+    "point": lambda a, anchor: is_isotone_at(a, anchor, trials=5, seed=7),
+}
+_SCAN_CALLS = {**_PREDICATES, "verify": lambda a, anchor: verify_statements(
+    a, anchor, trials=5, seed=7)}
+
+
+def _holds(result):
+    """A verdict's ``holds``, or whether all five statements of a joint check do."""
+    return result.all_hold if isinstance(result, isotone.StatementCheck) else result.holds
+
+
+def _reports(cells):
+    """The ``repr`` of every scan call on every ``(a, anchor)`` cell, the
+    joint verifier's at strict anchors only."""
+    return [repr(call(a, anchor)) for a, anchor in cells
+            for call in (_SCAN_CALLS if anchor.strictly_decreasing
+                         else _PREDICATES).values()]
+
+
+def _seeded_forms(n):
+    """Seeded trace maps and scaled permutations, each followed by a
+    one-entry perturbation of it."""
+    rng = random.Random(f"settle:{n}")
+    for _ in range(2):
+        for form in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
+            yield form
+            yield perturb_entry(form, rng)
+
+
+@pytest.fixture
+def images_read(monkeypatch):
+    """The perm image of every orbit image the scans read, in order."""
+    read, orbit = [], isotone._orbit
+
+    def counting(values, guard):
+        images = orbit(values, guard)  # the guard trips on the call
+
+        def reading():
+            for image in images:
+                read.append(image[0])
+                yield image
+        return reading()
+
+    monkeypatch.setattr(isotone, "_orbit", counting)
+    return read
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """The answer of every read of the row certificate, in order."""
+    reads, rows_symmetric = [], isotone._rows_symmetric
+
+    def counting(rows):
+        reads.append(rows_symmetric(rows))
+        return reads[-1]
+
+    monkeypatch.setattr(isotone, "_rows_symmetric", counting)
+    return reads
+
+
 # The exhaustive boxes (n, entry values) with the number of their
 # matrices that fit a global form.
 _ROW_BOXES = {(2, tuple(range(-2, 3))): 45, (3, (-1, 0, 1)): 63, (4, (0, 1)): 64}
@@ -1214,16 +1287,16 @@ class TestRowCertificate:
                                        (1, 1, 1)])
     def test_no_certified_cell_of_the_n3_box_is_refuted(self, alpha, monkeypatch):
         # At strict, tied and constant anchors, every matrix of the n = 3
-        # box that the rows certify holds its orbit, and once the
-        # certificate declines no draw above the anchor refutes it.
+        # box that the rows certify holds its orbit, read in full once the
+        # certificate declines, and no draw above the anchor refutes it.
         # Permuting A's rows leaves every profile, so each row multiset is
         # drawn for once.
         anchor = AnchorPoint(Vec(alpha))
         held = [rows for rows in _box(3, (-1, 0, 1)) if _rows_symmetric(rows)]
         assert len(held) == _ROW_BOXES[3, (-1, 0, 1)]
+        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
         assert [rows for rows in held
                 if _orbit_scan(Mat(rows), anchor, None, 3)[1] is not None] == []
-        monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: False)
         refuted = [(rows, predicate.__name__)
                    for rows in sorted({tuple(sorted(rows)) for rows in held})
                    for predicate in (is_right_isotone_at, is_isotone_at)
@@ -1278,9 +1351,10 @@ class TestRowCertificate:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_reading_it_changes_no_verdict(self, n, words, monkeypatch):
-        # The row test is read only on a holding orbit, where the theorem
-        # leaves only planted forms; the global sampler reads it on every
-        # cell.  A planted form draws no word when it is read.
+        # The orbit scan reads the row test only when its second image keeps
+        # the anchor's profile, and it certifies only planted forms; the
+        # global sampler reads it on every cell.  A planted form draws no
+        # word when it is read.
         rng = random.Random(f"rows:{n}")
         anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
         cells = list(campaign_matrices(n, 4, 5))
@@ -1303,8 +1377,9 @@ class TestRowCertificate:
 
     @pytest.mark.parametrize("declines", [False, True])
     def test_each_public_call_reads_the_rows_at_most_once(self, monkeypatch, declines):
-        # Declined, the joint verifier's global stream must not read them
-        # again; a failing orbit reads them not at all.
+        # Every scan call reads them once, in the orbit scan; declined, no
+        # caller and not the joint verifier's global stream reads them
+        # again.  An orbit failing at its second image reads them not at all.
         reads, rows_symmetric = [], isotone._rows_symmetric
         monkeypatch.setattr(isotone, "_rows_symmetric", lambda rows: (
             reads.append(1) or (not declines and rows_symmetric(rows))))
@@ -1312,10 +1387,10 @@ class TestRowCertificate:
         planted = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         failing = Mat([[1, 2, 0, 0], [0, 1, 3, 0], [2, 0, 1, 0], [0, 0, 0, 1]])
         for a, read in ((planted, [1]), (failing, [])):
-            for call in (verify_statements, is_right_isotone_at, is_isotone_at):
+            for name, call in _SCAN_CALLS.items():
                 reads.clear()
-                call(a, anchor, trials=20, seed=1)
-                assert reads == read, (call.__name__, a)
+                call(a, anchor)
+                assert reads == read, (name, a)
             reads.clear()
             is_global_isotone_sampled(a, trials=20, seed=1)
             assert reads == [1]
@@ -1331,6 +1406,93 @@ class TestRowCertificate:
             q = data.draw(st.permutations(range(len(rows))))
             moved = [tuple(row[j] for j in q) for row in rows]
             assert sorted(moved) == sorted(rows)
+
+
+class TestRowsSettleAHoldingOrbit:
+    """The orbit scan reads A's rows when its second image keeps the
+    anchor's profile and stops there when they certify; every verdict
+    equals the full scan's, kept behind a declined certificate
+    (``rows_declined``) as the oracle."""
+
+    @pytest.mark.parametrize("alpha, held", [
+        ((3, 2, 1), 16), ((1, 0, 0), 69), ((1, 1, 0), 24), ((2, 1, 1), 18)])
+    def test_the_n3_box_matches_the_full_scan(self, alpha, held, request):
+        # ``held`` counts the multisets whose orbit holds, as the full scan
+        # read them before the rows could settle an orbit: a certificate
+        # that passed a failing orbit would change it on both sides.
+        anchor = AnchorPoint(Vec(alpha))
+        cells = [(Mat(rows), anchor) for rows in _row_multisets(3, (-1, 0, 1))]
+        assert len(cells) == 3654
+        settled = _reports(cells)
+        request.getfixturevalue("rows_declined")
+        assert settled == _reports(cells)
+        assert sum(is_equiv_preserving_at(a, anchor).holds for a, _ in cells) == held
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_seeded_forms_and_perturbations_match_the_full_scan(self, n, request):
+        rng = random.Random(f"settle:anchors:{n}")
+        strict = AnchorPoint(rand_strictly_decreasing(rng, n))
+        tied = AnchorPoint(Vec(sorted((rng.choice((-2, 1, 3)) for _ in range(n)),
+                                      reverse=True)))
+        cells = [(a, anchor) for a in _seeded_forms(n) for anchor in (strict, tied)]
+        settled = _reports(cells)
+        request.getfixturevalue("rows_declined")
+        assert settled == _reports(cells)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("make", [random_trace_map, random_perm_scaled],
+                             ids=["trace", "scaled"])
+    @pytest.mark.parametrize("name", _SCAN_CALLS)
+    def test_a_planted_form_reads_two_images_and_the_rows_once(
+            self, n, make, name, images_read, rows_read, words):
+        # The certified scan tells its caller so, and nothing is drawn.
+        rng = random.Random(f"settle:count:{n}")
+        a, anchor = make(n, rng), AnchorPoint(rand_strictly_decreasing(rng, n))
+        words[0] = 0  # the fixture counts the words drawn for the cell too
+        assert _holds(_SCAN_CALLS[name](a, anchor))
+        assert images_read == [tuple(range(n)), (*range(n - 2), n - 1, n - 2)]
+        assert rows_read == [True]
+        assert words == [0]
+
+    @pytest.mark.parametrize("name, alpha, images", [
+        *((name, (5, 4, 3, 2, 1), 120) for name in _SCAN_CALLS),
+        *((name, (5, 4, 4, 2, 1), 60) for name in _PREDICATES),
+    ])
+    def test_declined_rows_are_read_once_and_every_image_after(
+            self, name, alpha, images, images_read, monkeypatch):
+        # The scan reads every distinct rearrangement, in the order of the
+        # first perm giving each; the joint verifier's global draws then
+        # read the orbits of their own vectors.
+        reads = []
+        monkeypatch.setattr(isotone, "_rows_symmetric",
+                            lambda rows: reads.append(rows) and False)
+        a = random_perm_scaled(5, random.Random("settle:declined"))
+        assert _holds(_SCAN_CALLS[name](a, AnchorPoint(Vec(alpha))))
+        assert reads == [a._frame[1]]
+        scan = images_read[:images]
+        assert len(set(scan)) == images and scan == sorted(scan)
+        assert len(images_read) > images if name == "verify" else \
+            len(images_read) == images
+
+    @pytest.mark.parametrize("name", _SCAN_CALLS)
+    def test_the_guard_trips_before_the_rows_are_read(self, name, monkeypatch):
+        monkeypatch.setattr(isotone, "_rows_symmetric", _raise_on_call)
+        n = numerics.DEFAULT_GUARD + 1
+        a = random_perm_scaled(n, random.Random("settle:guard"))
+        with pytest.raises(GuardExceeded):
+            _SCAN_CALLS[name](a, AnchorPoint(Vec(range(n, 0, -1))))
+
+    def test_a_certified_cell_with_no_global_form_reads_inconsistent(
+            self, monkeypatch, rows_read):
+        # The certificate never reads classify_global, so were it to miss
+        # a form, the joint verifier would still report the conflict.
+        monkeypatch.setattr(isotone, "classify_global", lambda a: None)
+        a = random_perm_scaled(4, random.Random("settle:unclassified"))
+        check = verify_statements(a, AnchorPoint(Vec([4, 3, 2, 1])), trials=5, seed=1)
+        assert rows_read == [True]
+        assert check.bits == (True, True, True, True, False)
+        assert not check.consistent
+        assert check.advisory_disagreement == ("right", "point", "global_sampled")
 
 
 _tie_pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
