@@ -145,7 +145,9 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
 
     transforms: list[TTransform] = []
     # chain row r is nums[r] / dens[r]
-    nums = [[int(r == c) for c in range(n)] for r in range(n)]
+    nums = [[0] * n for _ in range(n)]
+    for r, row in enumerate(nums):
+        row[r] = 1
     dens = [1] * n
     while xs != vs:
         j = max(i for i in range(n) if xs[i] < vs[i])

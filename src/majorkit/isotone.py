@@ -49,7 +49,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from operator import gt, mul
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -151,7 +151,12 @@ def _require_square(a: Mat, anchor: AnchorPoint | None = None) -> int:
 # are built for witnesses only.
 
 def _vec(nums: Sequence[int], den: int) -> Vec:
-    return Vec(Fraction(v, den) for v in nums)
+    """The witness ``nums / den``, built once through the trusted ``Vec._of``;
+    over ``den == 1``, every integer anchor's, each entry is an int's
+    ``Fraction``, with no gcd."""
+    if den == 1:
+        return Vec._of(tuple(map(Fraction, nums)))
+    return Vec._of(tuple([Fraction(v, den) for v in nums]))
 
 
 def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -176,42 +181,61 @@ def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
     """The profile of ``A alpha`` on A's frame and, unless every orbit image
     is equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
     their :class:`StatementCheck` field; ``(None, None)`` when A's rows
-    certify global isotonicity.
+    certify global isotonicity.  Raises :class:`DimensionMismatch` unless
+    A is square and the anchor as long; a caller that checked that already
+    calls :func:`_orbit_scan_body`.
+    """
+    _require_square(a, anchor)
+    return _orbit_scan_body(a, anchor, trials, guard)
+
+
+def _orbit_scan_body(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
+                     ) -> tuple[tuple[int, ...] | None, dict[str, IsotoneVerdict] | None]:
+    """:func:`_orbit_scan` on a square A and an anchor as long.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
     found in one forward pass: ``moved``, the first image with another
     profile, then ``below``, the first not majorized by ``A alpha`` (every
-    image before ``moved`` has its profile).  A pairwise (target, source)
-    scan first fails on ``(below, anchor)``, else on ``(anchor, moved)``.
-    Unless the second image is ``moved``, A's rows are read once
-    (:func:`_rows_symmetric`), before the third: when they certify, every
-    image is a rearrangement of ``A alpha`` and no ``moved`` exists, so the
-    scan stops there; when they decline, it reads on in the same order,
-    so a holding ``(base, None)`` means they declined and no caller reads
-    them again.  The guard trips on the call, before the rows are read.
+    image before ``moved`` has its profile).  Each is tested on the image
+    in hand before the rest are read.  A pairwise (target, source) scan
+    first fails on ``(below, anchor)``, else on ``(anchor, moved)``, so one
+    of the two witness perms is the identity, the anchor's own image: the
+    global witness ``source target^-1`` is ``below``'s perm, else the
+    inverse of ``moved``'s.  Unless the second image is ``moved``, A's rows
+    are read once (:func:`_rows_symmetric`), before the third: when they
+    certify, every image is a rearrangement of ``A alpha`` and no
+    ``moved`` exists, so the scan stops there; when they decline, it reads
+    on in the same order, so a holding ``(base, None)`` means they
+    declined and no caller reads them again.  The guard trips on the call,
+    before the rows are read.
     """
-    _require_square(a, anchor)
     den, nums = anchor.alpha._frame
-    images = _images(a._frame[1], nums, guard)
+    rows = a._frame[1]
+    images = _images(rows, nums, guard)
     first = next(images)
     base = first[2]
-    second = next(images, first)
-    if second[2] == base and _rows_symmetric(a._frame[1]):
-        return None, None
-    moved = next((row for row in chain((second,), images) if row[2] != base), None)
-    if moved is None:
-        return base, None
-    below = _first_below(chain((moved,), images), base)
-    (ps, _, _), (pt, y, _) = (below, first) if below else (first, moved)
-    ps, pt, y = Perm._of(ps), Perm._of(pt), _vec(y, den)
+    moved = next(images, first)
+    if moved[2] == base:
+        if _rows_symmetric(rows):
+            return None, None
+        moved = next((row for row in images if row[2] != base), None)
+        if moved is None:
+            return base, None
+    pm = Perm._of(moved[0])
+    below = (moved if _profile_violation(moved[2], base) is not None
+             else _first_below(images, base))
+    if below:  # the pair (below, anchor)
+        ps = pm if below is moved else Perm._of(below[0])
+        pt, y, perm = Perm._of(first[0]), _vec(nums, den), ps
+    else:  # the pair (anchor, moved)
+        ps, pt, y, perm = Perm._of(first[0]), pm, _vec(moved[1], den), pm.inverse()
     return base, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
         "point": IsotoneVerdict(False, {"perm": ps}) if below
         else IsotoneVerdict(False, {"y": y}, trials=trials),
-        "equiv": IsotoneVerdict(False, {"perm": Perm._of(moved[0])}),
-        "global_sampled": IsotoneVerdict(
-            False, {"perm": ps.compose(pt.inverse()), "y": y}, trials=trials),
+        "equiv": IsotoneVerdict(False, {"perm": pm}),
+        "global_sampled": IsotoneVerdict(False, {"perm": perm, "y": y}, trials=trials),
     }
 
 
@@ -365,8 +389,14 @@ def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
     """Whether swapping any two adjacent columns of the integer ``rows``
     of A only permutes them, which makes A globally isotone.
 
-    It compares the sorted rows of ``A tau_m`` with those of A for each
-    adjacent swap ``tau_m``, ``m < n - 1``: O(n^3 log n) work, and no
+    For each adjacent swap ``tau_m``, ``m < n - 1``, it compares only the
+    rows ``tau_m`` moves, those whose entries at ``m`` and ``m + 1``
+    differ, sorted, with their swapped images, sorted.  That is the whole
+    multiset test: a row with equal entries there is fixed by the swap,
+    and a moved row keeps its two entries unequal, so it never becomes a
+    fixed row; the fixed rows are on both sides and cancel.  A trace map
+    moves no row and a scaled permutation plus constant two per swap, so
+    both forms take O(n^2) work; any A takes at most O(n^3 log n), and no
     ``2^n`` or ``n!`` term.  Proof: when it holds, ``A tau_m = P_m A``
     for a row permutation ``P_m``, and the adjacent swaps generate every
     permutation ``Q``, so ``A Q = P_Q A``.  If ``x`` is majorized by
@@ -384,9 +414,12 @@ def _rows_symmetric(rows: Sequence[tuple[int, ...]]) -> bool:
     :func:`classify_global` is never read, so the joint verifier's global
     bit still tests the classification.
     """
-    ranked = sorted(rows)
-    return all(sorted(row[:m] + (row[m + 1], row[m]) + row[m + 2:] for row in rows)
-               == ranked for m in range(len(rows) - 1))
+    for m in range(len(rows) - 1):
+        moved = [row for row in rows if row[m] != row[m + 1]]
+        if sorted(moved) != sorted([row[:m] + (row[m + 1], row[m]) + row[m + 2:]
+                                    for row in moved]):
+            return False
+    return True
 
 
 def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
@@ -643,7 +676,7 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    base, failed = _orbit_scan(a, anchor, trials, guard)
+    base, failed = _orbit_scan_body(a, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = (

@@ -327,6 +327,29 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
                           consistent, advisory)
 
 
+# The all-rows row certificate, the composed global witness and the
+# checked witness vector, kept as oracles for the moved-rows test, the
+# witness read off the identity image and the trusted ``isotone._vec``.
+
+def oracle_rows_symmetric(rows) -> bool:
+    """Whether the sorted rows of ``A tau_m`` equal A's for every adjacent
+    column swap ``tau_m``, all rows sorted."""
+    ranked = sorted(rows)
+    return all(sorted(row[:m] + (row[m + 1], row[m]) + row[m + 2:] for row in rows)
+               == ranked for m in range(len(rows) - 1))
+
+
+def oracle_global_perm(left_witness) -> Perm:
+    """The orbit scan's global witness perm, ``source target^-1``, from the
+    ``left`` witness's pair."""
+    return left_witness["source_perm"].compose(left_witness["target_perm"].inverse())
+
+
+def oracle_vec(nums, den: int) -> Vec:
+    """``nums / den`` through the checked ``Vec`` constructor."""
+    return Vec(Fraction(v, den) for v in nums)
+
+
 # The two-candidate-rule classify_global and the running-extreme
 # extremizer scan, kept as oracles for the one-rule classify_global and
 # for extremizer_sets, which takes its extreme values from extremes().

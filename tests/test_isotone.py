@@ -63,12 +63,15 @@ from helpers import (
     oracle_equiv,
     oracle_first_violation,
     oracle_global,
+    oracle_global_perm,
     oracle_left,
     oracle_orbit,
     oracle_point,
     oracle_random_distinct_vec,
     oracle_right,
+    oracle_rows_symmetric,
     oracle_sample_above,
+    oracle_vec,
     oracle_verify,
     rand_strictly_decreasing,
     rand_vec,
@@ -1493,6 +1496,111 @@ class TestRowsSettleAHoldingOrbit:
         assert check.bits == (True, True, True, True, False)
         assert not check.consistent
         assert check.advisory_disagreement == ("right", "point", "global_sampled")
+
+
+@st.composite
+def _int_rows(draw):
+    """Integer rows at n <= 6: a planted form, perhaps with one entry
+    bumped, or entries from a small box, where ties are common."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.sampled_from([(0, 1), (-1, 0, 1), tuple(range(-9, 10))]))
+    rows = [[draw(st.sampled_from(values)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        image = draw(st.permutations(range(n)))
+        c, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows = [[b + c * (image[i] == j) for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+    return tuple(map(tuple, rows))
+
+
+def _one_row_of_ones(n):
+    """``I + e_k 1^T`` for each k: equal column sums, rows the certificate
+    declines, and at many anchors a failing orbit with every image below
+    ``A alpha``, so the scan's witness pair is ``(anchor, moved)``."""
+    for k in range(n):
+        yield Mat([[int(i == j) + (i == k) for j in range(n)] for i in range(n)])
+
+
+class TestCellFixedWork:
+    """A cell's fixed work, each fast form against its kept oracle: the
+    row certificate reads only the rows a swap moves, the global witness
+    is read off the identity image, and the witness vector is built once."""
+
+    @pytest.mark.parametrize("box", [(3, (-1, 0, 1)), (4, (0, 1))], ids=["n3", "n4"])
+    def test_moved_rows_decide_as_all_rows_on_the_box(self, box):
+        certified = 0
+        for rows in _box(*box):
+            got = _rows_symmetric(rows)
+            assert got == oracle_rows_symmetric(rows), rows
+            certified += got
+        assert certified == _ROW_BOXES[box]
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_int_rows())
+    def test_moved_rows_decide_as_all_rows(self, rows):
+        assert _rows_symmetric(rows) == oracle_rows_symmetric(rows)
+
+    def test_the_global_witness_is_source_after_target_inverse(self):
+        # Through the joint verifier at strict anchors and the scan itself
+        # at tied ones, over seeded pools and cells whose failing orbit has
+        # no image above A alpha; both witness pairs occur.
+        pairs = set()
+        for n in range(2, 8):
+            rng = random.Random(f"witness:{n}")
+            strict = AnchorPoint(rand_strictly_decreasing(rng, n))
+            tied = AnchorPoint(Vec(sorted((rng.choice((-2, 1, 3)) for _ in range(n)),
+                                          reverse=True)))
+            cells = [a for _, a in campaign_matrices(n, 8, n)]
+            cells += _one_row_of_ones(n)
+            for i, a in enumerate(cells):
+                check = verify_statements(a, strict, trials=5, seed=i)
+                _, failed = _orbit_scan(a, tied, 5, n)
+                verdicts = [(check.left, check.right, check.global_sampled)]
+                if failed:
+                    verdicts.append((failed["left"], failed["right"],
+                                     failed["global_sampled"]))
+                for left, right, global_sampled in verdicts:
+                    if left.holds:
+                        continue
+                    assert global_sampled.witness == {
+                        "perm": oracle_global_perm(left.witness),
+                        "y": right.witness["y"]}
+                    identity = Perm.identity(n)
+                    pairs.add((left.witness["source_perm"] == identity,
+                               left.witness["target_perm"] == identity))
+        assert pairs == {(False, True), (True, False)}
+
+    @settings(max_examples=300)
+    @given(nums=st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=8),
+           den=st.one_of(st.just(1), st.integers(2, 12), st.integers(1, 10**6)),
+           as_tuple=st.booleans())
+    @example(nums=[0, -3, 6], den=1, as_tuple=True)
+    @example(nums=[0, -3, 6], den=6, as_tuple=False)
+    @example(nums=[1, -3], den=2, as_tuple=True)
+    def test_the_witness_vector_is_the_checked_one(self, nums, den, as_tuple):
+        nums = tuple(nums) if as_tuple else nums
+        got, want = _vec(nums, den), oracle_vec(nums, den)
+        assert got == want and repr(got) == repr(want)
+        assert [type(v) for v in got] == [Fraction] * len(nums)
+        assert type(got.entries) is tuple
+        assert got._frame == want._frame
+
+    def test_a_cell_checks_its_shape_twice(self, monkeypatch):
+        # Once in the joint verifier, once in classify_global; the scan's
+        # body trusts the first.  A misshapen cell is still refused.
+        calls, require = [], isotone._require_square
+        monkeypatch.setattr(isotone, "_require_square",
+                            lambda *args: calls.append(args) or require(*args))
+        anchor = AnchorPoint(Vec([4, 3, 2, 1]))
+        for i, (_, a) in enumerate(campaign_matrices(4, 8, 1)):
+            calls.clear()
+            verify_statements(a, anchor, trials=5, seed=i)
+            assert calls == [(a, anchor), (a,)]
+        with pytest.raises(DimensionMismatch):
+            verify_statements(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), anchor)
+        with pytest.raises(DimensionMismatch):
+            verify_statements(Mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), anchor)
 
 
 _tie_pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),

@@ -195,6 +195,28 @@ def classify(n: int):
     return make, read
 
 
+def campaign(n: int):
+    """The seeded pool ``campaign_matrices(n, 8, 1)`` at a strict integer
+    anchor, each cell through ``verify_statements``: random cells failing
+    at an early image, planted forms the rows certify at the second, and
+    perturbed ones, one of which at n = 8 fails past image 5000."""
+    cells = [a.rows for _, a in isotone.campaign_matrices(n, 8, 1)]
+    alpha = list(range(n, 0, -1))
+
+    def make():
+        pool, anchor = [mk.Mat(rows) for rows in cells], mk.AnchorPoint(mk.Vec(alpha))
+        return lambda: [mk.verify_statements(a, anchor, trials=20, seed=i)
+                        for i, a in enumerate(pool)]
+
+    def read(checks):
+        _expect(all(check.consistent for check in checks),
+                f"every cell at n = {n} is consistent")
+        return {"cells": len(checks),
+                "all_true": sum(check.all_hold for check in checks),
+                "all_false": sum(not any(check.bits) for check in checks)}
+    return make, read
+
+
 def _pair(n: int, primes: bool) -> tuple[list[Fraction], list[Fraction]]:
     """``x`` majorized by ``y``: ``y`` seeded, ``x`` averages disjoint pairs of it."""
     rng = random.Random(f"sweep:check:{n}:{primes}")
@@ -326,6 +348,7 @@ LAYERS = (
     ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
     ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
     ("isotone.classify_global", (4, 8, 16), classify),
+    ("isotone.verify_statements", (4, 6, 8), campaign),
     ("cli.check.small_den", (256, 1024, 4096), _check(primes=False)),
     ("cli.check.prime_den", (256, 1024, 4096), _check(primes=True)),
     ("doubly_stochastic.witness_ds", (20, 40, 80), witness),
