@@ -181,17 +181,8 @@ def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
     """The profile of ``A alpha`` on A's frame and, unless every orbit image
     is equivalent to ``A alpha``, the failing orbit-half verdicts keyed by
     their :class:`StatementCheck` field; ``(None, None)`` when A's rows
-    certify global isotonicity.  Raises :class:`DimensionMismatch` unless
-    A is square and the anchor as long; a caller that checked that already
-    calls :func:`_orbit_scan_body`.
-    """
-    _require_square(a, anchor)
-    return _orbit_scan_body(a, anchor, trials, guard)
-
-
-def _orbit_scan_body(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
-                     ) -> tuple[tuple[int, ...] | None, dict[str, IsotoneVerdict] | None]:
-    """:func:`_orbit_scan` on a square A and an anchor as long.
+    certify global isotonicity.  A is square and the anchor as long: each
+    caller runs :func:`_require_square` first.
 
     Mutually majorizing images have equal profiles, so two rows decide all,
     found in one forward pass: ``moved``, the first image with another
@@ -246,6 +237,7 @@ def is_equiv_preserving_at(a: Mat, anchor: AnchorPoint,
     Holds iff ``A (P alpha)`` is equivalent to ``A alpha`` for every
     permutation ``P``; the witness on failure is the offending ``P``.
     """
+    _require_square(a, anchor)
     _, failed = _orbit_scan(a, anchor, None, guard)
     return failed["equiv"] if failed else IsotoneVerdict(True)
 
@@ -261,29 +253,16 @@ def is_left_isotone_at(a: Mat, anchor: AnchorPoint,
     permutations ``(source, target)`` with ``A (source alpha)`` not
     majorized by ``A (target alpha)``.
     """
+    _require_square(a, anchor)
     _, failed = _orbit_scan(a, anchor, None, guard)
     return failed["left"] if failed else IsotoneVerdict(True)
 
 
 # Every spreading step of _draws_above moves t = i/j with j drawn from
 # 1.._STEP_DEN, so its draws are integral at _STEP_SCALE times the anchor's
-# own scale, and the eight moves den * (_STEP_SCALE // j) are set up once
-# per stream.
+# own scale.
 _STEP_DEN = 8
 _STEP_SCALE = math.lcm(*range(1, _STEP_DEN + 1))  # 840
-
-
-def _below(bits, n: int) -> int:
-    """``Random._randbelow(n)`` for ``n >= 1``, word for word from ``bits``,
-    an ``rng.getrandbits``: draw ``n.bit_length()`` bits, redraw while
-    ``>= n``.  The samplers' hot loops decode their draws inline by this
-    rule; it stays the reference the tests pin and draws the pool path
-    of :func:`_random_distinct_vec`."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
 
 
 def _draws_above(nums: Sequence[int], den: int,
@@ -294,73 +273,23 @@ def _draws_above(nums: Sequence[int], den: int,
     A draw applies a short chain of spreading steps to the anchor, each
     moving positive mass from a smaller entry to a larger one (which
     preserves the total and pushes the vector up the order), then
-    shuffles the coordinates.  Its draws are those of ``randint``,
-    ``sample(range(n), 2)`` (the pool path, taken for ``n <= 21``; the n!
-    orbit read first bounds n) and ``shuffle``, word for word from
-    ``getrandbits``, as ``tests/test_isotone.py`` pins, each decoded inline
-    by :func:`_below`'s rule.  The scaled anchor, its rank order, the
-    step moves and the bit widths are set up once per stream; no word is
-    read before a draw is asked for.
-
-    A step picks the entries of ranks ``i < j`` in ``order``, the stable
-    reverse sort of the current values (``sorted(range(n),
-    key=vals.__getitem__, reverse=True)``): by value descending, ties by
-    lower index first.  That key, ``(-value, index)``, is a strict total
-    order, so the sorted order is the only one that satisfies it.  The
-    step raises ``order[i]`` and lowers ``order[j]`` and leaves every
-    other value, hence every other pair's comparison, as it was: the raised
-    entry can only overtake entries ahead of it and the lowered one only
-    fall behind entries after it, and the positions in between never
-    move.  Sliding the raised entry forward past each entry whose key it
-    now beats, then the lowered one backward likewise, therefore restores
-    exactly the stable reverse sort, and each step picks the entries
-    ``sorted`` would.
+    shuffles the coordinates.  No word is read before a draw is asked for.
     """
     n = len(nums)
     start = [v * _STEP_SCALE for v in nums]
     if n == 1:
         while True:
             yield tuple(start)
-    bits, last, top = rng.getrandbits, n - 1, 3 * n
-    k_top, k_n, k_last = top.bit_length(), n.bit_length(), last.bit_length()
-    k_num, k_den = (12).bit_length(), _STEP_DEN.bit_length()
-    moves = [den * (_STEP_SCALE // d) for d in range(1, _STEP_DEN + 1)]
-    swaps = [(i, (i + 1).bit_length()) for i in range(last, 0, -1)]
-    ranked = sorted(range(n), key=start.__getitem__, reverse=True)
     while True:
-        vals, order = start[:], ranked[:]
-        while (steps := bits(k_top)) >= top:
-            pass
-        for _ in range(1 + steps):
-            while (i := bits(k_n)) >= n:
-                pass
-            while (j := bits(k_last)) >= last:
-                pass
-            while (num := bits(k_num)) >= 12:
-                pass
-            while (step_den := bits(k_den)) >= _STEP_DEN:
-                pass
-            t = (1 + num) * moves[step_den]
-            if j == i:  # sample's pool path: a repeat takes the last entry
-                j = last
-            if i > j:
-                i, j = j, i
-            up, down = order[i], order[j]
-            v = vals[up] = vals[up] + t
-            while i and ((w := vals[p := order[i - 1]]) < v or w == v and p > up):
-                order[i] = p
-                i -= 1
-            order[i] = up
-            v = vals[down] = vals[down] - t
-            while j < last and ((w := vals[s := order[j + 1]]) > v
-                                or w == v and s < down):
-                order[j] = s
-                j += 1
-            order[j] = down
-        for i, k in swaps:
-            while (j := bits(k)) > i:
-                pass
-            vals[i], vals[j] = vals[j], vals[i]
+        vals = start[:]
+        for _ in range(rng.randint(1, 3 * n)):
+            order = sorted(range(n), key=vals.__getitem__, reverse=True)
+            si, sj = sorted(rng.sample(range(n), 2))
+            num, step_den = rng.randint(1, 12), rng.randint(1, _STEP_DEN)
+            t = num * den * (_STEP_SCALE // step_den)
+            vals[order[si]] += t
+            vals[order[sj]] -= t
+        rng.shuffle(vals)
         yield tuple(vals)
 
 
@@ -426,6 +355,7 @@ def _sampled_at(a: Mat, anchor: AnchorPoint, trials: int, seed: int | str,
                 guard: int, side: str) -> IsotoneVerdict:
     """The orbit scan's ``side`` verdict, else the pass it certified from
     A's rows, else :func:`_upward_verdict`'s."""
+    _require_square(a, anchor)
     base, failed = _orbit_scan(a, anchor, trials, guard)
     if failed:
         return failed[side]
@@ -463,29 +393,8 @@ def is_isotone_at(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
 
 
 def _random_distinct_vec(n: int, rng: random.Random) -> tuple[tuple[int, ...], int]:
-    """Distinct numerators in ``[-24, 24]`` and one common denominator, the
-    draws of ``rng.sample(range(-24, 25), n), rng.randint(1, 6)`` word for
-    word from ``getrandbits``, as ``tests/test_isotone.py`` pins.  The set
-    path and the denominator decode their draws inline by :func:`_below`'s
-    rule; the pool path calls ``_below``."""
-    bits, nums = rng.getrandbits, []
-    if n <= 5:  # sample's set path: redraw a repeat
-        while len(nums) < n:
-            while (v := bits(6)) >= 49:  # 6 == (49).bit_length()
-                pass
-            if v - 24 not in nums:
-                nums.append(v - 24)
-    elif n > 49:
-        raise ValueError("Sample larger than population or is negative")
-    else:  # its pool path: the last unpicked entry fills the gap
-        pool = list(range(-24, 25))
-        for i in range(49, 49 - n, -1):
-            j = _below(bits, i)
-            nums.append(pool[j])
-            pool[j] = pool[i - 1]
-    while (den := bits(3)) >= 6:  # 3 == (6).bit_length()
-        pass
-    return tuple(nums), 1 + den
+    """Distinct numerators in ``[-24, 24]`` and one common denominator."""
+    return tuple(rng.sample(range(-24, 25), n)), rng.randint(1, 6)
 
 
 def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
@@ -676,7 +585,7 @@ def verify_statements(a: Mat, anchor: AnchorPoint, trials: int = DEFAULT_TRIALS,
     _require_square(a, anchor)
     if not anchor.strictly_decreasing:
         raise ValueError("the joint verifier requires a strictly decreasing anchor")
-    base, failed = _orbit_scan_body(a, anchor, trials, guard)
+    base, failed = _orbit_scan(a, anchor, trials, guard)
     form = classify_global(a)
     if failed:
         left, right, point, equiv, global_sampled = (

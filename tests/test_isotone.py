@@ -42,7 +42,6 @@ from majorkit.majorization import _orbit
 from majorkit.numerics import _clear_denominators
 from majorkit.isotone import (
     _STEP_SCALE,
-    _below,
     _draws_above,
     _first_below,
     _images,
@@ -925,9 +924,10 @@ class TestIntegerKernelMatchesFractionOracles:
                 oracle_random_distinct_vec(n, theirs)
             assert ours.getstate() == theirs.getstate()
 
-    @pytest.mark.parametrize("n", range(9, 22))
-    def test_sample_above_equals_the_oracle_up_to_the_pool_bound(self, n):
-        # random.sample(range(n), 2) takes its pool path up to n = 21.
+    @pytest.mark.parametrize("n", range(9, 33))
+    def test_sample_above_equals_the_oracle_past_the_pool_bound(self, n):
+        # random.sample(range(n), 2) takes its pool path up to n = 21 and
+        # its set path past it.
         for seed in range(12):
             alpha = rand_vec(random.Random(seed), n, -4, 4, max_den=7)
             den, (nums,) = _clear_denominators((alpha,))
@@ -988,7 +988,7 @@ SAMPLER_STREAMS_SHA256 = \
 
 
 def _raise_on_call(*args, **kwargs):
-    raise AssertionError("a sampler drew through a random.Random method")
+    raise AssertionError("called where no call may happen")
 
 
 @pytest.fixture
@@ -1037,15 +1037,15 @@ def _assert_draws_match_the_oracle(nums, den, seed, count):
 
 
 class TestSamplerStreams:
-    @pytest.mark.parametrize("n", [*range(1, 131), 2**31, 2**32, 2**32 + 1, 2**64])
-    def test_below_draws_the_words_randrange_draws(self, n):
-        # Powers of two reject about half of their words; past 32 bits one
-        # draw reads two words.
-        for seed in range(20):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert [_below(ours.getrandbits, n) for _ in range(40)] == \
-                [theirs.randrange(n) for _ in range(40)]
-            assert ours.getstate() == theirs.getstate()
+    @pytest.mark.parametrize("n", range(1, 131))
+    def test_draws_above_equal_the_oracle_at_every_length(self, n):
+        # A draw's step count randint(1, 3n) meets every power-of-two bound
+        # up to 390, where _randbelow rejects about half of its words, and
+        # shuffle draws below every length up to n.
+        rng = random.Random(n)
+        nums = [rng.randint(-9, 9) for _ in range(n)]
+        for seed in range(2):
+            _assert_draws_match_the_oracle(nums, 1 + n % 7, 97 * n + seed, 1)
 
     def test_streams_match_the_pinned_hash(self):
         draws = []
@@ -1061,9 +1061,9 @@ class TestSamplerStreams:
         assert digest == SAMPLER_STREAMS_SHA256
 
     def test_a_holding_cell_draws_the_pinned_word_counts(self, words, rows_declined):
-        # Every draw here is at most 6 bits, one getrandbits word each.  The
-        # counts were taken while each draw still called _below.  The row
-        # certificate declines here, so every stream draws.
+        # Every draw here is at most 6 bits, one getrandbits word each, read
+        # through random.Random._randbelow.  The row certificate declines
+        # here, so every stream draws.
         anchor = AnchorPoint(Vec(["7/2", "4/3", 1, "-5/6"]))
         a = PermScaled(Fraction(2), Fraction(1, 3), Perm([1, 0, 3, 2])).as_matrix()
         assert verify_statements(a, anchor, trials=50, seed=1).all_hold
@@ -1112,8 +1112,8 @@ class TestSamplerStreams:
             IsotoneVerdict(True, trials=trials)
 
     def test_draws_above_equal_the_oracle_at_tied_anchors(self):
-        # Ties are where re-ranking by insertion could pick other entries
-        # than a stable reverse sort.
+        # Ties are where the rank order rests on sorted's stability: equal
+        # values keep their index order, in the oracle and in the sampler.
         for index, (nums, den) in enumerate(_tied_anchors()):
             for seed in range(4):
                 _assert_draws_match_the_oracle(nums, den, 31 * index + seed, 8)
@@ -1122,27 +1122,6 @@ class TestSamplerStreams:
            den=st.integers(1, 12), seed=st.integers(0, 2**32))
     def test_draws_above_equal_the_oracle(self, nums, den, seed):
         _assert_draws_match_the_oracle(nums, den, seed, 6)
-
-    def test_samplers_call_no_random_method(self, monkeypatch):
-        rng = random.Random(211)
-        cells = []
-        for n, alpha in ((4, [Fraction(7, 2), 2, Fraction(1, 3), -1]),
-                         (5, [5, Fraction(9, 2), 1, 0, Fraction(-5, 3)])):
-            for planted in (random_trace_map(n, rng), random_perm_scaled(n, rng)):
-                cells.append((planted, AnchorPoint(Vec(alpha))))
-        before = [verify_statements(a, anchor, trials=50, seed=i)
-                  for i, (a, anchor) in enumerate(cells)]
-        assert all(check.all_hold for check in before)
-        for name in ("randint", "randrange", "sample", "shuffle", "choice"):
-            monkeypatch.setattr(random.Random, name, _raise_on_call)
-        after = [verify_statements(a, anchor, trials=50, seed=i)
-                 for i, (a, anchor) in enumerate(cells)]
-        assert after == before
-        tied = AnchorPoint(Vec([2, 1, 1, 0]))
-        a = cells[0][0]
-        assert is_right_isotone_at(a, tied, trials=50, seed=1).holds
-        assert is_isotone_at(a, tied, trials=50, seed=1).holds
-        assert is_global_isotone_sampled(a, trials=50, seed=1).holds
 
     def test_more_entries_than_the_range_is_a_value_error(self):
         # As random.sample(range(-24, 25), 50) is, at a guard that lets

@@ -169,6 +169,23 @@ def right_isotone(n: int):
     return make, read
 
 
+def right_isotone_drawn(n: int):
+    """``is_right_isotone_at`` at the all-equal anchor on ``random_ds(n,
+    seed).matrix`` for seeds 0..7: the orbit is one image and the rows
+    decline, so every trial draws a vector above the anchor, and holds."""
+    cells = [mk.random_ds(n, seed).matrix.rows for seed in range(8)]
+
+    def make():
+        pool, anchor = [mk.Mat(rows) for rows in cells], mk.AnchorPoint(mk.Vec([1] * n))
+        return lambda: [mk.is_right_isotone_at(a, anchor, trials=50, seed=i)
+                        for i, a in enumerate(pool)]
+
+    def read(verdicts):
+        _expect(all(verdicts), f"every doubly stochastic cell at n = {n} holds")
+        return {"cells": len(verdicts), "draws": sum(v.trials for v in verdicts)}
+    return make, read
+
+
 def global_sampled(n: int):
     rows, _ = _planted(n)
 
@@ -346,6 +363,7 @@ def verify(n: int):
 # fresh inputs there), and what to read off the run's result as counters.
 LAYERS = (
     ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
+    ("isotone.right.drawn", (4, 6), right_isotone_drawn),
     ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
     ("isotone.classify_global", (4, 8, 16), classify),
     ("isotone.verify_statements", (4, 6, 8), campaign),
