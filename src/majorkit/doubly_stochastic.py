@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .majorization import Violation, first_violation
+from .majorization import Violation, _violation
 from .numerics import (
     DimensionMismatch,
     Mat,
@@ -114,16 +114,16 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     and pins at least one more coordinate per step, so the chain length
     is at most ``n - 1``.  Raises :class:`NotMajorized` otherwise.
 
-    The precheck and the chain run on integers.  The precheck is
-    :func:`~majorkit.majorization.first_violation`; the chain sorts ``x`` and
-    ``y``, scaled by one common denominator, as ints, keeping every tie, so
-    the entries, the mass moved and the gaps are ints, and each step's ``t``
-    is one ``Fraction(delta, gap)``.  Each chain row is kept as int numerators
-    over one denominator of its own; a T-transform changes only the two
-    rows it mixes, so it is applied as a two-row update in O(n), reduced
-    by one ``gcd`` per row.  The sorting permutations are applied by
-    re-indexing rows and columns, and the entries become ``Fraction``s
-    once, at the end.  No matrix product is formed.
+    The precheck and the chain run on integers: ``x`` and ``y`` are put on
+    one common denominator and sorted once, as ints, keeping every tie.  The
+    precheck reads those ints through majorization's one violation rule; in
+    the chain the entries, the mass moved and the gaps are ints, and each
+    step's ``t`` is one ``Fraction(delta, gap)``.  Each chain row is kept as
+    int numerators over one denominator of its own; a T-transform changes
+    only the two rows it mixes, so it is applied as a two-row update in
+    O(n), reduced by one ``gcd`` per row.  The sorting permutations are
+    applied by re-indexing rows and columns, and the entries become
+    ``Fraction``s once, at the end.  No matrix product is formed.
 
     The witness's matrix is built by ``Mat._of`` with the chain's own
     frame, which its doubly stochastic check reads.  Each chain row is in
@@ -134,14 +134,14 @@ def witness_ds(x: Vec, y: Vec) -> MajorizationWitness:
     """
     if len(x) != len(y):
         raise DimensionMismatch("witness requires vectors of equal length")
-    violation = first_violation(x, y)
-    if violation is not None:
-        raise NotMajorized(violation)
     n = len(x)
-    _, xn, yn = _joint_frame(x, y)
+    common, xn, yn = _joint_frame(x, y)
     order_x, order_y = (sorted(range(n), key=v.__getitem__, reverse=True)
                         for v in (xn, yn))
     xs, vs = [xn[i] for i in order_x], [yn[i] for i in order_y]
+    violation = _violation(common, xs, vs)
+    if violation is not None:
+        raise NotMajorized(violation)
 
     transforms: list[TTransform] = []
     # chain row r is nums[r] / dens[r]

@@ -426,13 +426,14 @@ def is_global_isotone_sampled(a: Mat, trials: int = DEFAULT_TRIALS,
 def _global_draws(a: Mat, trials: int, seed: int | str,
                   guard: int) -> IsotoneVerdict:
     """:func:`is_global_isotone_sampled`'s ``trials > 0`` draws, past the
-    guard and a declined row certificate: each trial scans the drawn
-    ``y``'s orbit for the first image not majorized by ``A y``."""
+    guard and a declined row certificate: each trial profiles the drawn
+    ``y``'s orbit once, ``y`` first, for an image not majorized by ``A y``."""
     rows = a._frame[1]
     rng = random.Random(f"{seed}:global")
     for _ in range(trials):
         nums, den = _random_distinct_vec(len(rows), rng)
-        below = _first_below(_images(rows, nums, guard), _profile(rows, nums))
+        images = _images(rows, nums, guard)
+        below = _first_below(images, next(images)[2])
         if below:
             return IsotoneVerdict(False, {"perm": Perm._of(below[0]),
                                           "y": _vec(nums, den)}, trials=trials)

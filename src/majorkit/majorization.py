@@ -94,21 +94,19 @@ def _profile_violation(px: tuple, py: tuple) -> Violation | None:
     return Violation("prefix", k + 1, px[k], py[k])
 
 
-def _int_profiles(x: Vec, y: Vec) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """``(L, px, py)``: the decreasing prefix profiles of ``L x`` and ``L y``,
-    with ``L`` the least common multiple of both vectors' denominators."""
-    scale, xs, ys = _joint_frame(x, y)
-    return scale, desc_prefix_sums(xs), desc_prefix_sums(ys)
-
-
-def first_violation(x: Vec, y: Vec) -> Violation | None:
-    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
-    scale, px, py = _int_profiles(x, y)
-    violation = _profile_violation(px, py)
+def _violation(scale: int, xs: Iterable[int], ys: Iterable[int]) -> Violation | None:
+    """The first reason why ``xs / scale`` is not majorized by ``ys / scale``,
+    decided on the ints; only its two sums become ``Fraction``s."""
+    violation = _profile_violation(desc_prefix_sums(xs), desc_prefix_sums(ys))
     if violation is None:
         return None
     return replace(violation, lhs=Fraction(violation.lhs, scale),
                    rhs=Fraction(violation.rhs, scale))
+
+
+def first_violation(x: Vec, y: Vec) -> Violation | None:
+    """Return the first reason why ``x`` is not majorized by ``y``, if any."""
+    return _violation(*_joint_frame(x, y))
 
 
 def majorizes(x: Vec, y: Vec) -> bool:
@@ -124,7 +122,7 @@ def majorizes(x: Vec, y: Vec) -> bool:
 
 def equivalent(x: Vec, y: Vec) -> bool:
     """True iff ``x ≺ y`` and ``y ≺ x``: the prefix profiles are equal."""
-    _, px, py = _int_profiles(x, y)
+    px, py = map(desc_prefix_sums, _joint_frame(x, y)[1:])
     return _profile_violation(px, py) is None and px == py
 
 

@@ -93,9 +93,10 @@ _PLANTED8 = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
 
 def test_a_declined_planted_form_profiles_its_whole_orbit_per_trial(tracer,
                                                                     monkeypatch):
-    # When A's rows decline, each trial profiles A y and then every one of
-    # the 5! distinct rearrangements of the drawn y, in order, through
-    # desc_prefix_sums; the orbit is read without enumerating a Perm.
+    # When A's rows decline, each trial profiles every one of the 5!
+    # distinct rearrangements of the drawn y once, in order, through
+    # desc_prefix_sums; the first is y itself, whose profile A y is the
+    # trial's base.  The orbit is read without enumerating a Perm.
     monkeypatch.setattr(majorkit.isotone, "_rows_symmetric", lambda rows: False)
     a = majorkit.PermScaled(Fraction(3, 2), Fraction(-1, 3),
                             majorkit.Perm([3, 0, 4, 1, 2])).as_matrix()
@@ -108,7 +109,7 @@ def test_a_declined_planted_form_profiles_its_whole_orbit_per_trial(tracer,
     sampled = tracer.summary()["isotone.global_sampled"]
     assert sampled["calls"] == 1
     assert sampled["counters"].get("numerics.perms_enumerated", 0) == 0
-    assert sampled["kernels"]["majorization.prefix_sums"][0] == 10 * (1 + 120)
+    assert sampled["kernels"]["majorization.prefix_sums"][0] == 10 * 120
 
 
 def test_a_row_certified_form_takes_no_sampler_profile(tracer):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from majorkit import (
     BirkhoffDecomposition,
@@ -51,6 +51,31 @@ def majorized_pairs(draw):
     d = random_ds(n, seed=draw(st.integers(0, 2**32 - 1)),
                   steps=draw(st.integers(1, 6)))
     return d.matrix @ y, y
+
+
+@st.composite
+def spread_pairs(draw):
+    """``(x, y)`` with ``x`` spreading ``y`` by one unit, so never majorized by
+    it; the first violation is prefix 1, and both share one LCM."""
+    y = Vec(draw(st.lists(scalars, min_size=2, max_size=6)))
+    x = list(sort_desc(y).descending)
+    x[0] += 1
+    x[-1] -= 1
+    return Vec(x), y
+
+
+@st.composite
+def free_pairs(draw):
+    """Independent ``x`` and ``y`` of one length with unequal LCMs of their
+    denominators; half of them get equal totals, so total-sum violations,
+    late prefixes and majorized pairs are all drawn."""
+    n = draw(st.integers(1, 9))
+    x, y = (draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(2))
+    if draw(st.booleans()):
+        x[-1] += sum(y) - sum(x)
+    x, y = Vec(x), Vec(y)
+    assume(x._frame[0] != y._frame[0])
+    return x, y
 
 
 @st.composite
@@ -197,19 +222,18 @@ class TestWitness:
         assert info.value.violation.kind == "prefix"
         assert info.value.violation.index == 1
 
-    @given(x=st.lists(scalars, min_size=2, max_size=6))
-    def test_not_majorized_carries_the_first_violation(self, x):
-        # y spreads x by one unit, so y is never majorized by x.
-        x = Vec(x)
-        view = sort_desc(x)
-        y = list(view.descending)
-        y[0] += 1
-        y[-1] -= 1
-        y = Vec(y)
+    @given(pair=st.one_of(spread_pairs(), free_pairs()))
+    def test_not_majorized_carries_the_first_violation(self, pair):
+        # witness_ds raises iff first_violation finds one, and carries it.
+        x, y = pair
+        expected = first_violation(x, y)
+        if expected is None:
+            assert witness_ds(x, y).matrix.matrix @ y == x
+            return
         with pytest.raises(NotMajorized) as info:
-            witness_ds(y, x)
+            witness_ds(x, y)
         violation = info.value.violation
-        assert violation == first_violation(y, x)
+        assert violation == expected
         assert type(violation.lhs) is Fraction and type(violation.rhs) is Fraction
 
     def test_soundness_random_products(self):

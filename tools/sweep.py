@@ -199,6 +199,23 @@ def global_sampled(n: int):
     return make, read
 
 
+def global_sampled_drawn(n: int):
+    """``is_global_isotone_sampled`` on ``random_ds(n, seed).matrix`` for seeds
+    0..7, ``trials=20``: the rows decline, so the sampler draws, and every
+    cell is refuted."""
+    cells = [mk.random_ds(n, seed).matrix.rows for seed in range(8)]
+
+    def make():
+        pool = [mk.Mat(rows) for rows in cells]
+        return lambda: [mk.is_global_isotone_sampled(a, trials=20, seed=i)
+                        for i, a in enumerate(pool)]
+
+    def read(verdicts):
+        _expect(not any(verdicts), f"every doubly stochastic cell at n = {n} is refuted")
+        return {"cells": len(verdicts)}
+    return make, read
+
+
 def classify(n: int):
     rows, _ = _planted(n)
 
@@ -365,6 +382,7 @@ LAYERS = (
     ("isotone.right", (4, 5, 6, 7, 8), right_isotone),
     ("isotone.right.drawn", (4, 6), right_isotone_drawn),
     ("isotone.global_sampled", (5, 6, 7, 8), global_sampled),
+    ("isotone.global_sampled.drawn", (4, 6), global_sampled_drawn),
     ("isotone.classify_global", (4, 8, 16), classify),
     ("isotone.verify_statements", (4, 6, 8), campaign),
     ("cli.check.small_den", (256, 1024, 4096), _check(primes=False)),
