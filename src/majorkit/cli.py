@@ -149,17 +149,22 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
         raise CliError(f"{path} is nested too deeply to parse")
 
 
-def load_vector(path: str, warnings: list[str]
+def load_vector(path: str, warnings: list[str], guard: int | None = None
                 ) -> tuple[list[tuple[int, int]], dict[str, str]]:
-    """A vector file's entries as ``_scalars`` pairs, and its digest."""
+    """A vector file's entries as ``_scalars`` pairs, and its digest; an
+    array longer than ``guard`` raises :class:`GuardExceeded` before any
+    entry is read."""
     doc, digest = _load_json(path)
     if not isinstance(doc, list) or not doc:
         raise CliError(f"{path}: a vector file is a non-empty JSON array")
+    if guard is not None:
+        _perm_images(len(doc), guard)
     return _scalars(doc, warnings, path), digest
 
 
-def _load_vec(path: str, warnings: list[str]) -> tuple[Vec, dict[str, str]]:
-    pairs, digest = load_vector(path, warnings)
+def _load_vec(path: str, warnings: list[str], guard: int | None = None
+              ) -> tuple[Vec, dict[str, str]]:
+    pairs, digest = load_vector(path, warnings, guard)
     return Vec(starmap(Fraction, pairs)), digest
 
 
@@ -300,8 +305,8 @@ def cmd_witness(args: argparse.Namespace, warnings: list[str]) -> _Result:
 
 
 def cmd_extremizers(args: argparse.Namespace, warnings: list[str]) -> _Result:
-    x, x_in = _load_vec(args.x, warnings)
-    y, y_in = _load_vec(args.y, warnings)
+    x, x_in = _load_vec(args.x, warnings, args.guard_n)
+    y, y_in = _load_vec(args.y, warnings, args.guard_n)
     rep = extremizer_sets(x, y, guard=args.guard_n)
     k = rep.distinct_count
     counts = {
@@ -377,7 +382,7 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     if args.trials > _MAX_TRIALS:
         raise CliError(f"--trials {args.trials} exceeds {_MAX_TRIALS}")
     if args.alpha is not None:
-        alpha, digest = _load_vec(args.alpha, warnings)
+        alpha, digest = _load_vec(args.alpha, warnings, args.guard_n)
         inputs: dict[str, Any] = {"alpha": digest, "n": len(alpha)}
     elif args.n > args.guard_n:  # fail before building the anchor
         raise GuardExceeded(args.n, args.guard_n)
@@ -387,7 +392,6 @@ def cmd_verify(args: argparse.Namespace, warnings: list[str]) -> _Result:
     anchor = isotone.AnchorPoint(alpha)
     if not anchor.strictly_decreasing:
         raise CliError("verify requires a strictly decreasing anchor")
-    _perm_images(anchor.n, args.guard_n)  # every cell scans the n! orbit
     inputs["matrices"] = args.matrices
 
     cells = isotone.campaign_matrices(anchor.n, args.matrices, args.seed)

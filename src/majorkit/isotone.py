@@ -39,8 +39,9 @@ equivalence fails they fail too, even at 0 trials.
 
 Every image is evaluated by one integer kernel on the frames that ``Mat``
 and ``Vec`` cache, so A and the anchor are cleared at most once, whatever
-reads them; images, sorts and prefix profiles are Python ints, and only
-witnesses are turned back into exact rationals.
+reads them; images, sorts and prefix profiles are Python ints.  An orbit
+witness is the anchor's own vector or a rearrangement of it, and only a
+sampler's drawn witness is turned back into exact rationals.
 """
 
 from __future__ import annotations
@@ -148,15 +149,11 @@ def _require_square(a: Mat, anchor: AnchorPoint | None = None) -> int:
 # by majorization's desc_prefix_sums and _profile_violation.  Two profiles
 # are compared only when their vectors share a scale: an orbit shares its
 # anchor's, and the samplers put the draws and A alpha on one.  Fractions
-# are built for witnesses only.
+# are built for a sampler's drawn witness only.
 
 def _vec(nums: Sequence[int], den: int) -> Vec:
-    """The witness ``nums / den``, built once through the trusted ``Vec._of``;
-    over ``den == 1``, every integer anchor's, each entry is an int's
-    ``Fraction``, with no gcd."""
-    if den == 1:
-        return Vec._of(tuple(map(Fraction, nums)))
-    return Vec._of(tuple([Fraction(v, den) for v in nums]))
+    """A sampler's drawn witness ``nums / den``."""
+    return Vec(Fraction(v, den) for v in nums)
 
 
 def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,15 +162,15 @@ def _profile(rows: Sequence[Sequence[int]], v: tuple[int, ...]) -> tuple[int, ..
 
 
 def _images(rows, v, guard):
-    """``(perm image, rearrangement, profile of its A-image)`` over the
-    distinct rearrangements of ``v``, lazily; the first row is ``v`` itself."""
-    return ((p, w, _profile(rows, w)) for p, w in _orbit(v, guard))
+    """``(perm image, profile of its A-image)`` over the distinct
+    rearrangements of ``v``, lazily; the first row is ``v``'s own."""
+    return ((p, _profile(rows, w)) for p, w in _orbit(v, guard))
 
 
 def _first_below(images, base):
     """The first image row whose profile is not majorized by ``base``."""
     return next((row for row in images
-                 if _profile_violation(row[2], base) is not None), None)
+                 if _profile_violation(row[1], base) is not None), None)
 
 
 def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
@@ -192,34 +189,35 @@ def _orbit_scan(a: Mat, anchor: AnchorPoint, trials: int | None, guard: int
     first fails on ``(below, anchor)``, else on ``(anchor, moved)``, so one
     of the two witness perms is the identity, the anchor's own image: the
     global witness ``source target^-1`` is ``below``'s perm, else the
-    inverse of ``moved``'s.  Unless the second image is ``moved``, A's rows
-    are read once (:func:`_rows_symmetric`), before the third: when they
-    certify, every image is a rearrangement of ``A alpha`` and no
-    ``moved`` exists, so the scan stops there; when they decline, it reads
-    on in the same order, so a holding ``(base, None)`` means they
-    declined and no caller reads them again.  The guard trips on the call,
-    before the rows are read.
+    inverse of ``moved``'s, and the witness ``y`` is ``alpha`` itself, else
+    ``moved``'s rearrangement of it, so a failing scan builds no
+    ``Fraction``.  Unless the second image is ``moved``, A's rows are read
+    once (:func:`_rows_symmetric`), before the third: when they certify,
+    every image is a rearrangement of ``A alpha`` and no ``moved`` exists,
+    so the scan stops there; when they decline, it reads on in the same
+    order, so a holding ``(base, None)`` means they declined and no caller
+    reads them again.  The guard trips on the call, before the rows are
+    read.
     """
-    den, nums = anchor.alpha._frame
-    rows = a._frame[1]
-    images = _images(rows, nums, guard)
+    alpha, rows = anchor.alpha, a._frame[1]
+    images = _images(rows, alpha._frame[1], guard)
     first = next(images)
-    base = first[2]
+    base = first[1]
     moved = next(images, first)
-    if moved[2] == base:
+    if moved[1] == base:
         if _rows_symmetric(rows):
             return None, None
-        moved = next((row for row in images if row[2] != base), None)
+        moved = next((row for row in images if row[1] != base), None)
         if moved is None:
             return base, None
     pm = Perm._of(moved[0])
-    below = (moved if _profile_violation(moved[2], base) is not None
+    below = (moved if _profile_violation(moved[1], base) is not None
              else _first_below(images, base))
     if below:  # the pair (below, anchor)
         ps = pm if below is moved else Perm._of(below[0])
-        pt, y, perm = Perm._of(first[0]), _vec(nums, den), ps
+        pt, y, perm = Perm._of(first[0]), alpha, ps
     else:  # the pair (anchor, moved)
-        ps, pt, y, perm = Perm._of(first[0]), pm, _vec(moved[1], den), pm.inverse()
+        ps, pt, y, perm = Perm._of(first[0]), pm, pm.apply(alpha), pm.inverse()
     return base, {
         "left": IsotoneVerdict(False, {"source_perm": ps, "target_perm": pt}),
         "right": IsotoneVerdict(False, {"perm": ps, "y": y}, trials=trials),
@@ -433,7 +431,7 @@ def _global_draws(a: Mat, trials: int, seed: int | str,
     for _ in range(trials):
         nums, den = _random_distinct_vec(len(rows), rng)
         images = _images(rows, nums, guard)
-        below = _first_below(images, next(images)[2])
+        below = _first_below(images, next(images)[1])
         if below:
             return IsotoneVerdict(False, {"perm": Perm._of(below[0]),
                                           "y": _vec(nums, den)}, trials=trials)

@@ -100,15 +100,6 @@ class Vec:
             raise ValueError("a vector needs at least one entry")
         self._entries, self._cleared = tup, None
 
-    @classmethod
-    def _of(cls, entries: tuple) -> "Vec":
-        """A ``Vec`` of a nonempty tuple of ``Fraction``s, trusted as in
-        ``Perm._of``: no entry is converted again; ``_frame`` is cleared on
-        first read, as a checked ``Vec``'s is."""
-        v = cls.__new__(cls)
-        v._entries, v._cleared = entries, None
-        return v
-
     @property
     def entries(self) -> tuple[Rational, ...]:
         return self._entries

@@ -329,7 +329,7 @@ def oracle_verify(a, anchor, trials, seed, guard=DEFAULT_GUARD) -> StatementChec
 
 # The all-rows row certificate, the composed global witness and the
 # checked witness vector, kept as oracles for the moved-rows test, the
-# witness read off the identity image and the trusted ``isotone._vec``.
+# witness read off the identity image and the samplers' ``isotone._vec``.
 
 def oracle_rows_symmetric(rows) -> bool:
     """Whether the sorted rows of ``A tau_m`` equal A's for every adjacent

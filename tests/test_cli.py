@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from majorkit import Mat, Perm, Vec, equivalent, first_violation, majorizes
+from majorkit import GuardExceeded, Mat, Perm, Vec, equivalent, first_violation, majorizes
 from majorkit import cli, isotone
 from majorkit.cli import main
 from helpers import (
@@ -732,10 +732,20 @@ class TestExtremizers:
         code, out, err = _run(["extremizers", str(big), str(DATA / "y_desc3.json"), fmt])
         assert (code, out, err) == (2, "", f"error: {_DIGIT_LIMIT}\n")
 
-    def test_guard_flag(self, sandbox):
-        code, _ = sandbox("extremizers", "x_ties.json", "y_desc3.json",
-                          "--guard-n", "2")
-        assert code == 2
+    @pytest.mark.parametrize("argv, n, guard", [
+        (["x_ties.json", "y_desc3.json", "--guard-n", "2"], 3, 2),
+        (["x_nine.json", "y_desc3.json"], 9, 8),
+    ], ids=["guard-flag", "nine-entries"])
+    def test_guard_trips_before_the_entries_are_read(self, sandbox, monkeypatch,
+                                                     argv, n, guard):
+        def unreachable(*args):  # main does not map AssertionError to exit 2
+            raise AssertionError("an entry was read above the guard")
+
+        Path("x_nine.json").write_text(json.dumps(list(range(9))))
+        monkeypatch.setattr(cli, "_scalars", unreachable)
+        monkeypatch.setattr(cli, "extremizer_sets", unreachable)
+        assert _run(["extremizers", *argv]) == \
+            (2, "", f"error: {GuardExceeded(n, guard)}\n")
 
 
 class TestIsotone:
@@ -864,7 +874,9 @@ class TestVerify:
             raise AssertionError("work started above the guard")
 
         monkeypatch.setattr(isotone, "campaign_matrices", unreachable)
-        if "--alpha" not in argv:  # --n alone: not even the anchor is built
+        if "--alpha" in argv:  # the anchor file's length trips, not its entries
+            monkeypatch.setattr(cli, "_scalars", unreachable)
+        else:  # --n alone: not even the anchor is built
             monkeypatch.setattr(cli, "Vec", unreachable)
         code, report = sandbox("verify", *argv)
         assert code == 2

@@ -1504,7 +1504,8 @@ def _one_row_of_ones(n):
 class TestCellFixedWork:
     """A cell's fixed work, each fast form against its kept oracle: the
     row certificate reads only the rows a swap moves, the global witness
-    is read off the identity image, and the witness vector is built once."""
+    is read off the identity image, an orbit witness is the anchor's own
+    vector, and a sampler's witness vector is the checked one."""
 
     @pytest.mark.parametrize("box", [(3, (-1, 0, 1)), (4, (0, 1))], ids=["n3", "n4"])
     def test_moved_rows_decide_as_all_rows_on_the_box(self, box):
@@ -1549,6 +1550,45 @@ class TestCellFixedWork:
                     pairs.add((left.witness["source_perm"] == identity,
                                left.witness["target_perm"] == identity))
         assert pairs == {(False, True), (True, False)}
+
+    def test_an_orbit_witness_is_the_anchor_or_its_rearrangement(self, monkeypatch):
+        # A failing scan builds no Fraction: the (below, anchor) pair reports
+        # alpha itself, and the (anchor, moved) pair alpha's own entries
+        # moved by the target perm.  Each witness re-verifies on Fractions.
+        def unbuilt(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        kinds = set()
+        for n in range(2, 6):
+            rng = random.Random(f"anchor-witness:{n}")
+            anchor = AnchorPoint(rand_strictly_decreasing(rng, n))
+            alpha = anchor.alpha
+            cells = [a for _, a in campaign_matrices(n, 8, n)]
+            cells += _one_row_of_ones(n)
+            for i, a in enumerate(cells):
+                if _orbit_scan(a, anchor, 5, n)[1] is None:
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(Fraction, "__new__", unbuilt)
+                    check = verify_statements(a, anchor, trials=5, seed=i)
+                y, target = check.right.witness["y"], check.left.witness["target_perm"]
+                if target == Perm.identity(n):
+                    assert y is alpha
+                else:
+                    assert y == Perm(target.image).apply(alpha)
+                    assert all(y[target(j)] is v for j, v in enumerate(alpha))
+                kinds.add(target == Perm.identity(n))
+                assert check.point.witness.get("y", y) is y
+                assert check.global_sampled.witness["y"] is y
+                source = check.right.witness["perm"].apply(alpha)
+                q = check.global_sampled.witness["perm"]
+                for x, z in ((source, y), (q.apply(y), y)):
+                    assert not majorizes(a @ x, a @ z)
+                    assert oracle_first_violation(a @ x, a @ z) is not None
+                want = oracle_verify(a, anchor, 5, seed=i)
+                for name in ("left", "right", "point", "equiv"):
+                    assert getattr(check, name) == getattr(want, name), name
+        assert kinds == {True, False}
 
     @settings(max_examples=300)
     @given(nums=st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=8),
